@@ -32,10 +32,17 @@ from .nilpotence import g_general, render_report
 from .verify import SUITES, VerifyConfig, run_suite
 
 USAGE_ERROR = 2
+# Largest exponent a form spec may hold: `hecke` streams one image per power
+# up to the degree, and every command packs the form into a bit mask.
+MAX_FORM_DEGREE = 65535
+FORM_HELP = f"comma-separated exponents, each at most {MAX_FORM_DEGREE}"
 
 
 def parse_form(spec: str) -> DeltaPoly:
-    """Comma-separated exponents; `0` is the constant term, `0x` the zero form."""
+    """Comma-separated exponents; `0` is the constant term, `0x` the zero form.
+
+    Exponents above MAX_FORM_DEGREE are rejected.
+    """
     spec = spec.strip()
     if spec in ("", "0x"):
         return DeltaPoly(0)
@@ -45,6 +52,8 @@ def parse_form(spec: str) -> DeltaPoly:
         raise ValueError(f"malformed form spec {spec!r}") from exc
     if any(e < 0 for e in exponents):
         raise ValueError("exponents must be nonnegative")
+    if max(exponents) > MAX_FORM_DEGREE:
+        raise ValueError(f"exponents must be at most {MAX_FORM_DEGREE}")
     return DeltaPoly.from_exponents(exponents)
 
 
@@ -159,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hk = sub.add_parser("hecke", help="apply one operator to a form")
     hk.add_argument("--p", type=int, required=True, help="odd prime")
-    hk.add_argument("--form", required=True, help="comma-separated exponents")
+    hk.add_argument("--form", required=True, help=FORM_HELP)
     mode = hk.add_mutually_exclusive_group()
     mode.add_argument("--naive", action="store_true", help="q-expansion route")
     mode.add_argument("--fast", action="store_true", help="recurrence route (default)")
@@ -167,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     hk.set_defaults(func=_cmd_hecke)
 
     g = sub.add_parser("g", help="order-of-nilpotence report for a form")
-    g.add_argument("--form", required=True, help="comma-separated exponents")
+    g.add_argument("--form", required=True, help=FORM_HELP)
     g.add_argument("--kv", action="store_true", help="key=value output")
     g.set_defaults(func=_cmd_g)
 

@@ -22,6 +22,8 @@ __all__ = [
     "BitSeries",
     "clmul",
     "spread_bits",
+    "spread8",
+    "pack8",
     "zero",
     "one",
     "delta",
@@ -30,6 +32,11 @@ __all__ = [
 
 # Below this popcount a plain shift-xor loop beats the numpy round trip.
 _SPREAD_LOOP_LIMIT = 512
+# Below this many packed bits the string translation of spread8/pack8 beats
+# numpy's unpackbits/packbits round trip.
+_BYTEWISE_STR_LIMIT = 768
+_DIGIT_TO_BYTE = tuple(bytes.maketrans(b"01", bytes((0, 1 << c))) for c in range(8))
+_BYTE_TO_DIGIT = b"0" + b"1" * 255
 
 
 def clmul(a: int, b: int) -> int:
@@ -79,6 +86,35 @@ def spread_bits(mask: int, factor: int, limit: int | None = None) -> int:
     bits = np.zeros(size, np.uint8)
     bits[idx] = 1
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def spread8(packed: int, offset: int = 0) -> int:
+    """Move every set bit ``m`` to position ``8m + offset``, for 0 <= offset < 8.
+
+    This unpacks a mask stored on one residue class mod 8: bit ``m`` of the
+    packed mask stands for exponent ``8m + offset``.  ``pack8`` inverts it.
+    """
+    if packed.bit_length() <= _BYTEWISE_STR_LIMIT:
+        digits = format(packed, "b").encode()
+        return int.from_bytes(digits.translate(_DIGIT_TO_BYTE[offset]), "big")
+    src = np.frombuffer(packed.to_bytes((packed.bit_length() + 7) // 8, "little"), np.uint8)
+    return int.from_bytes(np.unpackbits(src, bitorder="little").tobytes(), "little") << offset
+
+
+def pack8(mask: int, offset: int = 0) -> int:
+    """Bit ``m`` of the result is set when byte ``m`` of ``mask >> offset`` is nonzero.
+
+    On a mask supported on the class ``offset`` mod 8 this keeps every eighth
+    bit and inverts ``spread8``.
+    """
+    mask >>= offset
+    if mask == 0:
+        return 0
+    nbytes = (mask.bit_length() + 7) // 8
+    if nbytes <= _BYTEWISE_STR_LIMIT:
+        return int(mask.to_bytes(nbytes, "big").translate(_BYTE_TO_DIGIT), 2)
+    src = np.frombuffer(mask.to_bytes(nbytes, "little"), np.uint8)
+    return int.from_bytes(np.packbits(src, bitorder="little").tobytes(), "little")
 
 
 @dataclass(frozen=True, slots=True)

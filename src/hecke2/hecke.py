@@ -9,10 +9,12 @@ computes the unique symmetric bivariate relation
 
 satisfied by the expansions X = Delta(q), Y = Delta(q^p); its coefficients
 drive an order-(p+1) linear recurrence for the images of the powers of
-Delta.  The relation itself is computed by a packed GF(2) linear solve whose
-unknowns are the monomial bits allowed by the degree and mod-8 congruence
-constraints; the classical power-sum (Newton) identities give a second
-derivation from naive data, used as an independent oracle.
+Delta.  Every s_r lies on the exponent class p*r mod 8, so the image of
+Delta^k lies on the class p*k mod 8 and the recurrence runs on images packed
+on their classes.  The relation itself is computed by a packed GF(2) linear
+solve whose unknowns are the monomial bits allowed by the degree and mod-8
+congruence constraints; the classical power-sum (Newton) identities give a
+second derivation from naive data, used as an independent oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     RankDeficient,
     SingularSystem,
 )
-from .gf2series import BitSeries, clmul, delta, delta_qpow
+from .gf2series import BitSeries, clmul, delta, delta_qpow, pack8, spread8
 
 __all__ = [
     "CharPoly",
@@ -47,6 +49,8 @@ __all__ = [
     "iter_hecke_fast",
     "hecke_fast_range",
     "hecke_fast",
+    "ImageTable",
+    "image_table",
     "GF2Matrix",
     "hecke_matrix",
     "delta7_coeff_sigma",
@@ -539,37 +543,81 @@ def newton_initial_sums(cp: CharPoly) -> tuple[DeltaPoly, ...]:
     return tuple(sums)
 
 
-def iter_hecke_fast(cp: CharPoly, kmax: int | None = None):
-    """Stream the images of Delta^k for k = 0, 1, 2, ...
+@lru_cache(maxsize=64)
+def _recurrence_shifts(cp: CharPoly) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Per k mod 8, the terms (r, shifts) of the packed recurrence.
 
-    Seeds from the rebuilt power sums, then runs the order-(p+1) recurrence
-    with a ring window of the last p+2 values, so memory stays proportional
-    to p times the current degree.
+    Coefficient s_r lies on the class p*r mod 8, so image k lies on the class
+    c_k = p*k mod 8.  With images packed on their classes, the term s_r *
+    I_(k-r) is a xor of I_(k-r) shifted by (e + c_(k-r) - c_k) >> 3 for each
+    exponent e of s_r: exact, and never negative since e >= p*r mod 8.
     """
     p = cp.p
+    for r, sr in enumerate(cp.s, 1):
+        if any(e % 8 != (p * r) % 8 for e in sr.exponents()):
+            raise BadResidue(f"s{r} of the relation at p={p} leaves its class mod 8")
+    out = []
+    for cls in range(8):
+        ck = (p * cls) % 8
+        out.append(tuple(
+            (r, tuple((e + (p * (cls - r)) % 8 - ck) >> 3 for e in sr.exponents()))
+            for r, sr in enumerate(cp.s, 1)
+            if sr
+        ))
+    return tuple(out)
+
+
+def _packed_stream(cp: CharPoly, kmax: int | None):
+    """Images of Delta^k for k = 0..kmax, each packed on its class p*k mod 8.
+
+    Bit m of the k-th value is the coefficient of Delta^(8m + p*k mod 8).
+    Seeds from the rebuilt power sums, then runs the order-(p+1) recurrence
+    over a ring window of the last p+2 packed values.
+    """
+    p = cp.p
+    shifts = _recurrence_shifts(cp)
     size = p + 2
     window = [0] * size
-    head = 0
     k = 0
     for seed in newton_initial_sums(cp):
         if kmax is not None and k > kmax:
             return
-        yield seed
-        window[head] = seed.mask
-        head = (head + 1) % size
+        packed = pack8(seed.mask, (p * k) % 8)
+        yield packed
+        window[k % size] = packed
         k += 1
-    terms = [(r, sr.exponents()) for r, sr in enumerate(cp.s, 1) if sr]
     while kmax is None or k <= kmax:
         acc = 0
-        for r, exps in terms:
-            m = window[(head - r) % size]
+        for r, term_shifts in shifts[k % 8]:
+            m = window[(k - r) % size]
             if m:
-                for e in exps:
-                    acc ^= m << e
-        yield DeltaPoly(acc)
-        window[head] = acc
-        head = (head + 1) % size
+                for sh in term_shifts:
+                    acc ^= m << sh
+        yield acc
+        window[k % size] = acc
         k += 1
+
+
+def _unpack_classes(acc: list[int]) -> int:
+    """Full exponent mask of eight per-class packed accumulators."""
+    out = 0
+    for cls, packed in enumerate(acc):
+        if packed:
+            out |= spread8(packed, cls)
+    return out
+
+
+def iter_hecke_fast(cp: CharPoly, kmax: int | None = None):
+    """Stream the images of Delta^k for k = 0, 1, 2, ...
+
+    Image k lies on the single exponent class p*k mod 8.  The recurrence
+    runs on images packed on their classes (bit m stands for Delta^(8m + c)),
+    so each shift and xor touches an eighth of the bits; this wrapper unpacks
+    every image.  Memory stays proportional to p times the current degree.
+    """
+    p = cp.p
+    for k, packed in enumerate(_packed_stream(cp, kmax)):
+        yield DeltaPoly(spread8(packed, (p * k) % 8))
 
 
 def hecke_fast_range(cp: CharPoly, kmax: int) -> list[DeltaPoly]:
@@ -579,16 +627,55 @@ def hecke_fast_range(cp: CharPoly, kmax: int) -> list[DeltaPoly]:
     return list(iter_hecke_fast(cp, kmax))
 
 
+@dataclass(frozen=True, slots=True)
+class ImageTable:
+    """Images of Delta^0..Delta^kmax, image k packed on its class p*k mod 8."""
+
+    p: int
+    packed: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __getitem__(self, k: int) -> DeltaPoly:
+        return DeltaPoly(spread8(self.packed[k], (self.p * k) % 8))
+
+    def apply(self, mask: int) -> int:
+        """Exponent mask of T_p applied to the form with exponent mask ``mask``.
+
+        Images are xored on their classes and unpacked once per class.
+        """
+        p, packed = self.p, self.packed
+        acc = [0] * 8
+        for k in _bit_positions(mask):
+            acc[(p * k) % 8] ^= packed[k]
+        return _unpack_classes(acc)
+
+
+def image_table(cp: CharPoly, kmax: int) -> ImageTable:
+    """The packed images of Delta^0..Delta^kmax, for applying T_p repeatedly."""
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    return ImageTable(cp.p, tuple(_packed_stream(cp, kmax)))
+
+
 def hecke_fast(f: DeltaPoly, cp: CharPoly) -> DeltaPoly:
-    """T_p of an arbitrary polynomial, monomial-wise over the fast stream."""
+    """T_p of an arbitrary polynomial, monomial-wise over the packed stream.
+
+    The image of Delta^k lies on the exponent class p*k mod 8, and the stream
+    holds it packed on that class (bit m stands for Delta^(8m + p*k mod 8)).
+    The images of the monomials of f are xored into eight accumulators, one
+    per class, and each accumulator is unpacked once at the end.
+    """
     if not f:
         return ZERO
-    fm = f.mask
-    acc = 0
-    for k, img in enumerate(iter_hecke_fast(cp, f.degree)):
-        if (fm >> k) & 1:
-            acc ^= img.mask
-    return DeltaPoly(acc)
+    p = cp.p
+    wanted = set(_bit_positions(f.mask))
+    acc = [0] * 8
+    for k, packed in enumerate(_packed_stream(cp, f.degree)):
+        if k in wanted:
+            acc[(p * k) % 8] ^= packed
+    return DeltaPoly(_unpack_classes(acc))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .codes import NEG_INF, Code, code, dominant_exponent, h, n3, n5
 from .deltapoly import DeltaPoly, Parity, decompose
 from .errors import NotOddForm, WitnessFailed, ZeroPolynomial
-from .hecke import cached_charpoly, hecke_fast_range, is_odd_prime
+from .hecke import cached_charpoly, image_table, is_odd_prime
 
 __all__ = [
     "NilpotenceReport",
@@ -95,15 +95,9 @@ def apply_witness(f: DeltaPoly) -> DeltaPoly:
     for p, times in ((3, a), (5, b)):
         if not times:
             continue
-        table = hecke_fast_range(cached_charpoly(p), deg)
+        table = image_table(cached_charpoly(p), deg)
         for _ in range(times):
-            acc = 0
-            m = out
-            while m:
-                low = m & -m
-                acc ^= table[low.bit_length() - 1].mask
-                m ^= low
-            out = acc
+            out = table.apply(out)
     result = DeltaPoly(out)
     if out != 2:
         raise WitnessFailed(
@@ -131,24 +125,14 @@ def g_bruteforce(f: DeltaPoly, primes) -> int | float:
             raise ValueError(f"{p} is not an odd prime")
     if not f:
         return NEG_INF
-    tables = {p: hecke_fast_range(cached_charpoly(p), f.degree) for p in plist}
-
-    def image(mask: int, p: int) -> int:
-        table = tables[p]
-        acc = 0
-        while mask:
-            low = mask & -mask
-            acc ^= table[low.bit_length() - 1].mask
-            mask ^= low
-        return acc
-
+    tables = [image_table(cached_charpoly(p), f.degree) for p in plist]
     memo: dict[int, int] = {0: 0}
 
     def survive(mask: int) -> int:
         hit = memo.get(mask)
         if hit is not None:
             return hit
-        depth = 1 + max(survive(image(mask, p)) for p in plist)
+        depth = 1 + max(survive(table.apply(mask)) for table in tables)
         memo[mask] = depth
         return depth
 

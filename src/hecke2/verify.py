@@ -2,8 +2,9 @@
 
 Each claim re-derives one structural statement (a table, identity, inequality
 or structure theorem) over a configurable range and raises AssertionError on
-the first violation.  The runner times the claims and assembles a report the
-command line prints both as text and as line-oriented key=value records.
+the first violation; a library error raised inside a claim fails it too.
+The runner times the claims and assembles a report the command line prints
+both as text and as line-oriented key=value records.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import structural
 from .codes import cap_H, code, decode, dominates, h, h_poly, n3, n5
 from .deltapoly import DeltaPoly, decompose, from_series, monomial, to_series
-from .errors import ParityMismatch
+from .errors import Hecke2Error, ParityMismatch
 from .hecke import (
     cached_charpoly,
     charpoly_via_newton,
@@ -26,6 +27,7 @@ from .hecke import (
     hecke_fast_range,
     hecke_matrix,
     hecke_naive,
+    image_table,
     iter_hecke_fast,
     odd_primes_up_to,
     prop1_closed_form,
@@ -124,15 +126,6 @@ def _n3_n5_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _image_mask(mask: int, table: list[DeltaPoly]) -> int:
-    acc = 0
-    while mask:
-        low = mask & -mask
-        acc ^= table[low.bit_length() - 1].mask
-        mask ^= low
-    return acc
-
-
 _ODD_PATTERN = int.from_bytes(b"\xaa" * 1024, "little")
 _EVEN_PATTERN = int.from_bytes(b"\x55" * 1024, "little")
 
@@ -216,12 +209,12 @@ def _naive_fast_agree(cfg: VerifyConfig) -> str:
     rng = random.Random(0xF2)
     for p in odd_primes_up_to(min(cfg.pmax, 31)):
         cp = cached_charpoly(p)
-        fast = hecke_fast_range(cp, kmax)
+        fast = image_table(cp, kmax)
         naive = _naive_monomial_range(p, kmax)
-        assert fast == naive, f"monomial routes disagree at p={p}"
+        assert [fast[k] for k in range(kmax + 1)] == naive, f"monomial routes disagree at p={p}"
         for _ in range(200):
             f = DeltaPoly(rng.getrandbits(kmax) | (1 << (kmax - 1)))
-            img = _image_mask(f.mask, fast)
+            img = fast.apply(f.mask)
             assert hecke_naive(f, p).mask == img, f"random-form routes disagree at p={p}"
     return f"p<={min(cfg.pmax, 31)}, k<=200, 200 random forms per prime"
 
@@ -246,11 +239,13 @@ def _relation_structure(cfg: VerifyConfig) -> str:
 
 @_claim("recurrence-genfun")
 def _recurrence_genfun(cfg: VerifyConfig) -> str:
-    # product form of the recurrence: (sum_k P_k t^k)(1 + sum_r s_r t^r) is a
-    # polynomial in t whose only term is Delta * t^p
+    # product form of the recurrence: (sum_k P_k t^k)(1 + sum_r s_r t^r) is
+    # the polynomial t S'(t) = sum_(r odd) s_r t^r; the images come from the
+    # packed stream, the products from clmul on unpacked masks
     from .gf2series import clmul
 
-    for p in (3, 5):
+    pmax = max(cfg.pmax, 5)
+    for p in odd_primes_up_to(pmax):
         cp = cached_charpoly(p)
         pk = hecke_fast_range(cp, 200)
         for m in range(201):
@@ -261,11 +256,12 @@ def _recurrence_genfun(cfg: VerifyConfig) -> str:
                     acc ^= clmul(sr, pk[m - r].mask)
             want = cp.s[m - 1].mask if (m <= p + 1 and m & 1) else 0
             assert acc == want, f"product identity fails at p={p}, m={m}"
-        numerator = {
-            m: cp.s[m - 1] for m in range(1, p + 2, 2) if cp.s[m - 1]
-        }
-        assert numerator == {p: monomial(1)}, f"numerator is not Delta t^{p}"
-    return "p in {3,5}, k<=200"
+        if p in (3, 5):
+            numerator = {
+                m: cp.s[m - 1] for m in range(1, p + 2, 2) if cp.s[m - 1]
+            }
+            assert numerator == {p: monomial(1)}, f"numerator is not Delta t^{p}"
+    return f"p<={pmax}, k<=200"
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +690,7 @@ def _witness_chain(cfg: VerifyConfig) -> str:
     kmax = 1023
     a, b = _n3_n5_arrays(kmax + 1)
     H = a + b
-    tables = {p: hecke_fast_range(cached_charpoly(p), kmax) for p in (3, 5)}
+    tables = {p: image_table(cached_charpoly(p), kmax) for p in (3, 5)}
     for k in range(1, kmax + 1, 2):
         assert apply_witness(monomial(k)) == monomial(1), f"witness fails at k={k}"
         for p in (3, 5):
@@ -709,11 +705,11 @@ def _witness_chain(cfg: VerifyConfig) -> str:
 def _h_decrement(cfg: VerifyConfig) -> str:
     rng = random.Random(0x3D)
     deg = 2048
-    tables = {p: hecke_fast_range(cached_charpoly(p), deg) for p in (3, 5)}
+    tables = {p: image_table(cached_charpoly(p), deg) for p in (3, 5)}
     for _ in range(500):
         f = DeltaPoly(_random_odd_mask(rng, deg))
         for p in (3, 5):
-            img = DeltaPoly(_image_mask(f.mask, tables[p]))
+            img = DeltaPoly(tables[p].apply(f.mask))
             assert h_poly(img) <= h_poly(f) - 1, f"h decrement fails at p={p}"
     return "500 random odd forms, deg<=2048"
 
@@ -724,19 +720,19 @@ def _dominant_code_decrement(cfg: VerifyConfig) -> str:
 
     rng = random.Random(0xDC)
     deg = 2048
-    tables = {p: hecke_fast_range(cached_charpoly(p), deg) for p in (3, 5)}
+    tables = {p: image_table(cached_charpoly(p), deg) for p in (3, 5)}
     hits3 = hits5 = 0
     for _ in range(400):
         f = DeltaPoly(_random_odd_mask(rng, deg))
         m1 = dominant_exponent(f)
         c = code(m1)
         if c.n3 >= 1:
-            img = DeltaPoly(_image_mask(f.mask, tables[3]))
+            img = DeltaPoly(tables[3].apply(f.mask))
             assert img, "T3 image vanishes despite n3 >= 1"
             assert code(dominant_exponent(img)) == (c.n3 - 1, c.n5), "T3 code fails"
             hits3 += 1
         if c.n5 >= 1:
-            img = DeltaPoly(_image_mask(f.mask, tables[5]))
+            img = DeltaPoly(tables[5].apply(f.mask))
             assert img, "T5 image vanishes despite n5 >= 1"
             assert code(dominant_exponent(img)) == (c.n3, c.n5 - 1), "T5 code fails"
             hits5 += 1
@@ -748,13 +744,13 @@ def _dominant_code_decrement(cfg: VerifyConfig) -> str:
 def _delta_kernel(cfg: VerifyConfig) -> str:
     rng = random.Random(0x15)
     deg = 1024
-    tables = {p: hecke_fast_range(cached_charpoly(p), deg) for p in (3, 5)}
-    assert _image_mask(2, tables[3]) == 0 and _image_mask(2, tables[5]) == 0
+    tables = {p: image_table(cached_charpoly(p), deg) for p in (3, 5)}
+    assert tables[3].apply(2) == 0 and tables[5].apply(2) == 0
     for _ in range(500):
         f = _random_odd_mask(rng, deg)
         if f == 2:
             continue
-        assert _image_mask(f, tables[3]) or _image_mask(f, tables[5]), (
+        assert tables[3].apply(f) or tables[5].apply(f), (
             "a form other than the generator is killed by both operators"
         )
     return "500 random odd forms, deg<=1024"
@@ -765,10 +761,10 @@ def _g_monotone_under_hecke(cfg: VerifyConfig) -> str:
     rng = random.Random(0x91)
     deg = 512
     for p in (3, 5, 7, 11, 13):
-        table = hecke_fast_range(cached_charpoly(p), deg)
+        table = image_table(cached_charpoly(p), deg)
         for _ in range(100):
             f = _random_form(rng, deg)
-            img = DeltaPoly(_image_mask(f.mask, table))
+            img = DeltaPoly(table.apply(f.mask))
             assert g_general(f).g >= g_general(img).g + 1, f"monotonicity fails at p={p}"
     return "p in {3,5,7,11,13}, 100 random forms each"
 
@@ -778,12 +774,12 @@ def _pm1_double_decrement(cfg: VerifyConfig) -> str:
     rng = random.Random(0x51)
     deg = 199
     for p in (7, 17, 23, 31):
-        table = hecke_fast_range(cached_charpoly(p), deg)
+        table = image_table(cached_charpoly(p), deg)
         for k in range(1, 200, 2):
             assert g_general(table[k]).g <= h(k) - 1, f"double decrement fails at p={p}, k={k}"
         for _ in range(200):
             f = DeltaPoly(_random_odd_mask(rng, deg))
-            img = DeltaPoly(_image_mask(f.mask, table))
+            img = DeltaPoly(table.apply(f.mask))
             assert g_general(img).g <= g_general(f).g - 2, f"double decrement fails at p={p}"
     return "p in {7,17,23,31}, odd k<=199 + 200 random forms"
 
@@ -925,7 +921,7 @@ def run_suite(suite: str, cfg: VerifyConfig | None = None) -> VerificationReport
         try:
             range_str = fn(cfg)
             ok, detail = True, ""
-        except AssertionError as exc:
+        except (AssertionError, Hecke2Error) as exc:
             range_str, ok, detail = "-", False, str(exc)
         ms = int((time.perf_counter() - start) * 1000)
         report.claims.append(ClaimResult(claim_id, range_str, ok, ms, detail))

@@ -1,6 +1,7 @@
 import pytest
 
-from hecke2.cli import main, parse_form
+from hecke2 import cli
+from hecke2.cli import MAX_FORM_DEGREE, main, parse_form
 from hecke2.deltapoly import DeltaPoly
 
 
@@ -37,6 +38,27 @@ def test_hecke_command_usage_errors(capsys):
     assert main(["hecke", "--p", "9", "--form", "1"]) == 2
     assert main(["hecke", "--p", "3", "--form", "nope"]) == 2
     capsys.readouterr()
+
+
+def test_form_degree_cap(capsys, monkeypatch):
+    assert parse_form(str(MAX_FORM_DEGREE)).degree == MAX_FORM_DEGREE
+    with pytest.raises(ValueError):
+        parse_form(f"1,{MAX_FORM_DEGREE + 1}")
+
+    def never(*args):
+        raise AssertionError("a form above the cap reached the computation")
+
+    monkeypatch.setattr(cli, "hecke_fast", never)
+    monkeypatch.setattr(cli, "hecke_naive", never)
+    monkeypatch.setattr(cli, "g_general", never)
+    big = str(MAX_FORM_DEGREE + 1)
+    assert main(["hecke", "--p", "3", "--form", big]) == 2
+    assert main(["hecke", "--p", "3", "--form", big, "--both"]) == 2
+    assert main(["g", "--form", f"1,{big}"]) == 2
+    assert f"at most {MAX_FORM_DEGREE}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["hecke", "--help"])
+    assert f"each at most {MAX_FORM_DEGREE}" in capsys.readouterr().out
 
 
 def test_g_command(capsys):

@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 
 from hecke2.deltapoly import ONE, ZERO, DeltaPoly, to_series
 from hecke2.errors import BadK, BadResidue, CacheFormatError, NotPrime, RankDeficient
-from hecke2.gf2series import BitSeries, delta, one
+from hecke2.gf2series import _BYTEWISE_STR_LIMIT, BitSeries, delta, one, pack8, spread8
 from hecke2 import hecke
 from hecke2.hecke import (
     CharPoly,
@@ -17,6 +19,8 @@ from hecke2.hecke import (
     hecke_matrix,
     hecke_naive,
     hecke_naive_series,
+    image_table,
+    iter_hecke_fast,
     newton_initial_sums,
     prop1_closed_form,
     relation_residual,
@@ -137,6 +141,81 @@ def test_image_degree_and_congruence_law():
             if img:
                 assert img.degree <= k - 2, (p, k)
             assert all(e % 8 == (p * k) % 8 for e in img.exponents()), (p, k)
+
+
+def unpacked_recurrence(cp: CharPoly, kmax: int) -> list[DeltaPoly]:
+    """The full-width order-(p+1) recurrence, kept as the packed kernel's oracle."""
+    sums = newton_initial_sums(cp)
+    out = [s.mask for s in sums[: kmax + 1]]
+    for k in range(len(out), kmax + 1):
+        acc = 0
+        for r, sr in enumerate(cp.s, 1):
+            for e in sr.exponents():
+                acc ^= out[k - r] << e
+        out.append(acc)
+    return [DeltaPoly(m) for m in out]
+
+
+def test_packed_kernel_matches_unpacked_recurrence_and_naive():
+    for p in (3, 5, 7, 31, 257):
+        cp = cached_charpoly(p)
+        fast = hecke_fast_range(cp, 600)
+        assert fast == unpacked_recurrence(cp, 600), p
+        assert fast == hecke._naive_monomial_range(p, 600), p
+        assert list(itertools.islice(iter_hecke_fast(cp), 601)) == fast, p
+        table = image_table(cp, 600)
+        assert [table[k] for k in range(len(table))] == fast, p
+
+
+def test_packed_kernel_seeds_only():
+    for cp in (F3, F5, cached_charpoly(31)):
+        sums = list(newton_initial_sums(cp))
+        assert hecke_fast_range(cp, 0) == [ZERO]
+        assert list(iter_hecke_fast(cp, 0)) == [ZERO]
+        for kmax in (1, cp.p, cp.p + 1):
+            assert hecke_fast_range(cp, kmax) == sums[: kmax + 1], (cp.p, kmax)
+            assert len(image_table(cp, kmax)) == kmax + 1
+
+
+def test_hecke_fast_on_every_exponent_class():
+    # one exponent in each class mod 8, so all eight accumulators are used
+    f = poly(8, 17, 26, 35, 44, 53, 62, 71, 400)
+    for p in (3, 5, 7, 11):
+        cp = cached_charpoly(p)
+        want = unpacked_recurrence(cp, f.degree)
+        acc = 0
+        for e in f.exponents():
+            acc ^= want[e].mask
+        assert hecke_fast(f, cp) == DeltaPoly(acc) == hecke_naive(f, p), p
+        assert image_table(cp, f.degree).apply(f.mask) == acc, p
+
+
+def test_packed_kernel_rejects_off_class_relation():
+    broken = CharPoly(3, (ZERO, ZERO, poly(2), poly(4)))
+    with pytest.raises(BadResidue):
+        hecke_fast_range(broken, 10)
+
+
+@pytest.mark.parametrize(
+    "nbits", [0, 1, _BYTEWISE_STR_LIMIT - 1, _BYTEWISE_STR_LIMIT, _BYTEWISE_STR_LIMIT + 1, 5000]
+)
+def test_spread8_pack8_round_trip(nbits):
+    import random
+
+    rng = random.Random(nbits)
+    packed = rng.getrandbits(nbits) | (1 << nbits >> 1) if nbits else 0
+    assert packed.bit_length() == nbits
+    spread = spread8(packed)
+    want = 0
+    for m in range(nbits):
+        want |= ((packed >> m) & 1) << (8 * m)
+    assert spread == want
+    assert pack8(spread) == packed
+    for offset in range(8):
+        assert spread8(packed, offset) == spread << offset
+        assert pack8(spread << offset, offset) == packed
+    # a nonzero byte packs to a set bit, as numpy's packbits does
+    assert pack8(spread * 3) == packed
 
 
 def trace_route_oracle(p: int, kmax: int) -> list[DeltaPoly]:
