@@ -166,12 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--p", type=int, required=True, help="odd prime")
     fp.set_defaults(func=_cmd_fp)
 
-    hk = sub.add_parser("hecke", help="apply one operator to a form")
+    hk = sub.add_parser(
+        "hecke",
+        help="apply one operator to a form",
+        description="Apply T_p to a form by the recurrence route unless --naive or --both.",
+    )
     hk.add_argument("--p", type=int, required=True, help="odd prime")
     hk.add_argument("--form", required=True, help=FORM_HELP)
     mode = hk.add_mutually_exclusive_group()
     mode.add_argument("--naive", action="store_true", help="q-expansion route")
-    mode.add_argument("--fast", action="store_true", help="recurrence route (default)")
     mode.add_argument("--both", action="store_true", help="run both routes and compare")
     hk.set_defaults(func=_cmd_hecke)
 

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .deltapoly import DeltaPoly, Parity
 from .errors import MixedParity, ParityMismatch, ZeroPolynomial
+from .gf2series import bit_positions
 
 __all__ = [
     "NEG_INF",
@@ -43,13 +44,7 @@ def support(k: int) -> frozenset[int]:
     """The powers of two (>= 2) appearing in the binary expansion of ``k``."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out = []
-    m = k & ~1
-    while m:
-        low = m & -m
-        out.append(low)
-        m ^= low
-    return frozenset(out)
+    return frozenset(1 << n for n in bit_positions(k & ~1))
 
 
 def _gather(k: int) -> Code:

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import NotAPolynomial, PrecisionTooLow, ZeroPolynomial
-from .gf2series import BitSeries, clmul, delta, spread_bits
+from .gf2series import BitSeries, bit_positions, clmul, delta, spread_bits, square_multiply
 
 __all__ = [
     "DeltaPoly",
@@ -75,13 +75,7 @@ class DeltaPoly:
         return self.mask.bit_length() - 1
 
     def exponents(self) -> tuple[int, ...]:
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        return tuple(bit_positions(self.mask))
 
     def __bool__(self) -> bool:
         return self.mask != 0
@@ -110,14 +104,7 @@ class DeltaPoly:
     def pow(self, k: int) -> "DeltaPoly":
         if k < 0:
             raise ValueError("negative powers are not defined")
-        if k == 0:
-            return ONE
-        acc = self
-        for i in range(k.bit_length() - 2, -1, -1):
-            acc = acc.square()
-            if (k >> i) & 1:
-                acc = acc * self
-        return acc
+        return square_multiply(self, k, ONE)
 
     def parity_class(self) -> Parity:
         if self.mask == 0:
@@ -171,13 +158,9 @@ def decompose(f: DeltaPoly) -> FormDecomposition:
     """
     groups: dict[int, int] = {}
     has_constant = 0 in f
-    m = f.mask & ~1
-    while m:
-        low = m & -m
-        e = low.bit_length() - 1
+    for e in bit_positions(f.mask & ~1):
         s = (e & -e).bit_length() - 1
         groups[s] = groups.get(s, 0) | (1 << (e >> s))
-        m ^= low
     components = tuple((s, DeltaPoly(groups[s])) for s in sorted(groups))
     return FormDecomposition(has_constant, components)
 

@@ -20,6 +20,8 @@ from .errors import PrecisionTooLow
 
 __all__ = [
     "BitSeries",
+    "bit_positions",
+    "square_multiply",
     "clmul",
     "spread_bits",
     "spread8",
@@ -30,13 +32,47 @@ __all__ = [
     "delta_qpow",
 ]
 
-# Below this popcount a plain shift-xor loop beats the numpy round trip.
+# Below these popcounts a plain Python loop beats the numpy round trip.
+_POSITIONS_LOOP_LIMIT = 256
 _SPREAD_LOOP_LIMIT = 512
 # Below this many packed bits the string translation of spread8/pack8 beats
 # numpy's unpackbits/packbits round trip.
 _BYTEWISE_STR_LIMIT = 768
 _DIGIT_TO_BYTE = tuple(bytes.maketrans(b"01", bytes((0, 1 << c))) for c in range(8))
 _BYTE_TO_DIGIT = b"0" + b"1" * 255
+
+
+def bit_positions(x: int) -> list[int]:
+    """Ascending positions of the set bits of ``x`` (numpy path for dense masks).
+
+    Every walk over the set bits of a fixed mask goes through here.  The loop
+    clears the top bit each step, so the remaining mask shrinks as it goes.
+    """
+    if x.bit_count() <= _POSITIONS_LOOP_LIMIT:
+        out = []
+        while x:
+            n = x.bit_length() - 1
+            out.append(n)
+            x ^= 1 << n
+        out.reverse()
+        return out
+    arr = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.nonzero(np.unpackbits(arr, bitorder="little"))[0].tolist()
+
+
+def square_multiply(base, k: int, one):
+    """``base**k`` by a left-to-right square-and-multiply ladder.
+
+    ``base`` needs ``square()`` and ``*``; ``one`` is returned for ``k == 0``.
+    """
+    if k == 0:
+        return one
+    acc = base
+    for i in range(k.bit_length() - 2, -1, -1):
+        acc = acc.square()
+        if (k >> i) & 1:
+            acc = acc * base
+    return acc
 
 
 def clmul(a: int, b: int) -> int:
@@ -48,10 +84,8 @@ def clmul(a: int, b: int) -> int:
     if a.bit_count() > b.bit_count():
         a, b = b, a
     acc = 0
-    while a:
-        low = a & -a
-        acc ^= b << (low.bit_length() - 1)
-        a ^= low
+    for n in bit_positions(a):
+        acc ^= b << n
     return acc
 
 
@@ -71,10 +105,8 @@ def spread_bits(mask: int, factor: int, limit: int | None = None) -> int:
         return 0
     if mask.bit_count() <= _SPREAD_LOOP_LIMIT:
         out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << ((low.bit_length() - 1) * factor)
-            mask ^= low
+        for n in bit_positions(mask):
+            out |= 1 << (n * factor)
         return out if limit is None else out & ((1 << limit) - 1)
     nbits = mask.bit_length()
     src = np.frombuffer(mask.to_bytes((nbits + 7) // 8, "little"), np.uint8)
@@ -138,13 +170,7 @@ class BitSeries:
 
     def support(self) -> tuple[int, ...]:
         """Exponents of the nonzero coefficients, ascending."""
-        out = []
-        m = self.bits
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        return tuple(bit_positions(self.bits))
 
     def truncate(self, precision: int) -> "BitSeries":
         if precision > self.precision:
@@ -173,14 +199,7 @@ class BitSeries:
         """k-th power by a square-and-multiply chain (squares are cheap)."""
         if k < 0:
             raise ValueError("negative powers are not defined for series")
-        if k == 0:
-            return one(self.precision)
-        acc = self
-        for i in range(k.bit_length() - 2, -1, -1):
-            acc = acc.square()
-            if (k >> i) & 1:
-                acc = acc * self
-        return acc
+        return square_multiply(self, k, one(self.precision))
 
 
 def zero(precision: int) -> BitSeries:

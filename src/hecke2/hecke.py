@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
-
 from .deltapoly import ZERO, DeltaPoly, from_series, monomial, to_series
 from .errors import (
     BadK,
@@ -36,7 +34,16 @@ from .errors import (
     RankDeficient,
     SingularSystem,
 )
-from .gf2series import BitSeries, clmul, delta, delta_qpow, pack8, spread8
+from .gf2series import (
+    BitSeries,
+    bit_positions,
+    clmul,
+    delta,
+    delta_qpow,
+    pack8,
+    spread8,
+    square_multiply,
+)
 
 __all__ = [
     "CharPoly",
@@ -95,21 +102,6 @@ def _require_odd_prime(p: int) -> None:
         raise NotPrime(f"{p} is not an odd prime")
 
 
-def _bit_positions(x: int) -> list[int]:
-    """Ascending positions of the set bits (numpy path for dense masks)."""
-    if x == 0:
-        return []
-    if x.bit_count() <= 256:
-        out = []
-        while x:
-            low = x & -x
-            out.append(low.bit_length() - 1)
-            x ^= low
-        return out
-    arr = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), np.uint8)
-    return np.nonzero(np.unpackbits(arr, bitorder="little"))[0].tolist()
-
-
 def _power_ladder(base_bits: int, count: int, mask: int) -> list[int]:
     """Truncated bit masks of base^0 .. base^count."""
     out = [1]
@@ -118,6 +110,37 @@ def _power_ladder(base_bits: int, count: int, mask: int) -> list[int]:
         cur = clmul(cur, base_bits) & mask
         out.append(cur)
     return out
+
+
+def _gf2_solve(columns, rhs: int, dependent, inconsistent) -> int:
+    """Mask of the columns whose xor is ``rhs``, by incremental pivot elimination.
+
+    ``columns`` yields packed GF(2) column vectors; each is reduced against
+    the pivots so far, keyed by lowest set row, in insertion order.  A column
+    that reduces to zero raises ``dependent(index)``; an ``rhs`` outside the
+    column span raises ``inconsistent()``.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for idx, col in enumerate(columns):
+        tracker = 1 << idx
+        while col:
+            low = (col & -col).bit_length() - 1
+            hit = pivots.get(low)
+            if hit is None:
+                pivots[low] = (col, tracker)
+                break
+            col ^= hit[0]
+            tracker ^= hit[1]
+        else:
+            raise dependent(idx)
+    chosen = 0
+    while rhs:
+        hit = pivots.get((rhs & -rhs).bit_length() - 1)
+        if hit is None:
+            raise inconsistent()
+        rhs ^= hit[0]
+        chosen ^= hit[1]
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +299,7 @@ def _solve_relation(p: int, window: int) -> CharPoly:
     # supports of the substituted powers Delta^i(q^p), from a short ladder
     small_prec = n_window // p + 1
     small = _power_ladder(delta(small_prec).bits, big, (1 << small_prec) - 1)
-    bsupport = [_bit_positions(s) for s in small]
+    bsupport = [bit_positions(s) for s in small]
 
     def packed_product(r: int, dense: int) -> int:
         # dense holds class-(pr mod 8) coefficients; multiply by the
@@ -291,41 +314,22 @@ def _solve_relation(p: int, window: int) -> CharPoly:
         return acc & cmask
 
     unknowns = [(r, j) for r in range(1, big + 1) for j in range((p * r) % 8, r + 1, 8)]
-
-    pivots: dict[int, tuple[int, int]] = {}
-    for idx, (r, j) in enumerate(unknowns):
-        col = packed_product(r, cap[j])
-        tracker = 1 << idx
-        while col:
-            low = (col & -col).bit_length() - 1
-            hit = pivots.get(low)
-            if hit is None:
-                pivots[low] = (col, tracker)
-                break
-            col ^= hit[0]
-            tracker ^= hit[1]
-        else:
-            raise RankDeficient(
-                f"coefficient window {n_window} leaves the relation underdetermined (p={p})"
-            )
-
     rhs = 0
     for n in bsupport[big]:
         pos = p * n
         if pos < n_window:
             rhs |= 1 << ((pos - cls) >> 3)
-    vec = rhs
-    chosen = 0
-    while vec:
-        low = (vec & -vec).bit_length() - 1
-        hit = pivots.get(low)
-        if hit is None:
-            raise AssertionError(f"no monic degree-{big} relation exists at p={p}")
-        vec ^= hit[0]
-        chosen ^= hit[1]
+    chosen = _gf2_solve(
+        (packed_product(r, cap[j]) for r, j in unknowns),
+        rhs,
+        lambda idx: RankDeficient(
+            f"coefficient window {n_window} leaves the relation underdetermined (p={p})"
+        ),
+        lambda: AssertionError(f"no monic degree-{big} relation exists at p={p}"),
+    )
 
     smasks = [0] * (big + 1)
-    for idx in _bit_positions(chosen):
+    for idx in bit_positions(chosen):
         r, j = unknowns[idx]
         smasks[r] |= 1 << j
     cp = CharPoly(p, tuple(DeltaPoly(sm) for sm in smasks[1:]))
@@ -335,7 +339,7 @@ def _solve_relation(p: int, window: int) -> CharPoly:
     for r in range(1, big + 1):
         if smasks[r]:
             sa = 0
-            for j in _bit_positions(smasks[r]):
+            for j in bit_positions(smasks[r]):
                 sa ^= cap[j]
             res ^= packed_product(r, sa)
     if res:
@@ -414,8 +418,7 @@ def _newton_bit_solve(
                 res ^= si
         residuals.append(res)
 
-    pivots: dict[int, tuple[int, int]] = {}
-    for idx, (i, j) in enumerate(bits):
+    def column(i: int, j: int) -> int:
         col = 0
         for m in range(1, rmax + 1):
             coeff = sums[m - i] if m - i >= 1 else 0
@@ -423,32 +426,20 @@ def _newton_bit_solve(
                 coeff ^= 1
             if coeff:
                 col ^= (coeff << j) << ((m - 1) * block)
-        tracker = 1 << idx
-        while col:
-            low = (col & -col).bit_length() - 1
-            hit = pivots.get(low)
-            if hit is None:
-                pivots[low] = (col, tracker)
-                break
-            col ^= hit[0]
-            tracker ^= hit[1]
-        else:
-            raise SingularSystem(
-                f"power-sum identities leave s_{i} underdetermined at p={p}"
-            )
+        return col
 
     vec = 0
     for m, res in enumerate(residuals, 1):
         vec ^= res << ((m - 1) * block)
-    chosen = 0
-    while vec:
-        low = (vec & -vec).bit_length() - 1
-        hit = pivots.get(low)
-        if hit is None:
-            raise SingularSystem(f"power-sum identities are inconsistent at p={p}")
-        vec ^= hit[0]
-        chosen ^= hit[1]
-    for idx in _bit_positions(chosen):
+    chosen = _gf2_solve(
+        (column(i, j) for i, j in bits),
+        vec,
+        lambda idx: SingularSystem(
+            f"power-sum identities leave s_{bits[idx][0]} underdetermined at p={p}"
+        ),
+        lambda: SingularSystem(f"power-sum identities are inconsistent at p={p}"),
+    )
+    for idx in bit_positions(chosen):
         i, j = bits[idx]
         known[i] = known.get(i, 0) | (1 << j)
     for i in pending:
@@ -647,7 +638,7 @@ class ImageTable:
         """
         p, packed = self.p, self.packed
         acc = [0] * 8
-        for k in _bit_positions(mask):
+        for k in bit_positions(mask):
             acc[(p * k) % 8] ^= packed[k]
         return _unpack_classes(acc)
 
@@ -670,7 +661,7 @@ def hecke_fast(f: DeltaPoly, cp: CharPoly) -> DeltaPoly:
     if not f:
         return ZERO
     p = cp.p
-    wanted = set(_bit_positions(f.mask))
+    wanted = set(bit_positions(f.mask))
     acc = [0] * 8
     for k, packed in enumerate(_packed_stream(cp, f.degree)):
         if k in wanted:
@@ -698,25 +689,18 @@ class GF2Matrix:
         out = []
         for row in self.rows:
             acc = 0
-            m = row
-            while m:
-                low = m & -m
-                acc ^= other.rows[low.bit_length() - 1]
-                m ^= low
+            for i in bit_positions(row):
+                acc ^= other.rows[i]
             out.append(acc)
         return GF2Matrix(tuple(out))
+
+    def square(self) -> "GF2Matrix":
+        return self * self
 
     def power(self, e: int) -> "GF2Matrix":
         if e < 0:
             raise ValueError("negative matrix powers are not defined")
-        result = GF2Matrix(tuple(1 << i for i in range(self.n)))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return square_multiply(self, e, GF2Matrix(tuple(1 << i for i in range(self.n))))
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)

@@ -14,6 +14,7 @@ import pytest
 
 from hecke2.codes import h, h_poly
 from hecke2.deltapoly import ZERO, DeltaPoly, decompose, from_series, to_series
+from hecke2.gf2series import bit_positions
 from hecke2.hecke import (
     CharPoly,
     cached_charpoly,
@@ -30,7 +31,7 @@ from hecke2.hecke import (
 )
 from hecke2.nilpotence import apply_witness, g_bruteforce, g_general
 from hecke2.structural import check_corollary_values, check_shift3, check_shift5
-from hecke2.verify import _REGISTRY, VerifyConfig, _n3_n5_arrays, _positions
+from hecke2.verify import _REGISTRY, VerifyConfig, _n3_n5_arrays
 
 
 @contextmanager
@@ -116,7 +117,7 @@ def test_criterion_06_witnesses_and_bruteforce_g():
             for p in (3, 5):
                 img = tables[p][k]
                 if img:
-                    assert int(hs[_positions(img.mask)].max()) <= hs[k] - 1, (p, k)
+                    assert int(hs[bit_positions(img.mask)].max()) <= hs[k] - 1, (p, k)
         primes = (3, 5, 7, 11, 13)
         for k in range(1, 64, 2):
             assert g_bruteforce(poly(k), primes) == h(k) + 1, k

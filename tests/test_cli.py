@@ -40,6 +40,17 @@ def test_hecke_command_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_hecke_route_flags(capsys):
+    # the recurrence route is the default; --naive and --both exclude each other
+    for flags in (["--fast"], ["--naive", "--both"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["hecke", "--p", "3", "--form", "15", *flags])
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["hecke", "--help"])
+    assert "--fast" not in capsys.readouterr().out
+
+
 def test_form_degree_cap(capsys, monkeypatch):
     assert parse_form(str(MAX_FORM_DEGREE)).degree == MAX_FORM_DEGREE
     with pytest.raises(ValueError):

@@ -1,9 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hecke2.errors import PrecisionTooLow
-from hecke2.gf2series import BitSeries, clmul, delta, delta_qpow, one, spread_bits, zero
+from hecke2.gf2series import (
+    BitSeries,
+    bit_positions,
+    clmul,
+    delta,
+    delta_qpow,
+    one,
+    spread_bits,
+    zero,
+)
 
 
 def conv_oracle(a: BitSeries, b: BitSeries) -> BitSeries:
@@ -188,3 +199,22 @@ def test_clmul_small_cases():
     assert clmul(0b11, 0b11) == 0b101
     assert clmul(0, 0b1011) == 0
     assert clmul(1, 0b1011) == 0b1011
+
+
+def _random_bits(rng: random.Random, count: int, width: int) -> int:
+    return sum(1 << e for e in rng.sample(range(width), count))
+
+
+@pytest.mark.parametrize("count", [0, 1, 256, 257])
+def test_bit_positions_both_paths(count):
+    # 256 set bits take the loop, 257 the numpy path; one bit sits far up
+    x = _random_bits(random.Random(count), count, 3000) if count > 1 else count << 70000
+    assert bit_positions(x) == [i for i in range(x.bit_length()) if x >> i & 1]
+
+
+def test_clmul_dense_operands_match_convolution():
+    rng = random.Random(5)
+    a, b = _random_bits(rng, 300, 640), _random_bits(rng, 320, 640)
+    assert min(a.bit_count(), b.bit_count()) > 256  # the walked operand takes the numpy path
+    x, y = BitSeries(a, 640), BitSeries(b, 640)
+    assert x * y == conv_oracle(x, y)

@@ -3,7 +3,14 @@ import itertools
 import pytest
 
 from hecke2.deltapoly import ONE, ZERO, DeltaPoly, to_series
-from hecke2.errors import BadK, BadResidue, CacheFormatError, NotPrime, RankDeficient
+from hecke2.errors import (
+    BadK,
+    BadResidue,
+    CacheFormatError,
+    NotPrime,
+    RankDeficient,
+    SingularSystem,
+)
 from hecke2.gf2series import _BYTEWISE_STR_LIMIT, BitSeries, delta, one, pack8, spread8
 from hecke2 import hecke
 from hecke2.hecke import (
@@ -88,6 +95,23 @@ def test_tiny_window_is_rank_deficient():
         hecke._solve_relation(3, 8)
     # the public entry point retries with doubled windows
     assert compute_charpoly(3, window=8) == F3
+
+
+def test_gf2_solve_pivot_elimination():
+    def dependent(idx):
+        return RankDeficient(f"column {idx}")
+
+    def inconsistent():
+        return SingularSystem("rhs")
+
+    # columns 0b011, 0b110 span {0, 0b011, 0b101, 0b110}
+    assert hecke._gf2_solve([0b011, 0b110], 0b101, dependent, inconsistent) == 0b11
+    assert hecke._gf2_solve([0b011, 0b110], 0b110, dependent, inconsistent) == 0b10
+    assert hecke._gf2_solve([0b011, 0b110], 0, dependent, inconsistent) == 0
+    with pytest.raises(RankDeficient, match="column 2"):
+        hecke._gf2_solve([0b011, 0b110, 0b101], 0b011, dependent, inconsistent)
+    with pytest.raises(SingularSystem, match="rhs"):
+        hecke._gf2_solve([0b011, 0b110], 0b100, dependent, inconsistent)
 
 
 def test_newton_oracle_agrees():

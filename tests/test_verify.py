@@ -1,3 +1,9 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hecke2 import verify
@@ -36,3 +42,45 @@ def test_recurrence_genfun_covers_every_prime_to_pmax(monkeypatch):
     monkeypatch.setattr(verify, "hecke_fast_range", corrupted)
     with pytest.raises(AssertionError, match="p=11, m=150"):
         claim(VerifyConfig(pmax=13))
+
+
+def test_optimized_python_fails_every_claim():
+    # python -O strips asserts, so a claim there could only pass vacuously
+    src = str(Path(verify.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "hecke2", "verify", "prop1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 1
+    assert "claim=low-degree-closed-forms range=- status=fail" in run.stdout
+    assert "-O" in run.stderr
+
+
+def test_claims_over_no_prime_fail():
+    report = run_suite("prop1", VerifyConfig(pmax=3))
+    (claim,) = report.claims
+    assert not claim.ok and claim.detail == "no odd prime <= 2 to check"
+    for claim_id in ("naive-fast-agree", "newton-solve-agree", "relation-structure"):
+        with pytest.raises(AssertionError, match="no odd prime <= 2"):
+            verify._REGISTRY[claim_id](VerifyConfig(pmax=2))
+
+
+def test_random_masks_reach_past_8191_and_keep_small_draws():
+    m = verify._random_odd_mask(random.Random(1), 20000)
+    assert m >> 8192 and m.bit_length() <= 20001
+    assert not m & verify._even_mask(20001)
+    e = verify._random_even_mask(random.Random(1), 20000)
+    assert e >> 8192 and not e & ((verify._even_mask(20001) << 1) | 1)
+    # a draw is the raw random bits under the alternating byte patterns, so
+    # the seeded claims draw the same forms at every degree they use
+    odd_bytes = int.from_bytes(b"\xaa" * 1024, "little")
+    even_bytes = int.from_bytes(b"\x55" * 1024, "little") & ~1
+    for deg in (63, 199, 512, 1024, 2048):
+        assert verify._random_odd_mask(random.Random(deg), deg) == (
+            random.Random(deg).getrandbits(deg + 1) & odd_bytes
+        )
+        assert verify._random_even_mask(random.Random(deg), deg) == (
+            random.Random(deg).getrandbits(deg + 1) & even_bytes
+        )
