@@ -107,13 +107,11 @@ def spread_bits(mask: int, factor: int, limit: int | None = None) -> int:
         out = 0
         for n in bit_positions(mask):
             out |= 1 << (n * factor)
-        return out if limit is None else out & ((1 << limit) - 1)
+        return out
     nbits = mask.bit_length()
     src = np.frombuffer(mask.to_bytes((nbits + 7) // 8, "little"), np.uint8)
     idx = np.nonzero(np.unpackbits(src, bitorder="little"))[0].astype(np.int64)
     idx *= factor
-    if limit is not None:
-        idx = idx[idx < limit]
     size = int(idx[-1]) + 1
     bits = np.zeros(size, np.uint8)
     bits[idx] = 1

@@ -39,7 +39,6 @@ from .gf2series import (
     bit_positions,
     clmul,
     delta,
-    delta_qpow,
     pack8,
     spread8,
     square_multiply,
@@ -100,16 +99,6 @@ def odd_primes_up_to(n: int) -> list[int]:
 def _require_odd_prime(p: int) -> None:
     if not is_odd_prime(p):
         raise NotPrime(f"{p} is not an odd prime")
-
-
-def _power_ladder(base_bits: int, count: int, mask: int) -> list[int]:
-    """Truncated bit masks of base^0 .. base^count."""
-    out = [1]
-    cur = 1
-    for _ in range(count):
-        cur = clmul(cur, base_bits) & mask
-        out.append(cur)
-    return out
 
 
 def _gf2_solve(columns, rhs: int, dependent, inconsistent) -> int:
@@ -246,82 +235,85 @@ def structure_violations(cp: CharPoly) -> list[str]:
     return out
 
 
+class _PackedTerms:
+    """The terms of F_p(Delta, Delta(q^p)) below q^n, packed mod 8.
+
+    ``n`` is a multiple of 8, and bit m of a mask packed on class c is the
+    coefficient of q^(8m + c).  Delta has its bits at the odd squares, so
+    Delta^j lies on the class j mod 8 and Delta(q^p)^i on the class p*i mod 8.
+    ``xpow[j]`` is Delta^j packed on its class, for j = 0..max_j; ``ypos[i]``
+    lists the exponents of Delta(q^p)^i below n, for i = 0..p+1.
+    """
+
+    def __init__(self, p: int, n: int, max_j: int) -> None:
+        self.p = p
+        self.cmask = (1 << (n // 8)) - 1
+        # packed Delta has its bits at (m^2 - 1)/8; a product carries one
+        # packed bit when its class wraps past 7
+        dpack = pack8(delta(n).bits, 1)
+        self.xpow = [1]
+        for j in range(1, max_j + 1):
+            cur = clmul(self.xpow[-1], dpack)
+            if j % 8 == 0:
+                cur <<= 1
+            self.xpow.append(cur & self.cmask)
+        # Delta(q^p)^i has its bits at p times those of Delta^i below n/p
+        small = -(-n // p)
+        dsmall, smask = delta(small).bits, (1 << small) - 1
+        ypow = [1]
+        for _ in range(p + 1):
+            ypow.append(clmul(ypow[-1], dsmall) & smask)
+        self.ypos = [[p * e for e in bit_positions(y)] for y in ypow]
+
+    def times_y(self, c: int, packed: int, i: int) -> tuple[int, int]:
+        """Class and packed bits of a class-c packed mask times Delta(q^p)^i."""
+        d = (c + self.p * i) % 8
+        acc = 0
+        for pos in self.ypos[i]:
+            acc ^= packed << ((pos + c - d) >> 3)
+        return d, acc & self.cmask
+
+    def residual(self, cp: CharPoly) -> list[int]:
+        """F_p(Delta, Delta(q^p)) below q^n, as eight per-class packed masks."""
+        big = cp.p + 1
+        acc = [0] * 8
+        d, bits = self.times_y(0, 1, big)
+        acc[d] = bits
+        for r, sr in enumerate(cp.s, 1):
+            by_class = [0] * 8
+            for j in sr.exponents():
+                by_class[j % 8] ^= self.xpow[j]
+            for c, packed in enumerate(by_class):
+                if packed:
+                    d, bits = self.times_y(c, packed, big - r)
+                    acc[d] ^= bits
+        return acc
+
+
 def relation_residual(cp: CharPoly, precision: int) -> BitSeries:
     """F_p evaluated at the two expansions, truncated; must vanish."""
-    p = cp.p
-    big = p + 1
-    mask = (1 << precision) - 1
     max_j = max((sr.degree for sr in cp.s if sr), default=0)
-    apow = _power_ladder(delta(precision).bits, max_j, mask)
-    bpow = _power_ladder(delta_qpow(p, precision).bits, big, mask)
-    res = bpow[big]
-    for r, sr in enumerate(cp.s, 1):
-        if not sr:
-            continue
-        sa = 0
-        for j in sr.exponents():
-            sa ^= apow[j]
-        res ^= clmul(sa, bpow[big - r]) & mask
-    return BitSeries(res & mask, precision)
+    terms = _PackedTerms(cp.p, 8 * -(-precision // 8), max_j)
+    bits = _unpack_classes(terms.residual(cp)) & ((1 << precision) - 1)
+    return BitSeries(bits, precision)
 
 
 def _solve_relation(p: int, window: int) -> CharPoly:
     """Linear solve for the relation over one coefficient window.
 
-    All series involved are supported on a single residue class mod 8, so the
-    solve packs every eighth coefficient: bit m of a packed vector is the
-    coefficient of q^(8m + class).  Unknowns are the allowed monomial bits of
-    each s_r; columns are the packed expansions of Delta^j * Delta(q^p)^(P-r);
-    elimination keeps pivots keyed by lowest row with deterministic insertion
-    order.
+    Every term s_r(X) Y^(p+1-r) with s_r on its class p*r mod 8 lies on the
+    class p(p+1) mod 8, so the solve works on packed masks.  Unknowns are the
+    allowed monomial bits of each s_r; columns are the packed expansions of
+    Delta^j * Delta(q^p)^(p+1-r); elimination keeps pivots keyed by lowest
+    row with deterministic insertion order.
     """
     big = p + 1
     n_window = ((window + 7) // 8) * 8
-    cls = (p * big) % 8
-    clen = n_window // 8
-    cmask = (1 << clen) - 1
-
-    # packed generator powers: cap[j] = class-(j mod 8) coefficients of Delta^j
-    capd = 0
-    m = 1
-    while m * m < n_window:
-        capd |= 1 << ((m * m - 1) >> 3)
-        m += 2
-    cap = [1]
-    cur = 1
-    for j in range(1, big + 1):
-        cur = clmul(cur, capd)
-        if (j - 1) % 8 == 7:
-            cur <<= 1
-        cur &= cmask
-        cap.append(cur)
-
-    # supports of the substituted powers Delta^i(q^p), from a short ladder
-    small_prec = n_window // p + 1
-    small = _power_ladder(delta(small_prec).bits, big, (1 << small_prec) - 1)
-    bsupport = [bit_positions(s) for s in small]
-
-    def packed_product(r: int, dense: int) -> int:
-        # dense holds class-(pr mod 8) coefficients; multiply by the
-        # substituted power Delta(q^p)^(big-r) and repack into class `cls`
-        jc = (p * r) % 8
-        acc = 0
-        for n in bsupport[big - r]:
-            pos = p * n
-            if pos >= n_window:
-                break
-            acc ^= dense << ((pos + jc - cls) >> 3)
-        return acc & cmask
-
+    terms = _PackedTerms(p, n_window, big)
     unknowns = [(r, j) for r in range(1, big + 1) for j in range((p * r) % 8, r + 1, 8)]
-    rhs = 0
-    for n in bsupport[big]:
-        pos = p * n
-        if pos < n_window:
-            rhs |= 1 << ((pos - cls) >> 3)
     chosen = _gf2_solve(
-        (packed_product(r, cap[j]) for r, j in unknowns),
-        rhs,
+        (terms.times_y(j % 8, terms.xpow[j], big - r)[1] for r, j in unknowns),
+        terms.times_y(0, 1, big)[1],
         lambda idx: RankDeficient(
             f"coefficient window {n_window} leaves the relation underdetermined (p={p})"
         ),
@@ -333,16 +325,7 @@ def _solve_relation(p: int, window: int) -> CharPoly:
         r, j = unknowns[idx]
         smasks[r] |= 1 << j
     cp = CharPoly(p, tuple(DeltaPoly(sm) for sm in smasks[1:]))
-
-    # re-check the packed residual and the structural constraints
-    res = rhs
-    for r in range(1, big + 1):
-        if smasks[r]:
-            sa = 0
-            for j in bit_positions(smasks[r]):
-                sa ^= cap[j]
-            res ^= packed_product(r, sa)
-    if res:
+    if any(terms.residual(cp)):
         raise AssertionError(f"solved relation leaves a residual at p={p}")
     bad = structure_violations(cp)
     if bad:
@@ -370,6 +353,11 @@ def compute_charpoly(p: int, window: int | None = None) -> CharPoly:
 
 @lru_cache(maxsize=None)
 def cached_charpoly(p: int) -> CharPoly:
+    """``compute_charpoly(p)``, memoized for the life of the process.
+
+    It never reads ``$HECKE2_CACHE_DIR``: the relation cache files are an
+    export format, read only by ``read_charpoly`` (``fp show``, ``fp verify``).
+    """
     return compute_charpoly(p)
 
 

@@ -79,7 +79,7 @@ def test_criterion_03_bench_to_101():
 
 @pytest.mark.long
 def test_criterion_03b_bench_to_257():
-    with budget("03b-bench-257", 3600.0):
+    with budget("03b-bench-257", 40.0):
         for p in odd_primes_up_to(257):
             cp = compute_charpoly(p)
             assert structure_violations(cp) == []
@@ -94,17 +94,9 @@ def test_criterion_04_low_degree_images_all_p():
 
 
 def test_criterion_05_image_tables_both_routes():
-    table3 = {0: (), 1: (), 3: (1,), 5: (), 7: (5,), 9: (3,), 11: (9,), 13: (7,),
-              15: (13, 5), 17: (), 19: (17, 9), 21: (7,)}
-    table5 = {0: (), 1: (), 3: (), 5: (1,), 7: (3,), 9: (), 11: (), 13: (9,),
-              15: (11, 3), 17: (5,), 19: (7,), 21: (17, 9)}
     with budget("05-tables", 30.0):
-        for p, table in ((3, table3), (5, table5)):
-            fast = hecke_fast_range(cached_charpoly(p), 21)
-            for k, exps in table.items():
-                want = poly(*exps)
-                assert fast[k] == want, (p, k)
-                assert hecke_naive(poly(k), p) == want, (p, k)
+        _REGISTRY["t3-table"](VerifyConfig())
+        _REGISTRY["t5-table"](VerifyConfig())
 
 
 def test_criterion_06_witnesses_and_bruteforce_g():
@@ -141,7 +133,7 @@ def test_criterion_07_image_structure_desk_scale():
 
 @pytest.mark.long
 def test_criterion_07b_image_structure_full_scale():
-    with budget("07b-image-structure-long", 1800.0):
+    with budget("07b-image-structure-long", 20.0):
         cfg = VerifyConfig(long=True)
         _REGISTRY["t3-image-structure"](cfg)
         _REGISTRY["t5-image-structure"](cfg)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hecke2.errors import PrecisionTooLow
 from hecke2.gf2series import (
+    _SPREAD_LOOP_LIMIT,
     BitSeries,
     bit_positions,
     clmul,
@@ -171,28 +172,31 @@ def test_mul_matches_convolution(a, b):
     assert x * y == conv_oracle(x, y)
 
 
+def spread_oracle(mask: int, factor: int) -> int:
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << ((low.bit_length() - 1) * factor)
+        mask ^= low
+    return out
+
+
 @given(st.integers(0, (1 << 200) - 1), st.sampled_from([2, 3, 4, 5, 8]))
 def test_spread_bits_positions(mask, factor):
-    out = spread_bits(mask, factor)
-    want = 0
-    m = mask
-    while m:
-        low = m & -m
-        want |= 1 << ((low.bit_length() - 1) * factor)
-        m ^= low
-    assert out == want
+    assert spread_bits(mask, factor) == spread_oracle(mask, factor)
 
 
 def test_spread_bits_numpy_path_matches_loop():
     mask = int.from_bytes(b"\xb7" * 200, "little")  # 1600 bits, dense
-    loop = 0
-    m = mask
-    while m:
-        low = m & -m
-        loop |= 1 << ((low.bit_length() - 1) * 2)
-        m ^= low
-    assert spread_bits(mask, 2) == loop
-    assert spread_bits(mask, 2, 1000) == loop & ((1 << 1000) - 1)
+    assert spread_bits(mask, 2) == spread_oracle(mask, 2)
+    # limits on and off a multiple of the factor; the limit cuts the source
+    # mask first, and the cut mask picks the loop or the numpy path
+    for factor in (2, 3):
+        for limit, numpy_path in ((1000, False), (1001, False), (3000, True), (3001, True)):
+            cut = mask & ((1 << -(-limit // factor)) - 1)
+            assert (cut.bit_count() > _SPREAD_LOOP_LIMIT) == numpy_path
+            want = spread_oracle(mask, factor) & ((1 << limit) - 1)
+            assert spread_bits(mask, factor, limit) == want, (factor, limit)
 
 
 def test_clmul_small_cases():

@@ -11,7 +11,16 @@ from hecke2.errors import (
     RankDeficient,
     SingularSystem,
 )
-from hecke2.gf2series import _BYTEWISE_STR_LIMIT, BitSeries, delta, one, pack8, spread8
+from hecke2.gf2series import (
+    _BYTEWISE_STR_LIMIT,
+    BitSeries,
+    clmul,
+    delta,
+    delta_qpow,
+    one,
+    pack8,
+    spread8,
+)
 from hecke2 import hecke
 from hecke2.hecke import (
     CharPoly,
@@ -298,6 +307,54 @@ def test_relation_residual_vanishes():
 def test_relation_residual_detects_wrong_coefficients():
     broken = CharPoly(3, (ZERO, ZERO, poly(1), poly(2)))
     assert not relation_residual(broken, 128).is_zero()
+
+
+def full_width_residual(cp: CharPoly, precision: int) -> BitSeries:
+    """F_p(Delta, Delta(q^p)) from full-width power ladders, kept as the packed residual's oracle."""
+    p = cp.p
+    big = p + 1
+    mask = (1 << precision) - 1
+    max_j = max((sr.degree for sr in cp.s if sr), default=0)
+
+    def ladder(base: int, count: int) -> list[int]:
+        out = [1]
+        for _ in range(count):
+            out.append(clmul(out[-1], base) & mask)
+        return out
+
+    apow = ladder(delta(precision).bits, max_j)
+    bpow = ladder(delta_qpow(p, precision).bits, big)
+    res = bpow[big]
+    for r, sr in enumerate(cp.s, 1):
+        if not sr:
+            continue
+        sa = 0
+        for j in sr.exponents():
+            sa ^= apow[j]
+        res ^= clmul(sa, bpow[big - r]) & mask
+    return BitSeries(res & mask, precision)
+
+
+def test_packed_residual_matches_full_width():
+    def same(cp, precision):
+        got = relation_residual(cp, precision)
+        want = full_width_residual(cp, precision)
+        assert (got.bits, got.precision) == (want.bits, want.precision), (cp.p, precision)
+        return got
+
+    for p in hecke.odd_primes_up_to(31):
+        cp = cached_charpoly(p)
+        assert same(cp, 8 * (p + 1) ** 2).is_zero(), p
+        for precision in (1, 7, 129):
+            same(cp, precision)
+    off_class = CharPoly(3, (ZERO, ZERO, poly(1), poly(2)))
+    too_high = CharPoly(5, (ZERO, poly(2), ZERO, poly(4), poly(1, 9, 17), poly(6, 14)))
+    zero = CharPoly(7, (ZERO,) * 8)
+    mixed = CharPoly(3, (poly(*range(12)), ZERO, poly(1), poly(4)))
+    for cp in (off_class, too_high, zero, mixed):
+        for precision in (1, 7, 128, 129):
+            same(cp, precision)
+        assert not same(cp, 1000).is_zero(), cp
 
 
 def test_hecke_matrix_small():
