@@ -13,7 +13,15 @@ import enum
 from dataclasses import dataclass
 
 from .errors import NotAPolynomial, PrecisionTooLow, ZeroPolynomial
-from .gf2series import BitSeries, bit_positions, clmul, delta, spread_bits, square_multiply
+from .gf2series import (
+    BitSeries,
+    bit_positions,
+    clmul,
+    delta,
+    spread_bits,
+    square_multiply,
+    stride_bits,
+)
 
 __all__ = [
     "DeltaPoly",
@@ -165,27 +173,50 @@ def decompose(f: DeltaPoly) -> FormDecomposition:
     return FormDecomposition(has_constant, components)
 
 
+# Forms of degree below this expand from a ladder of low powers of Delta;
+# splitting them further costs more per node than it saves.
+_SPLIT_DEGREE = 32
+
+
 def to_series(f: DeltaPoly, precision: int) -> BitSeries:
-    """Expand ``f`` as a q-series to the given precision."""
+    """Expand ``f`` as a q-series to the given precision.
+
+    Characteristic-2 divide and conquer: split ``f = A(x)^2 + x*B(x)^2``,
+    where A takes the even exponents halved and B the odd ones less one,
+    halved.  Then ``f(Delta) = A(Delta)^2 + Delta*B(Delta)^2``.  Every
+    Delta^k lies on the q-exponents congruent to k mod 8, so A(Delta)^2
+    lies on even q-exponents and Delta*B(Delta)^2 on odd ones.  Squaring is
+    the exponent-doubling spread, so each level costs one product by the
+    sparse Delta, and both halves recurse at half the precision.  Delta^k
+    starts at q^k, so exponents at or above the precision are cut first.
+    """
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    d = delta(precision)
-    gap_powers: dict[int, BitSeries] = {}
-    acc = 0
-    cur: BitSeries | None = None
-    last = 0
-    for e in f.exponents():
-        if cur is None:
-            cur = d.pow(e)
-        else:
-            gap = e - last
-            step = gap_powers.get(gap)
-            if step is None:
-                step = gap_powers[gap] = d.pow(gap)
-            cur = cur * step
-        last = e
-        acc ^= cur.bits
-    return BitSeries(acc, precision)
+    keep = (1 << precision) - 1
+    return BitSeries(_expand(f.mask & keep, precision, delta(precision).bits, {}), precision)
+
+
+def _expand(mask: int, precision: int, dbits: int, ladders: dict[int, list[int]]) -> int:
+    """Bits of f(Delta) mod q^precision, for exponents of f below ``precision``.
+
+    ``dbits`` is Delta at a precision at least this one; ``ladders`` caches
+    Delta^0, Delta^1, ... per precision across the nodes of one expansion.
+    """
+    keep = (1 << precision) - 1
+    d = dbits & keep
+    if mask.bit_length() <= _SPLIT_DEGREE:
+        ladder = ladders.setdefault(precision, [1])
+        while len(ladder) < mask.bit_length():
+            ladder.append(clmul(ladder[-1], d) & keep)
+        acc = 0
+        for e in bit_positions(mask):
+            acc ^= ladder[e]
+        return acc
+    half = (precision + 1) // 2
+    cut = (1 << half) - 1
+    even = _expand(stride_bits(mask, 2) & cut, half, dbits, ladders)
+    odd = _expand(stride_bits(mask, 2, 1) & cut, half, dbits, ladders)
+    return spread_bits(even, 2) ^ (clmul(spread_bits(odd, 2), d) & keep)
 
 
 def from_series(f: BitSeries, max_deg: int) -> DeltaPoly:

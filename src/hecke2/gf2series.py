@@ -12,6 +12,7 @@ coefficient 1 exactly at the odd squares) and its ``q -> q^p`` substitution.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "square_multiply",
     "clmul",
     "spread_bits",
+    "stride_bits",
     "spread8",
     "pack8",
     "zero",
@@ -40,6 +42,17 @@ _SPREAD_LOOP_LIMIT = 512
 _BYTEWISE_STR_LIMIT = 768
 _DIGIT_TO_BYTE = tuple(bytes.maketrans(b"01", bytes((0, 1 << c))) for c in range(8))
 _BYTE_TO_DIGIT = b"0" + b"1" * 255
+# Above this popcount a factor-2 spread maps whole bytes through
+# _doubled_bytes(); below it the per-bit loop is cheaper.
+_DOUBLING_LOOP_LIMIT = 32
+
+
+@functools.cache
+def _doubled_bytes() -> np.ndarray:
+    """Entry ``b`` is the 16-bit word with bit ``2i`` set for every bit ``i`` of ``b``."""
+    return np.array(
+        [sum(1 << (2 * i) for i in range(8) if b >> i & 1) for b in range(256)], dtype="<u2"
+    )
 
 
 def bit_positions(x: int) -> list[int]:
@@ -103,19 +116,30 @@ def spread_bits(mask: int, factor: int, limit: int | None = None) -> int:
         mask &= (1 << ((limit + factor - 1) // factor)) - 1
     if mask == 0:
         return 0
-    if mask.bit_count() <= _SPREAD_LOOP_LIMIT:
+    if mask.bit_count() <= (_DOUBLING_LOOP_LIMIT if factor == 2 else _SPREAD_LOOP_LIMIT):
         out = 0
         for n in bit_positions(mask):
             out |= 1 << (n * factor)
         return out
-    nbits = mask.bit_length()
-    src = np.frombuffer(mask.to_bytes((nbits + 7) // 8, "little"), np.uint8)
+    src = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+    if factor == 2:
+        return int.from_bytes(_doubled_bytes()[src].tobytes(), "little")
     idx = np.nonzero(np.unpackbits(src, bitorder="little"))[0].astype(np.int64)
     idx *= factor
     size = int(idx[-1]) + 1
     bits = np.zeros(size, np.uint8)
     bits[idx] = 1
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def stride_bits(mask: int, step: int, start: int = 0) -> int:
+    """Bit ``n`` of the result is bit ``start + n * step`` of ``mask``.
+
+    It inverts ``spread_bits`` (``stride_bits(spread_bits(m, k), k) == m``):
+    one slice of the binary digit string keeps every ``step``-th digit.
+    """
+    digits = format(mask >> start, "b")
+    return int(digits[(len(digits) - 1) % step :: step], 2)
 
 
 def spread8(packed: int, offset: int = 0) -> int:

@@ -41,7 +41,9 @@ from .gf2series import (
     delta,
     pack8,
     spread8,
+    spread_bits,
     square_multiply,
+    stride_bits,
 )
 
 __all__ = [
@@ -140,14 +142,8 @@ def hecke_naive_series(f: BitSeries, p: int) -> BitSeries:
     """Apply T_p on a q-expansion: gamma(n) = c(pn) (+ c(n/p) when p | n)."""
     _require_odd_prime(p)
     out_prec = (f.precision - 1) // p + 1
-    bits = f.bits
-    out = 0
-    for n in range(out_prec):
-        b = (bits >> (p * n)) & 1
-        if n % p == 0:
-            b ^= (bits >> (n // p)) & 1
-        if b:
-            out |= 1 << n
+    # every p-th coefficient, then c(n/p) spread onto n = 0, p, 2p, ...
+    out = stride_bits(f.bits, p) ^ spread_bits(f.bits, p, out_prec)
     return BitSeries(out, out_prec)
 
 

@@ -203,18 +203,21 @@ def _t5_table(cfg: VerifyConfig) -> str:
 
 @_claim("naive-fast-agree")
 def _naive_fast_agree(cfg: VerifyConfig) -> str:
+    # --long reaches p=257, the range the relation criteria (03b) cover
+    pmax = min(cfg.pmax, 257 if cfg.long else 31)
     kmax = 200
     rng = random.Random(0xF2)
-    for p in _checked_primes(min(cfg.pmax, 31)):
+    for p in _checked_primes(pmax):
         cp = cached_charpoly(p)
         fast = image_table(cp, kmax)
         naive = _naive_monomial_range(p, kmax)
         assert [fast[k] for k in range(kmax + 1)] == naive, f"monomial routes disagree at p={p}"
-        for _ in range(200):
+        for _ in range(200 if p <= 31 else 50):
             f = DeltaPoly(rng.getrandbits(kmax) | (1 << (kmax - 1)))
             img = fast.apply(f.mask)
             assert hecke_naive(f, p).mask == img, f"random-form routes disagree at p={p}"
-    return f"p<={min(cfg.pmax, 31)}, k<=200, 200 random forms per prime"
+    above = ", 50 above p=31" if pmax > 31 else ""
+    return f"p<={pmax}, k<=200, 200 random forms per prime{above}"
 
 
 @_claim("newton-solve-agree")

@@ -1,7 +1,7 @@
 import pytest
 
 from hecke2 import cli
-from hecke2.cli import MAX_FORM_DEGREE, main, parse_form
+from hecke2.cli import MAX_FORM_DEGREE, MAX_PRIME, main, parse_form
 from hecke2.deltapoly import DeltaPoly
 
 
@@ -70,6 +70,37 @@ def test_form_degree_cap(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["hecke", "--help"])
     assert f"each at most {MAX_FORM_DEGREE}" in capsys.readouterr().out
+
+
+def test_prime_cap(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a prime above the cap reached the computation")
+
+    for name in ("is_odd_prime", "compute_charpoly", "cached_charpoly", "read_charpoly",
+                 "hecke_fast", "hecke_naive"):
+        monkeypatch.setattr(cli, name, never)
+    big = str(10**30 + 57)
+    for argv in (
+        ["fp", "compute", "--p", big],
+        ["fp", "show", "--p", str(MAX_PRIME + 1)],
+        ["fp", "verify", "--p", big],
+        ["hecke", "--p", big, "--form", "15"],
+        ["hecke", "--p", big, "--form", "15", "--naive"],
+        ["hecke", "--p", str(MAX_PRIME + 1), "--form", "15", "--both"],
+    ):
+        assert main(argv) == 2
+    assert f"--p must be at most {MAX_PRIME}" in capsys.readouterr().err
+    for command in ("fp", "hecke"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"odd prime, at most {MAX_PRIME}" in capsys.readouterr().out
+
+
+def test_largest_prime_below_cap_is_accepted(capsys):
+    largest = max(q for q in range(3, MAX_PRIME + 1, 2) if all(q % d for d in range(3, q, 2)))
+    # T_p kills Delta mod 2 at every odd prime
+    assert main(["hecke", "--p", str(largest), "--form", "1", "--naive"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
 
 
 def test_g_command(capsys):

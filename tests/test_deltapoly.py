@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hecke2.deltapoly import (
     ZERO,
     DeltaPoly,
     Parity,
+    _even_mask,
     decompose,
     from_series,
     to_series,
@@ -28,6 +30,47 @@ def test_to_series_basics():
     assert cube.coeff(3) == 1 and cube.coeff(11) == 1
     d = delta(12)
     assert cube == d * d * d
+
+
+def gap_ladder_to_series(f: DeltaPoly, precision: int) -> BitSeries:
+    """The sequential expansion to_series ran before its divide and conquer."""
+    d = delta(precision)
+    gap_powers = {}
+    acc = 0
+    cur = None
+    last = 0
+    for e in f.exponents():
+        if cur is None:
+            cur = d.pow(e)
+        else:
+            gap = e - last
+            if gap not in gap_powers:
+                gap_powers[gap] = d.pow(gap)
+            cur = cur * gap_powers[gap]
+        last = e
+        acc ^= cur.bits
+    return BitSeries(acc, precision)
+
+
+def test_to_series_matches_gap_ladder():
+    rng = random.Random(0x5E)
+    cases = []
+    for p, deg in ((3, 40), (3, 513), (31, 200), (31, 64)):
+        f = DeltaPoly(rng.getrandbits(deg) | (1 << deg))
+        cases += [(f, p * deg + 1), (f, deg // 3 + 1), (f, deg)]  # hecke_naive's, and below deg
+    for precision in (1, 2, 7, 8, 9):
+        cases += [(DeltaPoly(rng.getrandbits(100) | (1 << 100)), precision)]
+    for f in (ZERO, ONE, poly(1)):
+        cases += [(f, n) for n in (1, 2, 9, 100)]
+    dense = rng.getrandbits(300) | (1 << 300) | 0b11
+    even, odd = dense & _even_mask(301), dense & ~_even_mask(301)
+    cases += [(DeltaPoly(even), 4000), (DeltaPoly(odd), 4000), (DeltaPoly(even), 50)]
+    # exponents at or above the precision must be cut before the split
+    sparse = poly(65535, 65534, 4097, 300, 33, 5, 0)
+    cases += [(sparse, n) for n in (1, 6, 34, 301, 1000)]
+    for f, precision in cases:
+        want = gap_ladder_to_series(f, precision)
+        assert to_series(f, precision) == want, (f.mask.bit_length(), precision)
 
 
 def test_from_series_round_trips():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hecke2.errors import PrecisionTooLow
 from hecke2.gf2series import (
+    _DOUBLING_LOOP_LIMIT,
     _SPREAD_LOOP_LIMIT,
     BitSeries,
     bit_positions,
@@ -14,6 +15,7 @@ from hecke2.gf2series import (
     delta_qpow,
     one,
     spread_bits,
+    stride_bits,
     zero,
 )
 
@@ -197,6 +199,25 @@ def test_spread_bits_numpy_path_matches_loop():
             assert (cut.bit_count() > _SPREAD_LOOP_LIMIT) == numpy_path
             want = spread_oracle(mask, factor) & ((1 << limit) - 1)
             assert spread_bits(mask, factor, limit) == want, (factor, limit)
+
+
+@pytest.mark.parametrize("count", [_DOUBLING_LOOP_LIMIT, _DOUBLING_LOOP_LIMIT + 1, 2000])
+def test_spread_bits_doubling_table_matches_loop(count):
+    # up to the limit a factor-2 spread takes the loop, above it the byte table
+    rng = random.Random(count)
+    for width in (count, count + 7, 70000):
+        mask = _random_bits(rng, count, width)
+        assert spread_bits(mask, 2) == spread_oracle(mask, 2)
+        for limit in (width, width + 1, 2 * width - 1):
+            assert spread_bits(mask, 2, limit) == spread_oracle(mask, 2) & ((1 << limit) - 1)
+
+
+@given(st.integers(0, (1 << 300) - 1), st.sampled_from([2, 3, 5, 61]), st.integers(0, 70))
+def test_stride_bits_keeps_every_step_th_bit(mask, step, start):
+    want = sum(1 << n for n in range((mask.bit_length() + step) // step)
+               if mask >> (start + n * step) & 1)
+    assert stride_bits(mask, step, start) == want
+    assert stride_bits(spread_bits(mask, step), step) == mask
 
 
 def test_clmul_small_cases():

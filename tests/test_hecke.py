@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -72,6 +73,28 @@ def test_naive_series_kills_constants():
 def test_naive_series_precision():
     img = hecke_naive_series(BitSeries(0, 61), 3)
     assert img.precision == 21
+
+
+def per_bit_naive_series(f: BitSeries, p: int) -> BitSeries:
+    """The per-coefficient loop hecke_naive_series ran before its strided rule."""
+    out_prec = (f.precision - 1) // p + 1
+    out = 0
+    for n in range(out_prec):
+        b = (f.bits >> (p * n)) & 1
+        if n % p == 0:
+            b ^= (f.bits >> (n // p)) & 1
+        out |= b << n
+    return BitSeries(out, out_prec)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31, 61, 257])
+def test_naive_series_matches_per_bit_loop(p):
+    rng = random.Random(p)
+    precisions = (1, 2, p - 1, p, p + 1, 2 * p, 2 * p + 1, p * p, p * p + 1, 11347)
+    for precision in precisions:
+        for bits in (rng.getrandbits(precision), (1 << precision) - 1, 1 << (precision - 1)):
+            f = BitSeries(bits, precision)
+            assert hecke_naive_series(f, p) == per_bit_naive_series(f, p), precision
 
 
 def test_naive_polynomial_examples():
