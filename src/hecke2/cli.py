@@ -36,12 +36,17 @@ USAGE_ERROR = 2
 # up to the degree, and every command packs the form into a bit mask.
 MAX_FORM_DEGREE = 65535
 FORM_HELP = f"comma-separated exponents, each at most {MAX_FORM_DEGREE}"
-# Largest --p: the relation solve's window of 4(p+1)^2 bits makes its time
+# Largest --p and --pmax (`verify` and `bench` solve F_p at every prime up to
+# --pmax): the relation solve's window of 4(p+1)^2 bits makes its time
 # and memory grow steeply with p (`fp compute --p 499` takes about 12 s and
 # 310 MB on a 2-core machine), and the cap keeps `is_odd_prime`'s trial
 # division away from huge inputs.
 MAX_PRIME = 500
 PRIME_HELP = f"odd prime, at most {MAX_PRIME}"
+PMAX_HELP = f"largest prime covered, at most {MAX_PRIME}"
+# --kmax sizes the structure sweeps' numpy arrays and image stream, as a form's
+# degree sizes `hecke`'s stream, so it shares that cap
+KMAX_HELP = f"top power of the image-structure sweeps, 1 to {MAX_FORM_DEGREE}"
 
 
 def parse_form(spec: str) -> DeltaPoly:
@@ -72,12 +77,16 @@ def _prime_error(p: int) -> str | None:
     return None
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return USAGE_ERROR
+
+
 def _cmd_fp(args: argparse.Namespace) -> int:
     p = args.p
     bad = _prime_error(p)
     if bad:
-        print(f"error: {bad}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(bad)
     if args.action == "compute":
         cp = compute_charpoly(p)
         path = write_charpoly(cp)
@@ -114,13 +123,11 @@ def _cmd_fp(args: argparse.Namespace) -> int:
 def _cmd_hecke(args: argparse.Namespace) -> int:
     bad = _prime_error(args.p)
     if bad:
-        print(f"error: {bad}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(bad)
     try:
         form = parse_form(args.form)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(str(exc))
     if args.both:
         fast = hecke_fast(form, cached_charpoly(args.p))
         naive = hecke_naive(form, args.p)
@@ -139,13 +146,16 @@ def _cmd_g(args: argparse.Namespace) -> int:
     try:
         form = parse_form(args.form)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(str(exc))
     print(render_report(g_general(form), kv=args.kv))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.pmax > MAX_PRIME:
+        return _usage_error(f"--pmax must be at most {MAX_PRIME}")
+    if not 1 <= args.kmax <= MAX_FORM_DEGREE:
+        return _usage_error(f"--kmax must be between 1 and {MAX_FORM_DEGREE}")
     cfg = VerifyConfig(kmax=args.kmax, pmax=args.pmax, long=args.long)
     report = run_suite(args.suite, cfg)
     for line in report.lines():
@@ -158,6 +168,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.pmax > MAX_PRIME:
+        return _usage_error(f"--pmax must be at most {MAX_PRIME}")
     total = 0.0
     print(f"{'p':>5} {'terms':>6} {'ms':>9}")
     for p in odd_primes_up_to(args.pmax):
@@ -175,6 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hecke2",
         description="Exact Hecke-operator computations on level-1 modular forms mod 2.",
+        epilog="exit codes: 0 success, 1 claim or verification failure, "
+        "2 usage error (an argument out of its stated range included)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -202,13 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a claim suite")
     ver.add_argument("suite", choices=sorted(SUITES))
-    ver.add_argument("--kmax", type=int, default=4095)
-    ver.add_argument("--pmax", type=int, default=31)
+    ver.add_argument("--kmax", type=int, default=4095, help=KMAX_HELP)
+    ver.add_argument("--pmax", type=int, default=31, help=PMAX_HELP)
     ver.add_argument("--long", action="store_true", help="full-scale ranges")
     ver.set_defaults(func=_cmd_verify)
 
     bench = sub.add_parser("bench", help="time the relation solver per prime")
-    bench.add_argument("--pmax", type=int, default=31)
+    bench.add_argument("--pmax", type=int, default=31, help=PMAX_HELP)
     bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -46,7 +46,11 @@ class RankDeficient(Hecke2Error, RuntimeError):
 
 
 class SingularSystem(Hecke2Error, RuntimeError):
-    """The power-sum elimination found no usable pivot."""
+    """The power-sum identities do not pin down one relation.
+
+    They leave a coefficient bit underdetermined, are inconsistent, or have
+    an identity that does not close on the solution.
+    """
 
 
 class WitnessFailed(Hecke2Error, RuntimeError):

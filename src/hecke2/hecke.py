@@ -361,139 +361,66 @@ def cached_charpoly(p: int) -> CharPoly:
 # power-sum (Newton) oracle
 
 
-def _exact_div(num: int, den: int) -> int:
-    """Exact GF(2)[x] division of coefficient masks."""
-    if den == 0:
-        raise SingularSystem("division by the zero polynomial")
-    q = 0
-    d = den.bit_length()
-    while num:
-        top = num.bit_length()
-        if top < d:
-            raise SingularSystem("pivot does not divide the residual exactly")
-        shift = top - d
-        q |= 1 << shift
-        num ^= den << shift
-    return q
-
-
-def _newton_bit_solve(
-    p: int, sums: list[int], known: dict[int, int], pending: set[int]
-) -> None:
-    """Finish the power-sum system by bit-level elimination.
-
-    Remaining unknowns are expanded into their allowed monomial bits (degree
-    and mod-8 class constraints) and the identities are imposed coefficient
-    by coefficient; raises SingularSystem if the identities do not pin the
-    unknowns uniquely.
-    """
-    big = p + 1
-    rmax = len(sums) - 1
-    block = rmax + big + 2  # row stride: x-degrees occurring in one identity
-
-    bits = [(i, j) for i in sorted(pending) for j in range((p * i) % 8, i + 1, 8)]
-    residuals = []
-    for m in range(1, rmax + 1):
-        res = sums[m]
-        for i, si in known.items():
-            if m - i >= 1 and sums[m - i]:
-                res ^= clmul(si, sums[m - i])
-            if i == m and m <= big and m & 1:
-                res ^= si
-        residuals.append(res)
-
-    def column(i: int, j: int) -> int:
-        col = 0
-        for m in range(1, rmax + 1):
-            coeff = sums[m - i] if m - i >= 1 else 0
-            if i == m and m & 1:
-                coeff ^= 1
-            if coeff:
-                col ^= (coeff << j) << ((m - 1) * block)
-        return col
-
-    vec = 0
-    for m, res in enumerate(residuals, 1):
-        vec ^= res << ((m - 1) * block)
-    chosen = _gf2_solve(
-        (column(i, j) for i, j in bits),
-        vec,
-        lambda idx: SingularSystem(
-            f"power-sum identities leave s_{bits[idx][0]} underdetermined at p={p}"
-        ),
-        lambda: SingularSystem(f"power-sum identities are inconsistent at p={p}"),
-    )
-    for idx in bit_positions(chosen):
-        i, j = bits[idx]
-        known[i] = known.get(i, 0) | (1 << j)
-    for i in pending:
-        known.setdefault(i, 0)
-    pending.clear()
-
-
 def charpoly_via_newton(p: int) -> CharPoly:
     """Independent derivation of the relation from naive power-sum images.
 
-    The power sums N_r equal the naive images of the r-th powers; the Newton
-    identities link them to the s_r.  Mod 2 the low identities only pin the
-    odd-indexed s_r directly, so the solver first iterates substitution:
-    whenever an unknown appears alone with a nonzero polynomial coefficient
-    it is extracted by exact division.  Primes whose power sums are too
-    entangled for pure substitution (p = 11 already is) fall through to a
-    bit-level elimination over the same identities.
+    The power sums N_m are the naive images of the m-th powers, and mod 2
+    the Newton identities read
+
+        N_m + s_1 N_(m-1) + ... + s_(m-1) N_1 + [m odd, m <= p+1] s_m = 0,
+
+    with s_i = 0 for i > p+1.  One elimination solves for the allowed
+    monomial bits (degree and mod-8 class constraints) of every s_r at once,
+    with the identities m = 1..3(p+1) imposed coefficient by coefficient.
+    A closing check then evaluates every identity on the solution; raises
+    SingularSystem if the identities leave a bit undetermined, are
+    inconsistent, or one of them does not close.
     """
     _require_odd_prime(p)
     big = p + 1
     rmax = 3 * big
     sums = [s.mask for s in _naive_monomial_range(p, rmax)]
+    block = rmax + big + 2  # row stride: x-degrees occurring in one identity
 
-    known: dict[int, int] = {}
-    pending = set(range(1, big + 1))
+    def coeff(m: int, i: int) -> int:
+        """Polynomial multiplying s_i in identity m."""
+        c = sums[m - i] if m > i else 0
+        return c ^ 1 if i == m and m & 1 else c
 
-    def scan(residual_only: bool) -> bool:
-        progressed = False
-        for m in range(1, rmax + 1):
-            res = sums[m]
-            open_terms: list[tuple[int, int]] = []
-            hi = min(big, m - 1)
-            for i in range(1, hi + 1):
-                coeff = sums[m - i]
-                if not coeff:
-                    continue
-                si = known.get(i)
-                if si is not None:
-                    res ^= clmul(si, coeff)
-                else:
-                    open_terms.append((i, coeff))
-            if m <= big and m & 1:
-                si = known.get(m)
-                if si is not None:
-                    res ^= si
-                else:
-                    open_terms.append((m, 1))
-            if not open_terms:
-                if res:
-                    raise SingularSystem(
-                        f"power-sum identity {m} is inconsistent at p={p}"
-                    )
-                continue
-            if residual_only:
-                raise SingularSystem(
-                    f"identity {m} still has undetermined coefficients at p={p}"
-                )
-            if len(open_terms) == 1:
-                i, coeff = open_terms[0]
-                known[i] = _exact_div(res, coeff)
-                pending.discard(i)
-                progressed = True
-        return progressed
+    def column(i: int, j: int) -> int:
+        col = 0
+        for m in range(i, rmax + 1):
+            c = coeff(m, i)
+            if c:
+                col ^= (c << j) << ((m - 1) * block)
+        return col
 
-    while pending and scan(residual_only=False):
-        pass
-    if pending:
-        _newton_bit_solve(p, sums, known, pending)
-    scan(residual_only=True)  # every identity must now close
-    return CharPoly(p, tuple(DeltaPoly(known.get(r, 0)) for r in range(1, big + 1)))
+    bits = [(i, j) for i in range(1, big + 1) for j in range((p * i) % 8, i + 1, 8)]
+    rhs = 0
+    for m in range(1, rmax + 1):
+        rhs ^= sums[m] << ((m - 1) * block)
+    chosen = _gf2_solve(
+        (column(i, j) for i, j in bits),
+        rhs,
+        lambda idx: SingularSystem(
+            f"power-sum identities leave s_{bits[idx][0]} underdetermined at p={p}"
+        ),
+        lambda: SingularSystem(f"power-sum identities are inconsistent at p={p}"),
+    )
+    smasks = [0] * (big + 1)
+    for idx in bit_positions(chosen):
+        i, j = bits[idx]
+        smasks[i] |= 1 << j
+
+    # every identity must close on the solution, whatever the row packing
+    for m in range(1, rmax + 1):
+        res = sums[m]
+        for i in range(1, min(m, big) + 1):
+            if smasks[i]:
+                res ^= clmul(smasks[i], coeff(m, i))
+        if res:
+            raise SingularSystem(f"power-sum identity {m} does not close at p={p}")
+    return CharPoly(p, tuple(DeltaPoly(sm) for sm in smasks[1:]))
 
 
 # ---------------------------------------------------------------------------

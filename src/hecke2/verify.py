@@ -25,7 +25,6 @@ from .gf2series import bit_positions
 from .hecke import (
     cached_charpoly,
     charpoly_via_newton,
-    compute_charpoly,
     hecke_fast_range,
     hecke_matrix,
     hecke_naive,
@@ -112,6 +111,13 @@ def _checked_primes(n: int) -> list[int]:
     if not primes:
         raise AssertionError(f"no odd prime <= {n} to check")
     return primes
+
+
+def _checked_kmax(kmax: int) -> int:
+    """The top power of a structure sweep; a sweep over no k >= 1 would check nothing."""
+    if kmax < 1:
+        raise AssertionError(f"no power k in 1..{kmax} to check")
+    return kmax
 
 
 def _n3_n5_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,20 +228,24 @@ def _naive_fast_agree(cfg: VerifyConfig) -> str:
 
 @_claim("newton-solve-agree")
 def _newton_solve_agree(cfg: VerifyConfig) -> str:
-    for p in _checked_primes(min(cfg.pmax, 31)):
-        assert compute_charpoly(p) == charpoly_via_newton(p), f"methods split at p={p}"
-    return f"p<={min(cfg.pmax, 31)}"
+    # --long takes the oracle to p=101 (about 2.5 s of Newton solves)
+    pmax = min(cfg.pmax, 101 if cfg.long else 31)
+    for p in _checked_primes(pmax):
+        assert cached_charpoly(p) == charpoly_via_newton(p), f"methods split at p={p}"
+    return f"p<={pmax}"
 
 
 @_claim("relation-structure")
 def _relation_structure(cfg: VerifyConfig) -> str:
-    for p in _checked_primes(min(cfg.pmax, 31)):
+    # --long reaches p=257, the range naive-fast-agree and 03b cover
+    pmax = min(cfg.pmax, 257 if cfg.long else 31)
+    for p in _checked_primes(pmax):
         cp = cached_charpoly(p)
         bad = structure_violations(cp)
         assert not bad, f"{bad} at p={p}"
         res = relation_residual(cp, 8 * (p + 1) * (p + 1))
         assert res.is_zero(), f"relation residual nonzero at p={p}"
-    return f"p<={min(cfg.pmax, 31)}, residual to 8(p+1)^2"
+    return f"p<={pmax}, residual to 8(p+1)^2"
 
 
 @_claim("recurrence-genfun")
@@ -596,7 +606,7 @@ def _n5_upper_bound(cfg: VerifyConfig) -> str:
 
 
 def _structure_sweep_t3(kmax: int) -> None:
-    a, b = _n3_n5_arrays(kmax + 1)
+    a, b = _n3_n5_arrays(_checked_kmax(kmax) + 1)
     H = a + b
     big = 1 << 32
     for k, img in enumerate(iter_hecke_fast(cached_charpoly(3), kmax)):
@@ -625,7 +635,7 @@ def _structure_sweep_t3(kmax: int) -> None:
 
 
 def _structure_sweep_t5(kmax: int) -> None:
-    a, b = _n3_n5_arrays(kmax + 1)
+    a, b = _n3_n5_arrays(_checked_kmax(kmax) + 1)
     H = a + b
     big = 1 << 32
     for k, img in enumerate(iter_hecke_fast(cached_charpoly(5), kmax)):

@@ -3,6 +3,7 @@ import pytest
 from hecke2 import cli
 from hecke2.cli import MAX_FORM_DEGREE, MAX_PRIME, main, parse_form
 from hecke2.deltapoly import DeltaPoly
+from hecke2.verify import VerificationReport
 
 
 @pytest.fixture
@@ -94,6 +95,42 @@ def test_prime_cap(capsys, monkeypatch):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         assert f"odd prime, at most {MAX_PRIME}" in capsys.readouterr().out
+
+
+def test_verify_and_bench_range_caps(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("an out-of-range argument reached the computation")
+
+    for name in ("run_suite", "compute_charpoly", "odd_primes_up_to"):
+        monkeypatch.setattr(cli, name, never)
+    for argv in (
+        ["verify", "theorem", "--kmax", "-1"],
+        ["verify", "all", "--kmax", "0"],
+        ["verify", "all", "--kmax", str(MAX_FORM_DEGREE + 1)],
+        ["verify", "all", "--pmax", str(MAX_PRIME + 1)],
+        ["verify", "all", "--pmax", str(MAX_PRIME + 1), "--long"],
+        ["bench", "--pmax", str(MAX_PRIME + 1)],
+    ):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--kmax must be between 1 and {MAX_FORM_DEGREE}" in err
+    assert f"--pmax must be at most {MAX_PRIME}" in err
+    for command in ("verify", "bench"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"at most {MAX_PRIME}" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert f"1 to {MAX_FORM_DEGREE}" in capsys.readouterr().out
+
+    # the bounds themselves are accepted
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda suite, cfg: seen.append(cfg) or VerificationReport())
+    argv = ["verify", "all", "--kmax", str(MAX_FORM_DEGREE), "--pmax", str(MAX_PRIME)]
+    assert main(argv) == 0
+    assert main(["verify", "all", "--kmax", "1"]) == 0
+    assert [(c.kmax, c.pmax) for c in seen] == [(MAX_FORM_DEGREE, MAX_PRIME), (1, 31)]
+    capsys.readouterr()
 
 
 def test_largest_prime_below_cap_is_accepted(capsys):

@@ -151,6 +151,23 @@ def test_newton_oracle_agrees():
         assert charpoly_via_newton(p) == compute_charpoly(p), p
 
 
+@pytest.mark.parametrize("p", [3, 11, 31])
+def test_newton_oracle_rejects_corrupted_power_sum(p, monkeypatch):
+    # one flipped bit of one N_m must leave the identities unsatisfiable
+    clean = hecke._naive_monomial_range
+    for m in (1, p + 1, 3 * (p + 1)):
+        for e in ((p * m) % 8, m - 1):
+
+            def corrupted(q, kmax, m=m, e=e):
+                sums = clean(q, kmax)
+                sums[m] = DeltaPoly(sums[m].mask ^ (1 << e))
+                return sums
+
+            monkeypatch.setattr(hecke, "_naive_monomial_range", corrupted)
+            with pytest.raises(SingularSystem):
+                charpoly_via_newton(p)
+
+
 def test_newton_initial_sums():
     sums5 = newton_initial_sums(F5)
     assert sums5[0] == ZERO

@@ -67,6 +67,14 @@ def test_claims_over_no_prime_fail():
             verify._REGISTRY[claim_id](VerifyConfig(pmax=2))
 
 
+def test_structure_sweeps_over_no_power_fail():
+    for kmax in (-1, 0):
+        for claim_id in ("t3-image-structure", "t5-image-structure"):
+            with pytest.raises(AssertionError, match=f"no power k in 1..{kmax}"):
+                verify._REGISTRY[claim_id](VerifyConfig(kmax=kmax))
+    assert verify._REGISTRY["t3-image-structure"](VerifyConfig(kmax=1)) == "k<=1"
+
+
 def test_random_masks_reach_past_8191_and_keep_small_draws():
     m = verify._random_odd_mask(random.Random(1), 20000)
     assert m >> 8192 and m.bit_length() <= 20001
