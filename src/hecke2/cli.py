@@ -37,13 +37,15 @@ USAGE_ERROR = 2
 MAX_FORM_DEGREE = 65535
 FORM_HELP = f"comma-separated exponents, each at most {MAX_FORM_DEGREE}"
 # Largest --p and --pmax (`verify` and `bench` solve F_p at every prime up to
-# --pmax): the relation solve's window of 4(p+1)^2 bits makes its time
-# and memory grow steeply with p (`fp compute --p 499` takes about 12 s and
-# 310 MB on a 2-core machine), and the cap keeps `is_odd_prime`'s trial
-# division away from huge inputs.
+# --pmax).  With the relation solve's window of (p+1)^2 + 1 bits, `fp compute
+# --p 499` takes under 1 s and about 115 MB on a 2-core machine; the residual
+# check at 8(p+1)^2 bits (`fp verify`, `relation-structure`) grows steeper,
+# about 3 s at p=499.  The cap bounds that check and keeps `is_odd_prime`'s
+# trial division away from huge inputs.
 MAX_PRIME = 500
 PRIME_HELP = f"odd prime, at most {MAX_PRIME}"
 PMAX_HELP = f"largest prime covered, at most {MAX_PRIME}"
+BENCH_PMAX_HELP = f"largest prime solved, 3 to {MAX_PRIME}"
 # --kmax sizes the structure sweeps' numpy arrays and image stream, as a form's
 # degree sizes `hecke`'s stream, so it shares that cap
 KMAX_HELP = f"top power of the image-structure sweeps, 1 to {MAX_FORM_DEGREE}"
@@ -168,8 +170,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.pmax > MAX_PRIME:
-        return _usage_error(f"--pmax must be at most {MAX_PRIME}")
+    # below 3 there is no odd prime to solve, and the table would be empty
+    if not 3 <= args.pmax <= MAX_PRIME:
+        return _usage_error(f"--pmax must be between 3 and {MAX_PRIME}")
     total = 0.0
     print(f"{'p':>5} {'terms':>6} {'ms':>9}")
     for p in odd_primes_up_to(args.pmax):
@@ -222,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=_cmd_verify)
 
     bench = sub.add_parser("bench", help="time the relation solver per prime")
-    bench.add_argument("--pmax", type=int, default=31, help=PMAX_HELP)
+    bench.add_argument("--pmax", type=int, default=31, help=BENCH_PMAX_HELP)
     bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -244,14 +244,20 @@ class _PackedTerms:
     def __init__(self, p: int, n: int, max_j: int) -> None:
         self.p = p
         self.cmask = (1 << (n // 8)) - 1
-        # packed Delta has its bits at (m^2 - 1)/8; a product carries one
-        # packed bit when its class wraps past 7
-        dpack = pack8(delta(n).bits, 1)
+        # An even power is the Frobenius square of its half: class c squared
+        # lands on 2c, which wraps past 7 (one packed bit up) when c >= 4.  An
+        # odd power is the even one below it times Delta, whose packed bits
+        # sit at (m^2 - 1)/8 on class 1; an even class plus 1 never wraps.
+        dpos = bit_positions(pack8(delta(n).bits, 1))
         self.xpow = [1]
         for j in range(1, max_j + 1):
-            cur = clmul(self.xpow[-1], dpack)
-            if j % 8 == 0:
-                cur <<= 1
+            if j % 2 == 0:
+                half = j // 2
+                cur = spread_bits(self.xpow[half], 2) << ((half % 8) >> 2)
+            else:
+                prev, cur = self.xpow[-1], 0
+                for pos in dpos:
+                    cur ^= prev << pos
             self.xpow.append(cur & self.cmask)
         # Delta(q^p)^i has its bits at p times those of Delta^i below n/p
         small = -(-n // p)
@@ -332,11 +338,19 @@ def _solve_relation(p: int, window: int) -> CharPoly:
 def compute_charpoly(p: int, window: int | None = None) -> CharPoly:
     """The relation coefficients via the structured linear solve.
 
-    The initial coefficient window is 4(p+1)^2, doubled (twice at most) if
-    the system comes back rank-deficient.
+    The initial coefficient window is (p+1)^2 + 1, doubled (twice at most)
+    if the system comes back rank-deficient.  F_p satisfies every row at any
+    window, so a solve of full column rank can only return F_p.  A column
+    dependency is a polynomial G of Y-degree at most p, with every monomial
+    X^a Y^b of a + b <= p+1, such that G(Delta, Delta(q^p)) vanishes below
+    the window.  Mod 2 that series is a form of weight 12(p+1) on Gamma_0(p)
+    (E_4 = 1 mod 2 evens out the weights), so by the Sturm bound it vanishes
+    identically once it vanishes through q^((p+1)^2): the default window is
+    as full-rank as any larger one.  It is also nearly the least that works
+    (at p=257 a window of 66560 < (p+1)^2 is rank-deficient).
     """
     _require_odd_prime(p)
-    n = window if window is not None else 4 * (p + 1) * (p + 1)
+    n = window if window is not None else (p + 1) * (p + 1) + 1
     for attempt in range(3):
         try:
             return _solve_relation(p, n)

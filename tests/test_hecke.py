@@ -129,6 +129,64 @@ def test_tiny_window_is_rank_deficient():
     assert compute_charpoly(3, window=8) == F3
 
 
+def _count_solves(monkeypatch):
+    """Record the (p, window) of every ``_solve_relation`` call, raising or not."""
+    calls = []
+    solve = hecke._solve_relation
+
+    def counted(p, window):
+        calls.append((p, window))
+        return solve(p, window)
+
+    monkeypatch.setattr(hecke, "_solve_relation", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [31, 101])
+def test_quarter_window_doubles_to_default_relation(p, monkeypatch):
+    # windows below about p(p+1) are rank-deficient, so (p+1)^2/4 doubles twice
+    expected = compute_charpoly(p)
+    calls = _count_solves(monkeypatch)
+    quarter = (p + 1) ** 2 // 4
+    assert compute_charpoly(p, window=quarter) == expected
+    assert calls == [(p, quarter), (p, 2 * quarter), (p, 4 * quarter)]
+
+
+def test_default_window_matches_wide_window():
+    for p in hecke.odd_primes_up_to(61):
+        assert compute_charpoly(p) == hecke._solve_relation(p, 4 * (p + 1) ** 2), p
+
+
+@pytest.mark.parametrize("p", [3, 31, 181])
+def test_default_window_takes_one_attempt(p, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    compute_charpoly(p)
+    assert calls == [(p, (p + 1) ** 2 + 1)]
+
+
+def _clmul_ladder(n, max_j):
+    """Packed Delta^0..Delta^max_j by one product per power, as a reference."""
+    cmask = (1 << (n // 8)) - 1
+    dpack = pack8(delta(n).bits, 1)
+    xpow = [1]
+    for j in range(1, max_j + 1):
+        cur = clmul(xpow[-1], dpack)
+        if j % 8 == 0:
+            cur <<= 1
+        xpow.append(cur & cmask)
+    return xpow
+
+
+@pytest.mark.parametrize("p", [3, 31, 101])
+def test_packed_power_ladder_matches_product_ladder(p):
+    max_j = max(17, p + 1)
+    # the squaring step runs both with a class wrap (j/2 mod 8 >= 4) and without
+    halves = {(j // 2) % 8 >= 4 for j in range(2, max_j + 1, 2)}
+    assert halves == {False, True}
+    for n in (8, 72, 8 * -(-((p + 1) ** 2) // 8), 16 * (p + 1) ** 2):
+        assert hecke._PackedTerms(p, n, max_j).xpow == _clmul_ladder(n, max_j), n
+
+
 def test_gf2_solve_pivot_elimination():
     def dependent(idx):
         return RankDeficient(f"column {idx}")
