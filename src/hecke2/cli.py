@@ -44,7 +44,7 @@ FORM_HELP = f"comma-separated exponents, each at most {MAX_FORM_DEGREE}"
 # trial division away from huge inputs.
 MAX_PRIME = 500
 PRIME_HELP = f"odd prime, at most {MAX_PRIME}"
-PMAX_HELP = f"largest prime covered, at most {MAX_PRIME}"
+PMAX_HELP = f"largest prime covered, 3 to {MAX_PRIME}"
 BENCH_PMAX_HELP = f"largest prime solved, 3 to {MAX_PRIME}"
 # --kmax sizes the structure sweeps' numpy arrays and image stream, as a form's
 # degree sizes `hecke`'s stream, so it shares that cap
@@ -153,9 +153,17 @@ def _cmd_g(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pmax_error(pmax: int) -> str | None:
+    """Why ``--pmax`` is unusable, or None; below 3 there is no odd prime."""
+    if not 3 <= pmax <= MAX_PRIME:
+        return f"--pmax must be between 3 and {MAX_PRIME}"
+    return None
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.pmax > MAX_PRIME:
-        return _usage_error(f"--pmax must be at most {MAX_PRIME}")
+    bad = _pmax_error(args.pmax)
+    if bad:
+        return _usage_error(bad)
     if not 1 <= args.kmax <= MAX_FORM_DEGREE:
         return _usage_error(f"--kmax must be between 1 and {MAX_FORM_DEGREE}")
     cfg = VerifyConfig(kmax=args.kmax, pmax=args.pmax, long=args.long)
@@ -170,9 +178,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    # below 3 there is no odd prime to solve, and the table would be empty
-    if not 3 <= args.pmax <= MAX_PRIME:
-        return _usage_error(f"--pmax must be between 3 and {MAX_PRIME}")
+    bad = _pmax_error(args.pmax)
+    if bad:
+        return _usage_error(bad)
     total = 0.0
     print(f"{'p':>5} {'terms':>6} {'ms':>9}")
     for p in odd_primes_up_to(args.pmax):

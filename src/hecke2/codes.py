@@ -6,11 +6,16 @@ even positions >= 2.  Gathering each group into an integer gives the pair
 The map ``k -> code(k)`` is a bijection on each parity class; comparing
 ``(h, n5)`` lexicographically defines the domination total order that picks
 out the dominant exponent of a parity-pure polynomial.
+
+The scalar functions gather digits one exponent at a time; the domination
+order of a whole polynomial reads a lazily built table of packed keys instead.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+import numpy as np
 
 from .deltapoly import DeltaPoly, Parity
 from .errors import MixedParity, ParityMismatch, ZeroPolynomial
@@ -107,10 +112,48 @@ def decode(c: Code | tuple[int, int], odd: int) -> int:
     return k
 
 
+# Entry k is h(k) << 32 | n5(k), which sorts as (h, n5) does.  The table grows
+# to the next power of two above the largest exponent asked for, from
+# _TABLE_MIN up to _TABLE_CAP entries, which covers every exponent a form spec
+# may hold.
+_KEY_SHIFT = 32
+_TABLE_MIN = 1 << 12
+_TABLE_CAP = 1 << 16
+_keys: list[int] = []
+
+
+def _even_bits(x: np.ndarray) -> np.ndarray:
+    """Gather the even-position bits of each entry (the unshuffle of Hacker's Delight 7-2)."""
+    x = x & 0x5555555555555555
+    x = (x | (x >> 1)) & 0x3333333333333333
+    x = (x | (x >> 2)) & 0x0F0F0F0F0F0F0F0F
+    x = (x | (x >> 4)) & 0x00FF00FF00FF00FF
+    x = (x | (x >> 8)) & 0x0000FFFF0000FFFF
+    return (x | (x >> 16)) & 0x00000000FFFFFFFF
+
+
+def _key_table(top: int) -> list[int] | None:
+    """The key table covering exponents ``0..top``, or None above the cap."""
+    global _keys
+    if top < len(_keys):
+        return _keys
+    if top >= _TABLE_CAP:
+        return None
+    m = np.arange(max(_TABLE_MIN, 1 << top.bit_length()), dtype=np.int64) >> 1
+    a, b = _even_bits(m), _even_bits(m >> 1)
+    _keys = ((a + b) << _KEY_SHIFT | b).tolist()
+    return _keys
+
+
 def domination_key(k: int) -> tuple[int, int]:
     """Sort key realizing the domination order within a parity class."""
-    c = _gather(k)
-    return (c.n3 + c.n5, c.n5)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    keys = _key_table(k)
+    if keys is None:
+        c = _gather(k)
+        return (c.n3 + c.n5, c.n5)
+    return divmod(keys[k], 1 << _KEY_SHIFT)
 
 
 def dominates(k: int, l: int) -> int:
@@ -140,18 +183,30 @@ def _pure_exponents(f: DeltaPoly) -> tuple[int, ...]:
     return f.exponents()
 
 
+def _dominant(exps: tuple[int, ...]) -> tuple[int, int]:
+    """The dominant one of ascending pure exponents, and its ``h``."""
+    keys = _key_table(exps[-1])
+    if keys is None:
+        top = max(exps, key=domination_key)
+        return top, domination_key(top)[0]
+    top = max(exps, key=keys.__getitem__)
+    return top, keys[top] >> _KEY_SHIFT
+
+
 def dominant_exponent(f: DeltaPoly) -> int:
     """The exponent of ``f`` maximal for the domination order."""
-    return max(_pure_exponents(f), key=domination_key)
+    return _dominant(_pure_exponents(f))[0]
 
 
 def h_poly(f: DeltaPoly) -> int | float:
-    """max of ``h`` over the exponents of ``f`` (-inf for the zero polynomial)."""
-    if f.parity_class() is Parity.MIXED:
-        raise MixedParity("polynomial mixes even and odd exponents")
+    """max of ``h`` over the exponents of ``f`` (-inf for the zero polynomial).
+
+    ``(h, n5)`` orders lexicographically, so this is ``h`` of the dominant
+    exponent.
+    """
     if not f:
         return NEG_INF
-    return max(h(e) for e in f.exponents())
+    return _dominant(_pure_exponents(f))[1]
 
 
 def cap_H(b: int) -> int:

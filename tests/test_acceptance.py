@@ -100,7 +100,7 @@ def test_criterion_05_image_tables_both_routes():
 
 
 def test_criterion_06_witnesses_and_bruteforce_g():
-    with budget("06-witness-and-g", 300.0):
+    with budget("06-witness-and-g", 5.0):
         a, b = _n3_n5_arrays(1024)
         hs = a + b
         tables = {p: hecke_fast_range(cached_charpoly(p), 1023) for p in (3, 5)}
@@ -161,7 +161,7 @@ def test_criterion_09_integer_bounds_to_1e6():
 
 
 def test_criterion_10_double_decrement_and_degree_bound():
-    with budget("10-g-corollaries", 120.0):
+    with budget("10-g-corollaries", 2.0):
         for p in (7, 17, 23, 31):
             table = hecke_fast_range(cached_charpoly(p), 199)
             for k in range(1, 200, 2):

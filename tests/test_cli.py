@@ -110,19 +110,20 @@ def test_verify_and_bench_range_caps(capsys, monkeypatch):
         ["verify", "all", "--pmax", str(MAX_PRIME + 1)],
         ["verify", "all", "--pmax", str(MAX_PRIME + 1), "--long"],
         ["bench", "--pmax", str(MAX_PRIME + 1)],
-        # no odd prime to solve: an empty table must not pass as a run
+        # no odd prime to check or solve: a claim or table over none must not run
+        ["verify", "all", "--pmax", "2"],
+        ["verify", "prop1", "--pmax", "-1"],
         ["bench", "--pmax", "2"],
         ["bench", "--pmax", "-1"],
     ):
         assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"--kmax must be between 1 and {MAX_FORM_DEGREE}" in err
-    assert f"--pmax must be at most {MAX_PRIME}" in err
-    assert err.count(f"--pmax must be between 3 and {MAX_PRIME}") == 3
-    for command, bound in (("verify", f"at most {MAX_PRIME}"), ("bench", f"3 to {MAX_PRIME}")):
+    assert err.count(f"--pmax must be between 3 and {MAX_PRIME}") == 7
+    for command in ("verify", "bench"):
         with pytest.raises(SystemExit):
             main([command, "--help"])
-        assert bound in capsys.readouterr().out
+        assert f"3 to {MAX_PRIME}" in capsys.readouterr().out
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     assert f"1 to {MAX_FORM_DEGREE}" in capsys.readouterr().out

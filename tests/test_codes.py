@@ -1,7 +1,14 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hecke2 import codes
 from hecke2.codes import (
     NEG_INF,
     Code,
@@ -167,3 +174,75 @@ def test_domination_key_orders_codes():
     ks = sorted(range(1, 200, 2), key=domination_key)
     for a, b in zip(ks, ks[1:]):
         assert dominates(a, b) == -1
+
+
+def _old_dominant(f):
+    # the per-exponent digit walk the key table replaced
+    return max(f.exponents(), key=lambda k: (h(k), n5(k)))
+
+
+def _old_h_poly(f):
+    return max(h(e) for e in f.exponents())
+
+
+def test_key_table_matches_gather():
+    keys = codes._key_table((1 << 16) - 1)
+    assert len(keys) == 1 << 16
+    for k, key in enumerate(keys):
+        c = codes._gather(k)
+        assert key == (c.n3 + c.n5) << 32 | c.n5, k
+
+
+def test_table_kernel_matches_digit_walk(monkeypatch):
+    # start from no table, so each top below walks the table through a growth
+    monkeypatch.setattr(codes, "_keys", [])
+    rng = random.Random(2024)
+    # just below, at and above each growth point; 2^16 - 1 is the last table entry
+    for top in [(1 << b) + d for b in range(12, 17) for d in (-1, 0, 1)]:
+        for _ in range(20):
+            exps = {top} | {rng.randrange(top) & ~1 | top & 1 for _ in range(rng.randint(1, 30))}
+            f = poly(*exps)
+            assert dominant_exponent(f) == _old_dominant(f), top
+            assert h_poly(f) == _old_h_poly(f), top
+        assert len(codes._keys) <= 1 << 16
+    # above the cap the scalar path decides, whatever the table holds
+    for f in (poly(999_999, 999_997, 65_535, 21), poly(10**6, 2**20 - 2, 4094)):
+        assert dominant_exponent(f) == _old_dominant(f)
+        assert h_poly(f) == _old_h_poly(f)
+    assert len(codes._keys) <= 1 << 16
+
+
+def test_table_kernel_single_terms(monkeypatch):
+    monkeypatch.setattr(codes, "_keys", [])
+    for k in (0, 1, 2, 3, 4095, 4096, 8191, 65_535, 65_536, 999_999, 10**6):
+        assert dominant_exponent(poly(k)) == k
+        assert h_poly(poly(k)) == h(k)
+        assert domination_key(k) == (h(k), n5(k))
+    with pytest.raises(ValueError):
+        domination_key(-1)
+    for f in (poly(4096, 4097), poly(6, 99_999)):
+        with pytest.raises(MixedParity):
+            dominant_exponent(f)
+        with pytest.raises(MixedParity):
+            h_poly(f)
+
+
+def test_key_table_is_lazy_and_bounded():
+    src = str(Path(codes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import hecke2\n"
+        "from hecke2 import codes\n"
+        "from hecke2.deltapoly import DeltaPoly\n"
+        "print(len(codes._keys))\n"
+        "codes.dominant_exponent(DeltaPoly.from_exponents([5, 1 << 20 | 1]))\n"
+        "print(len(codes._keys))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    at_import, after_call = map(int, run.stdout.split())
+    assert at_import == 0
+    assert after_call <= 1 << 16
