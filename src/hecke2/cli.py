@@ -38,7 +38,7 @@ MAX_FORM_DEGREE = 65535
 FORM_HELP = f"comma-separated exponents, each at most {MAX_FORM_DEGREE}"
 # Largest --p and --pmax (`verify` and `bench` solve F_p at every prime up to
 # --pmax).  With the relation solve's window of (p+1)^2 + 1 bits, `fp compute
-# --p 499` takes under 1 s and about 115 MB on a 2-core machine; the residual
+# --p 499` takes about 1 s and 115 MB on a 2-core machine; the residual
 # check at 8(p+1)^2 bits (`fp verify`, `relation-structure`) grows steeper,
 # about 3 s at p=499.  The cap bounds that check and keeps `is_odd_prime`'s
 # trial division away from huge inputs.

@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, count, repeat
 from pathlib import Path
 
 from .deltapoly import ZERO, DeltaPoly, from_series, monomial, to_series
@@ -53,7 +54,6 @@ __all__ = [
     "compute_charpoly",
     "charpoly_via_newton",
     "cached_charpoly",
-    "newton_initial_sums",
     "iter_hecke_fast",
     "hecke_fast_range",
     "hecke_fast",
@@ -335,30 +335,22 @@ def _solve_relation(p: int, window: int) -> CharPoly:
     return cp
 
 
-def compute_charpoly(p: int, window: int | None = None) -> CharPoly:
-    """The relation coefficients via the structured linear solve.
+def compute_charpoly(p: int) -> CharPoly:
+    """The relation coefficients via one structured linear solve.
 
-    The initial coefficient window is (p+1)^2 + 1, doubled (twice at most)
-    if the system comes back rank-deficient.  F_p satisfies every row at any
+    The coefficient window is (p+1)^2 + 1.  F_p satisfies every row at any
     window, so a solve of full column rank can only return F_p.  A column
     dependency is a polynomial G of Y-degree at most p, with every monomial
     X^a Y^b of a + b <= p+1, such that G(Delta, Delta(q^p)) vanishes below
     the window.  Mod 2 that series is a form of weight 12(p+1) on Gamma_0(p)
     (E_4 = 1 mod 2 evens out the weights), so by the Sturm bound it vanishes
-    identically once it vanishes through q^((p+1)^2): the default window is
-    as full-rank as any larger one.  It is also nearly the least that works
-    (at p=257 a window of 66560 < (p+1)^2 is rank-deficient).
+    identically once it vanishes through q^((p+1)^2): no larger window adds
+    rank, and a RankDeficient from this one solve is final.  The window is
+    also nearly the least that works (at p=257 a window of 66560 < (p+1)^2
+    is rank-deficient).
     """
     _require_odd_prime(p)
-    n = window if window is not None else (p + 1) * (p + 1) + 1
-    for attempt in range(3):
-        try:
-            return _solve_relation(p, n)
-        except RankDeficient:
-            if attempt == 2:
-                raise
-            n *= 2
-    raise AssertionError("unreachable")
+    return _solve_relation(p, (p + 1) * (p + 1) + 1)
 
 
 @lru_cache(maxsize=None)
@@ -441,24 +433,6 @@ def charpoly_via_newton(p: int) -> CharPoly:
 # fast route
 
 
-def newton_initial_sums(cp: CharPoly) -> tuple[DeltaPoly, ...]:
-    """Power sums N_0..N_(p+1) rebuilt forward from the s_r.
-
-    Mod 2 the lone r*s_r term survives exactly at odd r, and N_0 counts the
-    p+1 conjugate series, an even number, so N_0 = 0.
-    """
-    p = cp.p
-    sums = [ZERO]
-    for r in range(1, p + 2):
-        acc = cp.s[r - 1].mask if r & 1 else 0
-        for i in range(1, r):
-            si = cp.s[i - 1].mask
-            if si:
-                acc ^= clmul(si, sums[r - i].mask)
-        sums.append(DeltaPoly(acc))
-    return tuple(sums)
-
-
 @lru_cache(maxsize=64)
 def _recurrence_shifts(cp: CharPoly) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
     """Per k mod 8, the terms (r, shifts) of the packed recurrence.
@@ -487,23 +461,21 @@ def _packed_stream(cp: CharPoly, kmax: int | None):
     """Images of Delta^k for k = 0..kmax, each packed on its class p*k mod 8.
 
     Bit m of the k-th value is the coefficient of Delta^(8m + p*k mod 8).
-    Seeds from the rebuilt power sums, then runs the order-(p+1) recurrence
-    over a ring window of the last p+2 packed values.
+    The images are the power sums N_k, and mod 2 the Newton identities read
+    N_k = s_1 N_(k-1) + ... + s_(p+1) N_(k-p-1) + [k odd, k <= p+1] s_k, so
+    one loop runs the order-(p+1) recurrence over a ring window of the last
+    p+2 packed values and xors in s_k at odd k <= p+1.  N_0 counts the p+1
+    conjugate series, an even number, so N_0 = 0; the window starts zeroed,
+    and a slot not yet written reads 0, which gives N_j = 0 for j <= 0.
     """
     p = cp.p
     shifts = _recurrence_shifts(cp)
     size = p + 2
+    seeds = [pack8(cp.s[k - 1].mask, (p * k) % 8) if k & 1 else 0 for k in range(size)]
     window = [0] * size
-    k = 0
-    for seed in newton_initial_sums(cp):
-        if kmax is not None and k > kmax:
-            return
-        packed = pack8(seed.mask, (p * k) % 8)
-        yield packed
-        window[k % size] = packed
-        k += 1
-    while kmax is None or k <= kmax:
-        acc = 0
+    # the seeds ride along the index, so images past p+1 pay no seed lookup
+    ks = count() if kmax is None else range(kmax + 1)
+    for k, acc in zip(ks, chain(seeds, repeat(0))):
         for r, term_shifts in shifts[k % 8]:
             m = window[(k - r) % size]
             if m:
@@ -511,7 +483,6 @@ def _packed_stream(cp: CharPoly, kmax: int | None):
                     acc ^= m << sh
         yield acc
         window[k % size] = acc
-        k += 1
 
 
 def _unpack_classes(acc: list[int]) -> int:

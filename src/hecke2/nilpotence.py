@@ -200,7 +200,7 @@ def check_bounds_n5(k: int) -> bool:
 def render_report(report: NilpotenceReport, kv: bool = False) -> str:
     """Text (or key=value) rendering for the command line."""
     if report.g == NEG_INF:
-        return "g=-inf" if not kv else "g=-inf"
+        return "g=-inf"
     parts = [f"g={report.g}"]
     if report.h is not None and report.h != NEG_INF:
         parts.append(f"h={report.h}")

@@ -91,11 +91,14 @@ class VerificationReport:
 
 
 _REGISTRY: dict[str, Callable[[VerifyConfig], str]] = {}
+# suite name -> claim ids, in registration (file) order; "all" is added last
+SUITES: dict[str, tuple[str, ...]] = {}
 
 
-def _claim(claim_id: str):
+def _claim(claim_id: str, suite: str):
     def wrap(fn):
         _REGISTRY[claim_id] = fn
+        SUITES[suite] = SUITES.get(suite, ()) + (claim_id,)
         return fn
 
     return wrap
@@ -164,7 +167,7 @@ def _random_form(rng: random.Random, max_deg: int) -> DeltaPoly:
 # prop1 suite
 
 
-@_claim("low-degree-closed-forms")
+@_claim("low-degree-closed-forms", "prop1")
 def _low_degree_closed_forms(cfg: VerifyConfig) -> str:
     for p in _checked_primes(cfg.pmax - 1):
         for k in (1, 3, 5, 7):
@@ -195,19 +198,19 @@ def _check_table(p: int, table: dict[int, tuple[int, ...]]) -> None:
         assert hecke_naive(monomial(k), p) == want, f"naive table fails at p={p}, k={k}"
 
 
-@_claim("t3-table")
+@_claim("t3-table", "tables")
 def _t3_table(cfg: VerifyConfig) -> str:
     _check_table(3, _TABLE3)
     return "k in {0,1,3,...,21}"
 
 
-@_claim("t5-table")
+@_claim("t5-table", "tables")
 def _t5_table(cfg: VerifyConfig) -> str:
     _check_table(5, _TABLE5)
     return "k in {0,1,3,...,21}"
 
 
-@_claim("naive-fast-agree")
+@_claim("naive-fast-agree", "tables")
 def _naive_fast_agree(cfg: VerifyConfig) -> str:
     # --long reaches p=257, the range the relation criteria (03b) cover
     pmax = min(cfg.pmax, 257 if cfg.long else 31)
@@ -226,7 +229,7 @@ def _naive_fast_agree(cfg: VerifyConfig) -> str:
     return f"p<={pmax}, k<=200, 200 random forms per prime{above}"
 
 
-@_claim("newton-solve-agree")
+@_claim("newton-solve-agree", "tables")
 def _newton_solve_agree(cfg: VerifyConfig) -> str:
     # --long takes the oracle to p=101 (about 2.5 s of Newton solves)
     pmax = min(cfg.pmax, 101 if cfg.long else 31)
@@ -235,7 +238,7 @@ def _newton_solve_agree(cfg: VerifyConfig) -> str:
     return f"p<={pmax}"
 
 
-@_claim("relation-structure")
+@_claim("relation-structure", "tables")
 def _relation_structure(cfg: VerifyConfig) -> str:
     # --long reaches p=257, the range naive-fast-agree and 03b cover
     pmax = min(cfg.pmax, 257 if cfg.long else 31)
@@ -248,7 +251,7 @@ def _relation_structure(cfg: VerifyConfig) -> str:
     return f"p<={pmax}, residual to 8(p+1)^2"
 
 
-@_claim("recurrence-genfun")
+@_claim("recurrence-genfun", "tables")
 def _recurrence_genfun(cfg: VerifyConfig) -> str:
     # product form of the recurrence: (sum_k P_k t^k)(1 + sum_r s_r t^r) is
     # the polynomial t S'(t) = sum_(r odd) s_r t^r; the images come from the
@@ -275,6 +278,38 @@ def _recurrence_genfun(cfg: VerifyConfig) -> str:
     return f"p<={pmax}, k<=200"
 
 
+@_claim("series-roundtrips", "tables")
+def _series_roundtrips(cfg: VerifyConfig) -> str:
+    rng = random.Random(0x27)
+    for _ in range(300):
+        f = DeltaPoly(rng.getrandbits(128))
+        d = f.degree if f else 0
+        assert from_series(to_series(f, d + 1), d) == f, "roundtrip fails"
+    for _ in range(50):
+        f = DeltaPoly(rng.getrandbits(64))
+        g = DeltaPoly(rng.getrandbits(64))
+        n = 160
+        assert to_series(f * g, n) == to_series(f, n) * to_series(g, n), (
+            "expansion is not multiplicative"
+        )
+    return "300 random roundtrips + 50 random products"
+
+
+@_claim("decompose-reassembly", "tables")
+def _decompose_reassembly(cfg: VerifyConfig) -> str:
+    rng = random.Random(0x2A)
+    for _ in range(1000):
+        f = DeltaPoly(rng.getrandbits(513))
+        dec = decompose(f)
+        assert dec.reassemble() == f, "reassembly fails"
+        for s, part in dec.components:
+            assert part and all(e & 1 for e in part.exponents()), "component not odd"
+        assert [s for s, _ in dec.components] == sorted({s for s, _ in dec.components}), (
+            "components not ordered"
+        )
+    return "1000 random polynomials, deg<=512"
+
+
 # ---------------------------------------------------------------------------
 # codes suite
 
@@ -283,7 +318,7 @@ _PARITY_N5 = (0, 0, 0, 0, 1, 1, 1, 1)
 _PARITY_H = (0, 0, 1, 1, 1, 1, 0, 0)
 
 
-@_claim("code-parity-table")
+@_claim("code-parity-table", "codes")
 def _code_parity_table(cfg: VerifyConfig) -> str:
     lim = 100_000
     a, b = _n3_n5_arrays(lim + 1)
@@ -300,7 +335,7 @@ def _code_parity_table(cfg: VerifyConfig) -> str:
     return "k<=1e5"
 
 
-@_claim("odd-step-invariance")
+@_claim("odd-step-invariance", "codes")
 def _odd_step_invariance(cfg: VerifyConfig) -> str:
     lim = 100_000
     a, b = _n3_n5_arrays(2 * lim + 2)
@@ -310,7 +345,7 @@ def _odd_step_invariance(cfg: VerifyConfig) -> str:
     return "l<=1e5"
 
 
-@_claim("code-doubling-rules")
+@_claim("code-doubling-rules", "codes")
 def _code_doubling_rules(cfg: VerifyConfig) -> str:
     lim = 100_000
     a, b = _n3_n5_arrays(4 * lim + 1)
@@ -324,7 +359,7 @@ def _code_doubling_rules(cfg: VerifyConfig) -> str:
     return "k<=1e5, both parities"
 
 
-@_claim("h-subadditive")
+@_claim("h-subadditive", "codes")
 def _h_subadditive(cfg: VerifyConfig) -> str:
     lim = 4096
     a, b = _n3_n5_arrays(2 * lim + 1)
@@ -348,7 +383,7 @@ def _h_subadditive(cfg: VerifyConfig) -> str:
     return "k,l<=4096 exhaustive"
 
 
-@_claim("h-increments")
+@_claim("h-increments", "codes")
 def _h_increments(cfg: VerifyConfig) -> str:
     lim = 1_000_000
     a, b = _n3_n5_arrays(lim + 5)
@@ -366,7 +401,7 @@ def _h_increments(cfg: VerifyConfig) -> str:
     return "k<=1e6"
 
 
-@_claim("h-disjoint-support")
+@_claim("h-disjoint-support", "codes")
 def _h_disjoint_support(cfg: VerifyConfig) -> str:
     lim = 2048
     a, b = _n3_n5_arrays(2 * lim + 1)
@@ -393,7 +428,7 @@ def _random_sparse_pure(rng: random.Random, max_deg: int) -> DeltaPoly:
     return DeltaPoly(mask)
 
 
-@_claim("dominant-product")
+@_claim("dominant-product", "codes")
 def _dominant_product(cfg: VerifyConfig) -> str:
     from .codes import dominant_exponent
 
@@ -418,7 +453,7 @@ def _dominant_product(cfg: VerifyConfig) -> str:
     return "1000 admissible random pairs, deg<=512"
 
 
-@_claim("h-product-bound")
+@_claim("h-product-bound", "codes")
 def _h_product_bound(cfg: VerifyConfig) -> str:
     rng = random.Random(0xB0)
     for _ in range(1000):
@@ -433,7 +468,7 @@ def _h_product_bound(cfg: VerifyConfig) -> str:
     return "1000 random pairs, deg<=512"
 
 
-@_claim("h-fourth-power")
+@_claim("h-fourth-power", "codes")
 def _h_fourth_power(cfg: VerifyConfig) -> str:
     rng = random.Random(0xF4)
     for _ in range(1000):
@@ -444,7 +479,7 @@ def _h_fourth_power(cfg: VerifyConfig) -> str:
     return "1000 random parity-pure polynomials"
 
 
-@_claim("order-shift-regression")
+@_claim("order-shift-regression", "codes")
 def _order_shift_regression(cfg: VerifyConfig) -> str:
     # domination is not translation invariant: 2 < 4 but 4+2 > 4+4
     assert dominates(2, 4) == -1
@@ -458,14 +493,14 @@ def _order_shift_regression(cfg: VerifyConfig) -> str:
     return "a=4, k=2, l=4"
 
 
-@_claim("code-bijection")
+@_claim("code-bijection", "codes")
 def _code_bijection(cfg: VerifyConfig) -> str:
     for k in range(10_001):
         assert decode(code(k), k & 1) == k, f"bijection fails at k={k}"
     return "k<=1e4"
 
 
-@_claim("h-prefix-gap")
+@_claim("h-prefix-gap", "codes")
 def _h_prefix_gap(cfg: VerifyConfig) -> str:
     for bb in range(1, 31):
         cap_H(bb)
@@ -476,7 +511,7 @@ def _h_prefix_gap(cfg: VerifyConfig) -> str:
 # shift suite
 
 
-@_claim("shift3-identities")
+@_claim("shift3-identities", "shift")
 def _shift3_identities(cfg: VerifyConfig) -> str:
     cp3 = cached_charpoly(3)
     table = hecke_fast_range(cp3, 2 * 4**5 + 303)
@@ -486,7 +521,7 @@ def _shift3_identities(cfg: VerifyConfig) -> str:
     return "n<=5, k<=300"
 
 
-@_claim("shift5-identities")
+@_claim("shift5-identities", "shift")
 def _shift5_identities(cfg: VerifyConfig) -> str:
     cp5 = cached_charpoly(5)
     table = hecke_fast_range(cp5, 2 * 4**5 + 305)
@@ -496,7 +531,7 @@ def _shift5_identities(cfg: VerifyConfig) -> str:
     return "n<=5, k<=300"
 
 
-@_claim("shift-special-values")
+@_claim("shift-special-values", "shift")
 def _shift_special_values(cfg: VerifyConfig) -> str:
     cp3, cp5 = cached_charpoly(3), cached_charpoly(5)
     t3 = hecke_fast_range(cp3, 2 * 4**5 + 6)
@@ -506,7 +541,7 @@ def _shift_special_values(cfg: VerifyConfig) -> str:
     return "n<=5"
 
 
-@_claim("q-family-structure")
+@_claim("q-family-structure", "shift")
 def _q_family_structure(cfg: VerifyConfig) -> str:
     from .codes import dominant_exponent
 
@@ -520,7 +555,7 @@ def _q_family_structure(cfg: VerifyConfig) -> str:
     return "n<=8"
 
 
-@_claim("uvwy-family-structure")
+@_claim("uvwy-family-structure", "shift")
 def _uvwy_family_structure(cfg: VerifyConfig) -> str:
     from .codes import dominant_exponent
 
@@ -543,7 +578,7 @@ def _uvwy_family_structure(cfg: VerifyConfig) -> str:
 # bounds suite
 
 
-@_claim("g-two-sided-bounds")
+@_claim("g-two-sided-bounds", "bounds")
 def _g_two_sided_bounds(cfg: VerifyConfig) -> str:
     lim = 1_000_000
     a, b = _n3_n5_arrays(lim + 1)
@@ -565,7 +600,7 @@ def _g_two_sided_bounds(cfg: VerifyConfig) -> str:
     return "odd k<=1e6 (vector) + k<4096 (scalar)"
 
 
-@_claim("n3-upper-bound")
+@_claim("n3-upper-bound", "bounds")
 def _n3_upper_bound(cfg: VerifyConfig) -> str:
     lim = 1_000_000
     a, _ = _n3_n5_arrays(lim + 1)
@@ -583,7 +618,7 @@ def _n3_upper_bound(cfg: VerifyConfig) -> str:
     return "odd k<=1e6 (vector) + k<4096 (scalar)"
 
 
-@_claim("n5-upper-bound")
+@_claim("n5-upper-bound", "bounds")
 def _n5_upper_bound(cfg: VerifyConfig) -> str:
     lim = 1_000_000
     _, b = _n3_n5_arrays(lim + 1)
@@ -658,19 +693,19 @@ def _structure_sweep_t5(kmax: int) -> None:
             assert a[dom] == a[k] and b[dom] == b[k] - 1, f"odd-case code fails at k={k}"
 
 
-@_claim("t3-image-structure")
+@_claim("t3-image-structure", "theorem")
 def _t3_image_structure(cfg: VerifyConfig) -> str:
     _structure_sweep_t3(cfg.structure_kmax)
     return f"k<={cfg.structure_kmax}"
 
 
-@_claim("t5-image-structure")
+@_claim("t5-image-structure", "theorem")
 def _t5_image_structure(cfg: VerifyConfig) -> str:
     _structure_sweep_t5(cfg.structure_kmax)
     return f"k<={cfg.structure_kmax}"
 
 
-@_claim("frobenius-doubling")
+@_claim("frobenius-doubling", "theorem")
 def _frobenius_doubling(cfg: VerifyConfig) -> str:
     for p in (3, 5):
         table = hecke_fast_range(cached_charpoly(p), 1000)
@@ -679,7 +714,7 @@ def _frobenius_doubling(cfg: VerifyConfig) -> str:
     return "p in {3,5}, k<=500"
 
 
-@_claim("theta-vanishing")
+@_claim("theta-vanishing", "theorem")
 def _theta_vanishing(cfg: VerifyConfig) -> str:
     vmax = 5
     k3 = [1 + (1 << (2 * v + 2)) for v in range(vmax + 1)]
@@ -694,7 +729,7 @@ def _theta_vanishing(cfg: VerifyConfig) -> str:
     return f"v<={vmax}"
 
 
-@_claim("witness-chain")
+@_claim("witness-chain", "theorem")
 def _witness_chain(cfg: VerifyConfig) -> str:
     kmax = 1023
     a, b = _n3_n5_arrays(kmax + 1)
@@ -710,7 +745,7 @@ def _witness_chain(cfg: VerifyConfig) -> str:
     return f"odd k<={kmax}"
 
 
-@_claim("h-decrement")
+@_claim("h-decrement", "theorem")
 def _h_decrement(cfg: VerifyConfig) -> str:
     rng = random.Random(0x3D)
     deg = 2048
@@ -723,7 +758,7 @@ def _h_decrement(cfg: VerifyConfig) -> str:
     return "500 random odd forms, deg<=2048"
 
 
-@_claim("dominant-code-decrement")
+@_claim("dominant-code-decrement", "theorem")
 def _dominant_code_decrement(cfg: VerifyConfig) -> str:
     from .codes import dominant_exponent
 
@@ -749,7 +784,7 @@ def _dominant_code_decrement(cfg: VerifyConfig) -> str:
     return "400 random odd forms, deg<=2048"
 
 
-@_claim("delta-kernel")
+@_claim("delta-kernel", "theorem")
 def _delta_kernel(cfg: VerifyConfig) -> str:
     rng = random.Random(0x15)
     deg = 1024
@@ -765,7 +800,7 @@ def _delta_kernel(cfg: VerifyConfig) -> str:
     return "500 random odd forms, deg<=1024"
 
 
-@_claim("g-monotone-under-hecke")
+@_claim("g-monotone-under-hecke", "theorem")
 def _g_monotone_under_hecke(cfg: VerifyConfig) -> str:
     rng = random.Random(0x91)
     deg = 512
@@ -778,7 +813,7 @@ def _g_monotone_under_hecke(cfg: VerifyConfig) -> str:
     return "p in {3,5,7,11,13}, 100 random forms each"
 
 
-@_claim("pm1-double-decrement")
+@_claim("pm1-double-decrement", "theorem")
 def _pm1_double_decrement(cfg: VerifyConfig) -> str:
     rng = random.Random(0x51)
     deg = 199
@@ -793,7 +828,7 @@ def _pm1_double_decrement(cfg: VerifyConfig) -> str:
     return "p in {7,17,23,31}, odd k<=199 + 200 random forms"
 
 
-@_claim("g-degree-bound")
+@_claim("g-degree-bound", "theorem")
 def _g_degree_bound(cfg: VerifyConfig) -> str:
     rng = random.Random(0x6B)
     for _ in range(1000):
@@ -804,7 +839,7 @@ def _g_degree_bound(cfg: VerifyConfig) -> str:
     return "1000 random forms, deg<=4096"
 
 
-@_claim("g-vs-bruteforce")
+@_claim("g-vs-bruteforce", "theorem")
 def _g_vs_bruteforce(cfg: VerifyConfig) -> str:
     primes = (3, 5, 7, 11, 13)
     for k in range(1, 64, 2):
@@ -816,7 +851,7 @@ def _g_vs_bruteforce(cfg: VerifyConfig) -> str:
     return "odd k<=63 + 200 random odd forms"
 
 
-@_claim("triangular-nilpotent")
+@_claim("triangular-nilpotent", "theorem")
 def _triangular_nilpotent(cfg: VerifyConfig) -> str:
     K = 99
     primes = [*odd_primes_up_to(31), 41, 73, 89, 97]
@@ -827,95 +862,6 @@ def _triangular_nilpotent(cfg: VerifyConfig) -> str:
     return f"p in {{3..31,41,73,89,97}}, K={K}"
 
 
-# ---------------------------------------------------------------------------
-# roundtrip claims (tables suite)
-
-
-@_claim("series-roundtrips")
-def _series_roundtrips(cfg: VerifyConfig) -> str:
-    rng = random.Random(0x27)
-    for _ in range(300):
-        f = DeltaPoly(rng.getrandbits(128))
-        d = f.degree if f else 0
-        assert from_series(to_series(f, d + 1), d) == f, "roundtrip fails"
-    for _ in range(50):
-        f = DeltaPoly(rng.getrandbits(64))
-        g = DeltaPoly(rng.getrandbits(64))
-        n = 160
-        assert to_series(f * g, n) == to_series(f, n) * to_series(g, n), (
-            "expansion is not multiplicative"
-        )
-    return "300 random roundtrips + 50 random products"
-
-
-@_claim("decompose-reassembly")
-def _decompose_reassembly(cfg: VerifyConfig) -> str:
-    rng = random.Random(0x2A)
-    for _ in range(1000):
-        f = DeltaPoly(rng.getrandbits(513))
-        dec = decompose(f)
-        assert dec.reassemble() == f, "reassembly fails"
-        for s, part in dec.components:
-            assert part and all(e & 1 for e in part.exponents()), "component not odd"
-        assert [s for s, _ in dec.components] == sorted({s for s, _ in dec.components}), (
-            "components not ordered"
-        )
-    return "1000 random polynomials, deg<=512"
-
-
-# ---------------------------------------------------------------------------
-# suites
-
-SUITES: dict[str, tuple[str, ...]] = {
-    "prop1": ("low-degree-closed-forms",),
-    "tables": (
-        "t3-table",
-        "t5-table",
-        "naive-fast-agree",
-        "newton-solve-agree",
-        "relation-structure",
-        "recurrence-genfun",
-        "series-roundtrips",
-        "decompose-reassembly",
-    ),
-    "codes": (
-        "code-parity-table",
-        "odd-step-invariance",
-        "code-doubling-rules",
-        "h-subadditive",
-        "h-increments",
-        "h-disjoint-support",
-        "dominant-product",
-        "h-product-bound",
-        "h-fourth-power",
-        "order-shift-regression",
-        "code-bijection",
-        "h-prefix-gap",
-    ),
-    "shift": (
-        "shift3-identities",
-        "shift5-identities",
-        "shift-special-values",
-        "q-family-structure",
-        "uvwy-family-structure",
-    ),
-    "bounds": ("g-two-sided-bounds", "n3-upper-bound", "n5-upper-bound"),
-    "theorem": (
-        "t3-image-structure",
-        "t5-image-structure",
-        "frobenius-doubling",
-        "theta-vanishing",
-        "witness-chain",
-        "h-decrement",
-        "dominant-code-decrement",
-        "delta-kernel",
-        "g-monotone-under-hecke",
-        "pm1-double-decrement",
-        "g-degree-bound",
-        "g-vs-bruteforce",
-        "triangular-nilpotent",
-    ),
-}
 SUITES["all"] = sum(SUITES.values(), ())
 
 

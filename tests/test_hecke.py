@@ -38,7 +38,6 @@ from hecke2.hecke import (
     hecke_naive_series,
     image_table,
     iter_hecke_fast,
-    newton_initial_sums,
     prop1_closed_form,
     relation_residual,
     structure_violations,
@@ -125,8 +124,6 @@ def test_charpoly_rejects_composite():
 def test_tiny_window_is_rank_deficient():
     with pytest.raises(RankDeficient):
         hecke._solve_relation(3, 8)
-    # the public entry point retries with doubled windows
-    assert compute_charpoly(3, window=8) == F3
 
 
 def _count_solves(monkeypatch):
@@ -142,16 +139,6 @@ def _count_solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("p", [31, 101])
-def test_quarter_window_doubles_to_default_relation(p, monkeypatch):
-    # windows below about p(p+1) are rank-deficient, so (p+1)^2/4 doubles twice
-    expected = compute_charpoly(p)
-    calls = _count_solves(monkeypatch)
-    quarter = (p + 1) ** 2 // 4
-    assert compute_charpoly(p, window=quarter) == expected
-    assert calls == [(p, quarter), (p, 2 * quarter), (p, 4 * quarter)]
-
-
 def test_default_window_matches_wide_window():
     for p in hecke.odd_primes_up_to(61):
         assert compute_charpoly(p) == hecke._solve_relation(p, 4 * (p + 1) ** 2), p
@@ -161,6 +148,20 @@ def test_default_window_matches_wide_window():
 def test_default_window_takes_one_attempt(p, monkeypatch):
     calls = _count_solves(monkeypatch)
     compute_charpoly(p)
+    assert calls == [(p, (p + 1) ** 2 + 1)]
+
+
+@pytest.mark.parametrize("p", [3, 31])
+def test_rank_deficient_solve_is_not_retried(p, monkeypatch):
+    calls = []
+
+    def deficient(q, window):
+        calls.append((q, window))
+        raise RankDeficient(f"window {window}")
+
+    monkeypatch.setattr(hecke, "_solve_relation", deficient)
+    with pytest.raises(RankDeficient, match=f"window {(p + 1) ** 2 + 1}"):
+        compute_charpoly(p)
     assert calls == [(p, (p + 1) ** 2 + 1)]
 
 
@@ -226,16 +227,28 @@ def test_newton_oracle_rejects_corrupted_power_sum(p, monkeypatch):
                 charpoly_via_newton(p)
 
 
+def newton_initial_sums(cp: CharPoly) -> list[DeltaPoly]:
+    """Power sums N_0..N_(p+1) rebuilt forward from the s_r by full-width products.
+
+    Mod 2 the lone r*s_r term survives exactly at odd r, and N_0 counts the
+    p+1 conjugate series, an even number, so N_0 = 0.
+    """
+    sums = [0]
+    for r in range(1, cp.p + 2):
+        acc = cp.s[r - 1].mask if r & 1 else 0
+        for i in range(1, r):
+            acc ^= clmul(cp.s[i - 1].mask, sums[r - i])
+        sums.append(acc)
+    return [DeltaPoly(m) for m in sums]
+
+
 def test_newton_initial_sums():
-    sums5 = newton_initial_sums(F5)
-    assert sums5[0] == ZERO
-    assert sums5[1:5] == (ZERO, ZERO, ZERO, ZERO)
-    assert sums5[5] == poly(1)
-    assert sums5[6] == ZERO
-    sums3 = newton_initial_sums(F3)
-    assert sums3[0] == ZERO
-    assert sums3[3] == poly(1)
-    assert sums3[4] == ZERO
+    assert newton_initial_sums(F5) == [ZERO] * 5 + [poly(1), ZERO]
+    assert newton_initial_sums(F3) == [ZERO] * 3 + [poly(1), ZERO]
+    # the stream seeds itself: its first p+2 images are the forward sums
+    for p in hecke.odd_primes_up_to(61):
+        cp = cached_charpoly(p)
+        assert hecke_fast_range(cp, p + 1) == newton_initial_sums(cp), p
 
 
 def test_fast_range_table_values():
@@ -276,8 +289,7 @@ def test_image_degree_and_congruence_law():
 
 def unpacked_recurrence(cp: CharPoly, kmax: int) -> list[DeltaPoly]:
     """The full-width order-(p+1) recurrence, kept as the packed kernel's oracle."""
-    sums = newton_initial_sums(cp)
-    out = [s.mask for s in sums[: kmax + 1]]
+    out = [s.mask for s in newton_initial_sums(cp)[: kmax + 1]]
     for k in range(len(out), kmax + 1):
         acc = 0
         for r, sr in enumerate(cp.s, 1):
@@ -299,13 +311,17 @@ def test_packed_kernel_matches_unpacked_recurrence_and_naive():
 
 
 def test_packed_kernel_seeds_only():
-    for cp in (F3, F5, cached_charpoly(31)):
-        sums = list(newton_initial_sums(cp))
+    for p in hecke.odd_primes_up_to(61):
+        cp = cached_charpoly(p)
+        sums = newton_initial_sums(cp)
         assert hecke_fast_range(cp, 0) == [ZERO]
         assert list(iter_hecke_fast(cp, 0)) == [ZERO]
-        for kmax in (1, cp.p, cp.p + 1):
-            assert hecke_fast_range(cp, kmax) == sums[: kmax + 1], (cp.p, kmax)
+        for kmax in (1, p, p + 1):
+            assert hecke_fast_range(cp, kmax) == sums[: kmax + 1], (p, kmax)
             assert len(image_table(cp, kmax)) == kmax + 1
+        # past the seeds only the recurrence runs
+        kmax = 2 * p + 4
+        assert hecke_fast_range(cp, kmax) == unpacked_recurrence(cp, kmax), p
 
 
 def test_hecke_fast_on_every_exponent_class():
