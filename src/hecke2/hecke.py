@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from .deltapoly import ZERO, DeltaPoly, from_series, monomial, to_series
@@ -457,7 +457,7 @@ def _recurrence_shifts(cp: CharPoly) -> tuple[tuple[tuple[int, tuple[int, ...]],
     return tuple(out)
 
 
-def _packed_stream(cp: CharPoly, kmax: int | None):
+def _packed_stream(cp: CharPoly, kmax: int):
     """Images of Delta^k for k = 0..kmax, each packed on its class p*k mod 8.
 
     Bit m of the k-th value is the coefficient of Delta^(8m + p*k mod 8).
@@ -474,8 +474,7 @@ def _packed_stream(cp: CharPoly, kmax: int | None):
     seeds = [pack8(cp.s[k - 1].mask, (p * k) % 8) if k & 1 else 0 for k in range(size)]
     window = [0] * size
     # the seeds ride along the index, so images past p+1 pay no seed lookup
-    ks = count() if kmax is None else range(kmax + 1)
-    for k, acc in zip(ks, chain(seeds, repeat(0))):
+    for k, acc in zip(range(kmax + 1), chain(seeds, repeat(0))):
         for r, term_shifts in shifts[k % 8]:
             m = window[(k - r) % size]
             if m:
@@ -494,8 +493,8 @@ def _unpack_classes(acc: list[int]) -> int:
     return out
 
 
-def iter_hecke_fast(cp: CharPoly, kmax: int | None = None):
-    """Stream the images of Delta^k for k = 0, 1, 2, ...
+def iter_hecke_fast(cp: CharPoly, kmax: int):
+    """Stream the images of Delta^k for k = 0..kmax.
 
     Image k lies on the single exponent class p*k mod 8.  The recurrence
     runs on images packed on their classes (bit m stands for Delta^(8m + c)),
@@ -743,16 +742,15 @@ def cache_path(p: int) -> Path:
     return cache_dir() / f"fp_{p}.txt"
 
 
-def write_charpoly(cp: CharPoly, path: Path | None = None) -> Path:
-    target = path if path is not None else cache_path(cp.p)
+def write_charpoly(cp: CharPoly) -> Path:
+    target = cache_path(cp.p)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(charpoly_to_text(cp))
     return target
 
 
-def read_charpoly(p: int, path: Path | None = None) -> CharPoly:
-    source = path if path is not None else cache_path(p)
-    cp = charpoly_from_text(source.read_text())
+def read_charpoly(p: int) -> CharPoly:
+    cp = charpoly_from_text(cache_path(p).read_text())
     if cp.p != p:
         raise CacheFormatError(f"cache file holds p={cp.p}, expected {p}")
     return cp

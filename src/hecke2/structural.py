@@ -5,15 +5,18 @@ relating index 4^n + k (and 2*4^n + k) to small neighbours of k, with
 coefficient polynomials built from a handful of recursively defined
 families.  These generators, and checkers for the identities and their
 special-value corollaries, let the test suite exercise the structure theory
-behind the nilpotence-order formula.
+behind the nilpotence-order formula.  The checkers read the images from a
+caller's table: any sequence whose item k is the image of Delta^k, such as
+a ``hecke_fast_range`` list or an ``ImageTable``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 from .deltapoly import ONE, ZERO, DeltaPoly, monomial
-from .hecke import CharPoly, hecke_fast_range
+from .hecke import CharPoly
 
 __all__ = [
     "a_seq",
@@ -91,16 +94,15 @@ def y_poly(n: int) -> DeltaPoly:
     return monomial(8) * u_poly(n).square() + w_poly(n).square()
 
 
-def _table_for(cp: CharPoly, kmax: int, table: list[DeltaPoly] | None) -> list[DeltaPoly]:
-    if table is not None and len(table) > kmax:
-        return table
-    return hecke_fast_range(cp, kmax)
+def _table_to(table: Sequence[DeltaPoly], top: int) -> Sequence[DeltaPoly]:
+    """``table`` itself, once it is known to reach image ``top``."""
+    if len(table) <= top:
+        raise ValueError(f"table ends at image {len(table) - 1}, image {top} is needed")
+    return table
 
 
-def check_shift3(
-    n: int, k: int, cp3: CharPoly, table: list[DeltaPoly] | None = None
-) -> bool:
-    """Both T_3 shift identities at (n, k), against the fast stream.
+def check_shift3(n: int, k: int, cp3: CharPoly, table: Sequence[DeltaPoly]) -> bool:
+    """Both T_3 shift identities at (n, k), against a table of T_3 images.
 
     P(4^n + k) = Q_n P(k) + x^(a_n) P(k+1) and
     P(2*4^n + k) = Q_n^2 P(k) + x^(2 a_n) P(k+2).
@@ -109,7 +111,7 @@ def check_shift3(
         raise ValueError("n and k must be nonnegative")
     if cp3.p != 3:
         raise ValueError("need the p=3 relation")
-    pk = _table_for(cp3, 2 * 4**n + k + 2, table)
+    pk = _table_to(table, 2 * 4**n + k + 2)
     qn = q_poly(n)
     xan = monomial(a_seq(n))
     lhs1 = pk[4**n + k]
@@ -123,10 +125,8 @@ def check_shift3(
     return True
 
 
-def check_shift5(
-    n: int, k: int, cp5: CharPoly, table: list[DeltaPoly] | None = None
-) -> bool:
-    """Both T_5 shift identities at (n, k), against the fast stream.
+def check_shift5(n: int, k: int, cp5: CharPoly, table: Sequence[DeltaPoly]) -> bool:
+    """Both T_5 shift identities at (n, k), against a table of T_5 images.
 
     P(4^n + k) = W_n P(k) + V_n P(k+1) + U_n P(k+4) and
     P(2*4^n + k) = Y_n P(k) + x^3 U_n^2 P(k+1) + V_n^2 P(k+2) + x U_n^2 P(k+3).
@@ -135,7 +135,7 @@ def check_shift5(
         raise ValueError("n and k must be nonnegative")
     if cp5.p != 5:
         raise ValueError("need the p=5 relation")
-    pk = _table_for(cp5, 2 * 4**n + k + 4, table)
+    pk = _table_to(table, 2 * 4**n + k + 4)
     un, vn, wn, yn = u_poly(n), v_poly(n), w_poly(n), y_poly(n)
     lhs1 = pk[4**n + k]
     rhs1 = wn * pk[k] + vn * pk[k + 1] + un * pk[k + 4]
@@ -158,15 +158,17 @@ def check_corollary_values(
     n: int,
     cp3: CharPoly,
     cp5: CharPoly,
-    table3: list[DeltaPoly] | None = None,
-    table5: list[DeltaPoly] | None = None,
+    table3: Sequence[DeltaPoly],
+    table5: Sequence[DeltaPoly],
 ) -> bool:
     """All nonnegative-index special values at 4^n and 2*4^n, both primes."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if (cp3.p, cp5.p) != (3, 5):
+        raise ValueError("need the p=3 and p=5 relations")
     f = 4**n
     an = a_seq(n)
-    p3 = _table_for(cp3, 2 * f + 5, table3)
+    p3 = _table_to(table3, 2 * f + 5)
     expected3 = {
         f: ZERO,
         f + 1: ZERO,
@@ -183,7 +185,7 @@ def check_corollary_values(
     for k, want in expected3.items():
         if p3[k] != want:
             raise AssertionError(f"T_3 special value fails at n={n}, k={k}")
-    p5 = _table_for(cp5, 2 * f + 4, table5)
+    p5 = _table_to(table5, 2 * f + 4)
     un, vn = u_poly(n), v_poly(n)
     expected5 = {
         f: ZERO,

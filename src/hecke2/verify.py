@@ -18,23 +18,23 @@ from typing import Callable
 import numpy as np
 
 from . import structural
-from .codes import cap_H, code, decode, dominates, h, h_poly, n3, n5
+from .codes import cap_H, code, decode, dominant_exponent, dominates, h, h_poly, n3, n5
 from .deltapoly import DeltaPoly, Parity, _even_mask, decompose, from_series, monomial, to_series
 from .errors import Hecke2Error, ParityMismatch
-from .gf2series import bit_positions
+from .gf2series import bit_positions, clmul
 from .hecke import (
+    _naive_monomial_range,
+    _packed_stream,
     cached_charpoly,
     charpoly_via_newton,
     hecke_fast_range,
     hecke_matrix,
     hecke_naive,
     image_table,
-    iter_hecke_fast,
     odd_primes_up_to,
     prop1_closed_form,
     relation_residual,
     structure_violations,
-    _naive_monomial_range,
 )
 from .nilpotence import (
     apply_witness,
@@ -77,9 +77,9 @@ class VerificationReport:
         return all(c.ok for c in self.claims)
 
     def lines(self) -> list[str]:
-        # key=value fields stay parseable: no spaces inside a field
+        # key=value fields stay parseable: a space inside the range becomes _
         return [
-            f"claim={c.claim_id} range={c.range_str.replace(' ', '')} "
+            f"claim={c.claim_id} range={c.range_str.replace(' ', '_')} "
             f"status={'pass' if c.ok else 'fail'} ms={c.ms}"
             for c in self.claims
         ]
@@ -137,18 +137,36 @@ def _n3_n5_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _random_odd_mask(rng: random.Random, max_deg: int) -> int:
+def _random_pure_mask(rng: random.Random, max_deg: int, odd: bool) -> int:
+    """A nonzero random mask of degree <= max_deg on the odd exponents, or on
+    the even exponents >= 2: the raw random bits under the class pattern."""
+    even = _even_mask(max_deg + 1)
+    pattern = even << 1 if odd else even & ~1
     while True:
-        m = rng.getrandbits(max_deg + 1) & (_even_mask(max_deg + 1) << 1)
+        m = rng.getrandbits(max_deg + 1) & pattern
         if m:
             return m
 
 
-def _random_even_mask(rng: random.Random, max_deg: int) -> int:
-    while True:
-        m = rng.getrandbits(max_deg + 1) & _even_mask(max_deg + 1) & ~1
-        if m:
-            return m
+def _image_codes(p: int, kmax: int):
+    """Yield k, code(k) and the code of the dominant exponent of T_p(Delta^k).
+
+    Codes are (n3, n5) pairs from ``_n3_n5_arrays``; the dominant exponent
+    has the largest h, then the largest n5, and a zero image gives None.  The
+    images are read packed, for k = 0..kmax: bit m of image k is the
+    exponent 8m + p*k mod 8.  An image has degree below k, so every exponent
+    is in the table.
+    """
+    a, b = _n3_n5_arrays(kmax + 1)
+    n3s, n5s = a.tolist(), b.tolist()
+    keys = (((a + b) << 32) | b).tolist()
+    for k, packed in enumerate(_packed_stream(cached_charpoly(p), kmax)):
+        dom = None
+        if packed:
+            c = (p * k) % 8
+            e = max([8 * m + c for m in bit_positions(packed)], key=keys.__getitem__)
+            dom = (n3s[e], n5s[e])
+        yield k, (n3s[k], n5s[k]), dom
 
 
 def _random_form(rng: random.Random, max_deg: int) -> DeltaPoly:
@@ -256,8 +274,6 @@ def _recurrence_genfun(cfg: VerifyConfig) -> str:
     # product form of the recurrence: (sum_k P_k t^k)(1 + sum_r s_r t^r) is
     # the polynomial t S'(t) = sum_(r odd) s_r t^r; the images come from the
     # packed stream, the products from clmul on unpacked masks
-    from .gf2series import clmul
-
     pmax = max(cfg.pmax, 5)
     for p in odd_primes_up_to(pmax):
         cp = cached_charpoly(p)
@@ -430,8 +446,6 @@ def _random_sparse_pure(rng: random.Random, max_deg: int) -> DeltaPoly:
 
 @_claim("dominant-product", "codes")
 def _dominant_product(cfg: VerifyConfig) -> str:
-    from .codes import dominant_exponent
-
     rng = random.Random(0xD0)
     done = 0
     attempts = 0
@@ -457,12 +471,8 @@ def _dominant_product(cfg: VerifyConfig) -> str:
 def _h_product_bound(cfg: VerifyConfig) -> str:
     rng = random.Random(0xB0)
     for _ in range(1000):
-        P = DeltaPoly(
-            _random_odd_mask(rng, 512) if rng.random() < 0.5 else _random_even_mask(rng, 512)
-        )
-        Q = DeltaPoly(
-            _random_odd_mask(rng, 512) if rng.random() < 0.5 else _random_even_mask(rng, 512)
-        )
+        P = DeltaPoly(_random_pure_mask(rng, 512, rng.random() < 0.5))
+        Q = DeltaPoly(_random_pure_mask(rng, 512, rng.random() < 0.5))
         eps = 1 if P.parity_class() is Q.parity_class() is Parity.ODD else 0
         assert h_poly(P * Q) <= h_poly(P) + h_poly(Q) + eps, "product bound fails"
     return "1000 random pairs, deg<=512"
@@ -473,7 +483,7 @@ def _h_fourth_power(cfg: VerifyConfig) -> str:
     rng = random.Random(0xF4)
     for _ in range(1000):
         odd = rng.random() < 0.5
-        P = DeltaPoly(_random_odd_mask(rng, 512) if odd else _random_even_mask(rng, 512))
+        P = DeltaPoly(_random_pure_mask(rng, 512, odd))
         want = 2 * h_poly(P) + (1 if odd else 0)
         assert h_poly(P.frobenius(2)) == want, "fourth-power rule fails"
     return "1000 random parity-pure polynomials"
@@ -543,8 +553,6 @@ def _shift_special_values(cfg: VerifyConfig) -> str:
 
 @_claim("q-family-structure", "shift")
 def _q_family_structure(cfg: VerifyConfig) -> str:
-    from .codes import dominant_exponent
-
     for nn in range(1, 9):
         q = structural.q_poly(nn)
         q2 = q.square()
@@ -557,8 +565,6 @@ def _q_family_structure(cfg: VerifyConfig) -> str:
 
 @_claim("uvwy-family-structure", "shift")
 def _uvwy_family_structure(cfg: VerifyConfig) -> str:
-    from .codes import dominant_exponent
-
     for nn in range(2, 9):
         an = structural.a_seq(nn)
         u, v = structural.u_poly(nn), structural.v_poly(nn)
@@ -641,56 +647,44 @@ def _n5_upper_bound(cfg: VerifyConfig) -> str:
 
 
 def _structure_sweep_t3(kmax: int) -> None:
-    a, b = _n3_n5_arrays(_checked_kmax(kmax) + 1)
-    H = a + b
-    big = 1 << 32
-    for k, img in enumerate(iter_hecke_fast(cached_charpoly(3), kmax)):
-        hk = int(H[k])
-        if img.mask == 0:
-            assert not (k & 1 and a[k] >= 1), f"odd image vanishes at k={k}"
-            assert not (k % 4 == 2 and b[k] >= 1), f"2-mod-4 image vanishes at k={k}"
+    for k, (ak, bk), dom in _image_codes(3, _checked_kmax(kmax)):
+        hk = ak + bk
+        if dom is None:
+            assert not (k & 1 and ak >= 1), f"odd image vanishes at k={k}"
+            assert not (k % 4 == 2 and bk >= 1), f"2-mod-4 image vanishes at k={k}"
             continue
-        pos = bit_positions(img.mask)
-        hs = H[pos]
-        hp = int(hs.max())
+        hp = sum(dom)
         assert hp <= hk - 1, f"h drop fails at k={k}"
         if k % 4 == 0:
             assert hp <= hk - 2, f"multiple-of-4 drop fails at k={k}"
-        if k % 4 == 2 and b[k] == 0:
+        if k % 4 == 2 and bk == 0:
             assert hp <= hk - 3, f"2-mod-4 drop fails at k={k}"
         want_par = (hk + (1 if k % 4 else 0)) & 1
         assert hp & 1 == want_par, f"image parity fails at k={k}"
-        dom = int(pos[(hs * big + b[pos]).argmax()])
-        if k & 1 and a[k] >= 1:
+        if k & 1 and ak >= 1:
             assert hp == hk - 1, f"odd-case h value fails at k={k}"
-            assert a[dom] == a[k] - 1 and b[dom] == b[k], f"odd-case code fails at k={k}"
-        elif k % 4 == 2 and b[k] >= 1:
+            assert dom == (ak - 1, bk), f"odd-case code fails at k={k}"
+        elif k % 4 == 2 and bk >= 1:
             assert hp == hk - 1, f"2-mod-4 h value fails at k={k}"
-            assert a[dom] == a[k] and b[dom] == b[k] - 1, f"2-mod-4 code fails at k={k}"
+            assert dom == (ak, bk - 1), f"2-mod-4 code fails at k={k}"
 
 
 def _structure_sweep_t5(kmax: int) -> None:
-    a, b = _n3_n5_arrays(_checked_kmax(kmax) + 1)
-    H = a + b
-    big = 1 << 32
-    for k, img in enumerate(iter_hecke_fast(cached_charpoly(5), kmax)):
-        hk = int(H[k])
-        if img.mask == 0:
-            assert not (k & 1 and b[k] >= 1), f"odd image vanishes at k={k}"
+    for k, (ak, bk), dom in _image_codes(5, _checked_kmax(kmax)):
+        hk = ak + bk
+        if dom is None:
+            assert not (k & 1 and bk >= 1), f"odd image vanishes at k={k}"
             continue
-        pos = bit_positions(img.mask)
-        hs = H[pos]
-        hp = int(hs.max())
+        hp = sum(dom)
         assert hp <= hk - 1, f"h drop fails at k={k}"
-        if k & 1 and b[k] == 0:
+        if k & 1 and bk == 0:
             assert hp <= hk - 3, f"odd zero-n5 drop fails at k={k}"
         if k & 1 == 0:
             assert hp <= hk - 2, f"even drop fails at k={k}"
         assert (hp - hk - k) & 1 == 0, f"image parity fails at k={k}"
-        if k & 1 and b[k] >= 1:
-            dom = int(pos[(hs * big + b[pos]).argmax()])
+        if k & 1 and bk >= 1:
             assert hp == hk - 1, f"odd-case h value fails at k={k}"
-            assert a[dom] == a[k] and b[dom] == b[k] - 1, f"odd-case code fails at k={k}"
+            assert dom == (ak, bk - 1), f"odd-case code fails at k={k}"
 
 
 @_claim("t3-image-structure", "theorem")
@@ -732,16 +726,12 @@ def _theta_vanishing(cfg: VerifyConfig) -> str:
 @_claim("witness-chain", "theorem")
 def _witness_chain(cfg: VerifyConfig) -> str:
     kmax = 1023
-    a, b = _n3_n5_arrays(kmax + 1)
-    H = a + b
-    tables = {p: image_table(cached_charpoly(p), kmax) for p in (3, 5)}
-    for k in range(1, kmax + 1, 2):
+    for (k, ck, dom3), (_, _, dom5) in zip(_image_codes(3, kmax), _image_codes(5, kmax)):
+        if not k & 1:
+            continue
         assert apply_witness(monomial(k)) == monomial(1), f"witness fails at k={k}"
-        for p in (3, 5):
-            img = tables[p][k]
-            if img:
-                hp = int(H[bit_positions(img.mask)].max())
-                assert hp <= H[k] - 1, f"h decrement fails at p={p}, k={k}"
+        for p, dom in ((3, dom3), (5, dom5)):
+            assert dom is None or sum(dom) <= sum(ck) - 1, f"h decrement fails at p={p}, k={k}"
     return f"odd k<={kmax}"
 
 
@@ -751,7 +741,7 @@ def _h_decrement(cfg: VerifyConfig) -> str:
     deg = 2048
     tables = {p: image_table(cached_charpoly(p), deg) for p in (3, 5)}
     for _ in range(500):
-        f = DeltaPoly(_random_odd_mask(rng, deg))
+        f = DeltaPoly(_random_pure_mask(rng, deg, True))
         for p in (3, 5):
             img = DeltaPoly(tables[p].apply(f.mask))
             assert h_poly(img) <= h_poly(f) - 1, f"h decrement fails at p={p}"
@@ -760,14 +750,12 @@ def _h_decrement(cfg: VerifyConfig) -> str:
 
 @_claim("dominant-code-decrement", "theorem")
 def _dominant_code_decrement(cfg: VerifyConfig) -> str:
-    from .codes import dominant_exponent
-
     rng = random.Random(0xDC)
     deg = 2048
     tables = {p: image_table(cached_charpoly(p), deg) for p in (3, 5)}
     hits3 = hits5 = 0
     for _ in range(400):
-        f = DeltaPoly(_random_odd_mask(rng, deg))
+        f = DeltaPoly(_random_pure_mask(rng, deg, True))
         m1 = dominant_exponent(f)
         c = code(m1)
         if c.n3 >= 1:
@@ -791,7 +779,7 @@ def _delta_kernel(cfg: VerifyConfig) -> str:
     tables = {p: image_table(cached_charpoly(p), deg) for p in (3, 5)}
     assert tables[3].apply(2) == 0 and tables[5].apply(2) == 0
     for _ in range(500):
-        f = _random_odd_mask(rng, deg)
+        f = _random_pure_mask(rng, deg, True)
         if f == 2:
             continue
         assert tables[3].apply(f) or tables[5].apply(f), (
@@ -822,7 +810,7 @@ def _pm1_double_decrement(cfg: VerifyConfig) -> str:
         for k in range(1, 200, 2):
             assert g_general(table[k]).g <= h(k) - 1, f"double decrement fails at p={p}, k={k}"
         for _ in range(200):
-            f = DeltaPoly(_random_odd_mask(rng, deg))
+            f = DeltaPoly(_random_pure_mask(rng, deg, True))
             img = DeltaPoly(table.apply(f.mask))
             assert g_general(img).g <= g_general(f).g - 2, f"double decrement fails at p={p}"
     return "p in {7,17,23,31}, odd k<=199 + 200 random forms"
@@ -846,7 +834,7 @@ def _g_vs_bruteforce(cfg: VerifyConfig) -> str:
         assert g_bruteforce(monomial(k), primes) == h(k) + 1, f"oracle splits at k={k}"
     rng = random.Random(0x6F)
     for _ in range(200):
-        f = DeltaPoly(_random_odd_mask(rng, 63))
+        f = DeltaPoly(_random_pure_mask(rng, 63, True))
         assert g_bruteforce(f, primes) == h_poly(f) + 1, "oracle splits on a random form"
     return "odd k<=63 + 200 random odd forms"
 

@@ -87,7 +87,7 @@ def test_criterion_03b_bench_to_257():
 
 
 def test_criterion_04_low_degree_images_all_p():
-    with budget("04-low-degree", 60.0):
+    with budget("04-low-degree", 2.0):
         for p in odd_primes_up_to(499):
             for k in (1, 3, 5, 7):
                 assert hecke_naive(poly(k), p) == prop1_closed_form(p, k), (p, k)
@@ -125,7 +125,7 @@ def test_criterion_06_witnesses_and_bruteforce_g():
 
 
 def test_criterion_07_image_structure_desk_scale():
-    with budget("07-image-structure", 300.0):
+    with budget("07-image-structure", 2.0):
         _REGISTRY["t3-image-structure"](VerifyConfig(kmax=4095))
         _REGISTRY["t5-image-structure"](VerifyConfig(kmax=4095))
         _REGISTRY["theta-vanishing"](VerifyConfig())
@@ -133,7 +133,7 @@ def test_criterion_07_image_structure_desk_scale():
 
 @pytest.mark.long
 def test_criterion_07b_image_structure_full_scale():
-    with budget("07b-image-structure-long", 20.0):
+    with budget("07b-image-structure-long", 4.0):
         cfg = VerifyConfig(long=True)
         _REGISTRY["t3-image-structure"](cfg)
         _REGISTRY["t5-image-structure"](cfg)
@@ -154,7 +154,7 @@ def test_criterion_08_shift_identities_and_families():
 
 
 def test_criterion_09_integer_bounds_to_1e6():
-    with budget("09-bounds", 10.0):
+    with budget("09-bounds", 2.0):
         _REGISTRY["g-two-sided-bounds"](VerifyConfig())
         _REGISTRY["n3-upper-bound"](VerifyConfig())
         _REGISTRY["n5-upper-bound"](VerifyConfig())
@@ -184,7 +184,7 @@ def test_criterion_10_double_decrement_and_degree_bound():
 
 
 def test_criterion_11_triangularity_and_nilpotence():
-    with budget("11-triangular", 120.0):
+    with budget("11-triangular", 2.0):
         K = 99
         for p in [*odd_primes_up_to(31), 41, 73, 89, 97]:
             mat = hecke_matrix(p, K)

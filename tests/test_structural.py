@@ -2,7 +2,7 @@ import pytest
 
 from hecke2.codes import code, dominant_exponent, h_poly
 from hecke2.deltapoly import ZERO, DeltaPoly, Parity, monomial
-from hecke2.hecke import cached_charpoly, hecke_naive
+from hecke2.hecke import cached_charpoly, hecke_fast_range, hecke_naive, image_table
 from hecke2.structural import (
     a_seq,
     check_corollary_values,
@@ -84,11 +84,12 @@ def test_uvwy_structure():
 
 def test_shift3_worked_examples():
     cp3 = cached_charpoly(3)
-    assert check_shift3(2, 3, cp3)
-    assert check_shift3(1, 0, cp3)
+    table = hecke_fast_range(cp3, 2 * 4**3 + 4)
+    assert check_shift3(2, 3, cp3, table)
+    assert check_shift3(1, 0, cp3, table)
     # spelled out: image at index 19 = Q_2 * x + x^(a_2) * image at 4
     assert q_poly(2) * poly(1) == poly(17, 9)
-    assert check_shift3(3, 2, cp3)
+    assert check_shift3(3, 2, cp3, table)
 
 
 def test_shift3_against_naive_route():
@@ -102,17 +103,19 @@ def test_shift3_against_naive_route():
 
 def test_shift5_worked_examples():
     cp5 = cached_charpoly(5)
-    assert check_shift5(1, 1, cp5)
-    assert check_shift5(2, 1, cp5)
-    assert check_shift5(2, 5, cp5)
+    table = image_table(cp5, 2 * 4**2 + 9)
+    assert check_shift5(1, 1, cp5, table)
+    assert check_shift5(2, 1, cp5, table)
+    assert check_shift5(2, 5, cp5, table)
     # index 17 = 4^2 + 1 reduces to x^4 * image at 5 = x^5
     assert u_poly(2) * poly(1) == poly(5)
 
 
 def test_corollary_values():
     cp3, cp5 = cached_charpoly(3), cached_charpoly(5)
+    t3, t5 = hecke_fast_range(cp3, 2 * 4**3 + 5), image_table(cp5, 2 * 4**3 + 4)
     for n in range(4):
-        assert check_corollary_values(n, cp3, cp5)
+        assert check_corollary_values(n, cp3, cp5, t3, t5)
 
 
 def test_corollary_examples_spelled_out():
@@ -123,9 +126,27 @@ def test_corollary_examples_spelled_out():
 
 def test_checkers_validate_input():
     cp3, cp5 = cached_charpoly(3), cached_charpoly(5)
+    t3, t5 = hecke_fast_range(cp3, 20), hecke_fast_range(cp5, 20)
     with pytest.raises(ValueError):
-        check_shift3(-1, 0, cp3)
+        check_shift3(-1, 0, cp3, t3)
     with pytest.raises(ValueError):
-        check_shift3(1, 1, cp5)
+        check_shift3(1, 1, cp5, t5)
     with pytest.raises(ValueError):
-        check_shift5(1, 1, cp3)
+        check_shift5(1, 1, cp3, t3)
+    with pytest.raises(ValueError):
+        check_corollary_values(1, cp5, cp3, t5, t3)
+
+
+def test_checkers_reject_a_short_table():
+    # a table that ends before the identity's top index is an error, not a
+    # silent recompute; 2*4^1 + 3 + 2 = 13 is the top index of the T_3 check
+    cp3, cp5 = cached_charpoly(3), cached_charpoly(5)
+    t3 = hecke_fast_range(cp3, 12)
+    with pytest.raises(ValueError, match="image 13 is needed"):
+        check_shift3(1, 3, cp3, t3)
+    assert check_shift3(1, 3, cp3, hecke_fast_range(cp3, 13))
+    with pytest.raises(ValueError, match="image 15 is needed"):
+        check_shift5(1, 3, cp5, image_table(cp5, 14))
+    t3, t5 = hecke_fast_range(cp3, 2 * 4**2 + 5), hecke_fast_range(cp5, 2 * 4**2 + 3)
+    with pytest.raises(ValueError, match="image 36 is needed"):
+        check_corollary_values(2, cp3, cp5, t3, t5)

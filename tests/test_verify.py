@@ -76,19 +76,46 @@ def test_structure_sweeps_over_no_power_fail():
 
 
 def test_random_masks_reach_past_8191_and_keep_small_draws():
-    m = verify._random_odd_mask(random.Random(1), 20000)
+    m = verify._random_pure_mask(random.Random(1), 20000, True)
     assert m >> 8192 and m.bit_length() <= 20001
     assert not m & verify._even_mask(20001)
-    e = verify._random_even_mask(random.Random(1), 20000)
+    e = verify._random_pure_mask(random.Random(1), 20000, False)
     assert e >> 8192 and not e & ((verify._even_mask(20001) << 1) | 1)
     # a draw is the raw random bits under the alternating byte patterns, so
     # the seeded claims draw the same forms at every degree they use
     odd_bytes = int.from_bytes(b"\xaa" * 1024, "little")
     even_bytes = int.from_bytes(b"\x55" * 1024, "little") & ~1
     for deg in (63, 199, 512, 1024, 2048):
-        assert verify._random_odd_mask(random.Random(deg), deg) == (
+        assert verify._random_pure_mask(random.Random(deg), deg, True) == (
             random.Random(deg).getrandbits(deg + 1) & odd_bytes
         )
-        assert verify._random_even_mask(random.Random(deg), deg) == (
+        assert verify._random_pure_mask(random.Random(deg), deg, False) == (
             random.Random(deg).getrandbits(deg + 1) & even_bytes
         )
+
+
+@pytest.mark.parametrize("p, k, claim_id", [(3, 3, "t3-image-structure"), (5, 5, "t5-image-structure")])
+def test_structure_sweep_fails_on_one_flipped_image_bit(monkeypatch, p, k, claim_id):
+    # T_p(Delta^p) = Delta, packed as bit 0 on the class p*p mod 8 = 1; with
+    # that bit flipped the image vanishes although n3(3) = 1 and n5(5) = 1
+    packed_stream = verify._packed_stream
+
+    def flipped(cp, kmax):
+        for j, packed in enumerate(packed_stream(cp, kmax)):
+            yield packed ^ 1 if (cp.p, j) == (p, k) else packed
+
+    monkeypatch.setattr(verify, "_packed_stream", flipped)
+    monkeypatch.setitem(verify.SUITES, "sweeps", ("t3-image-structure", "t5-image-structure"))
+    report = run_suite("sweeps", VerifyConfig(kmax=200))
+    status = {c.claim_id: c for c in report.claims}
+    assert not status[claim_id].ok
+    assert status[claim_id].detail == f"odd image vanishes at k={k}"
+    other = "t5-image-structure" if p == 3 else "t3-image-structure"
+    assert status[other].ok
+
+
+def test_report_line_keeps_the_range_readable():
+    report = verify.VerificationReport([
+        verify.ClaimResult("t3-table", "k in {0,1,3,...,21}", True, 3),
+    ])
+    assert report.lines() == ["claim=t3-table range=k_in_{0,1,3,...,21} status=pass ms=3"]
