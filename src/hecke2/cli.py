@@ -40,7 +40,7 @@ FORM_HELP = f"comma-separated exponents, each at most {MAX_FORM_DEGREE}"
 # --pmax).  With the relation solve's window of (p+1)^2 + 1 bits, `fp compute
 # --p 499` takes about 1 s and 115 MB on a 2-core machine; the residual
 # check at 8(p+1)^2 bits (`fp verify`, `relation-structure`) grows steeper,
-# about 3 s at p=499.  The cap bounds that check and keeps `is_odd_prime`'s
+# about 2 s at p=499.  The cap bounds that check and keeps `is_odd_prime`'s
 # trial division away from huge inputs.
 MAX_PRIME = 500
 PRIME_HELP = f"odd prime, at most {MAX_PRIME}"

@@ -7,7 +7,9 @@ results carry the minimum precision of their operands.
 
 The module also provides the two generators everything else is built from:
 ``delta`` (the weight-12 cusp form reduced mod 2, whose expansion has a
-coefficient 1 exactly at the odd squares) and its ``q -> q^p`` substitution.
+coefficient 1 exactly at the odd squares) and its ``q -> q^p`` substitution,
+and ``delta_powers``, the one ladder of the powers of ``delta``, each packed
+on its exponent class mod 8.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "zero",
     "one",
     "delta",
+    "delta_powers",
     "delta_qpow",
 ]
 
@@ -243,6 +246,30 @@ def delta(precision: int) -> BitSeries:
         bits |= 1 << (m * m)
         m += 2
     return BitSeries(bits, precision)
+
+
+def delta_powers(n: int, kmax: int) -> list[int]:
+    """Delta^0..Delta^kmax below q^n (n >= 1), item j packed on its class j mod 8.
+
+    Delta has its bits at the odd squares, so Delta^j lies on the class j mod
+    8, and bit m of item j is the coefficient of q^(8m + j mod 8).  An even
+    power is the Frobenius square of its half: class c squared lands on 2c,
+    which wraps past 7 (one packed bit up) when c >= 4.  An odd power j is
+    Delta^(j - 2^s) times the sparse Delta^(2^s), for the top bit 2^s of j
+    (``clmul`` walks the sparser operand); its classes sum to j mod 8 without
+    a wrap, since j - 2^s < 2^s.
+    """
+    keep = [(1 << max(0, (n - c + 7) // 8)) - 1 for c in range(8)]
+    out = [1, pack8(delta(n).bits, 1)]
+    for j in range(2, kmax + 1):
+        if j % 2 == 0:
+            half = j // 2
+            cur = spread_bits(out[half], 2) << ((half % 8) >> 2)
+        else:
+            top = 1 << (j.bit_length() - 1)
+            cur = clmul(out[j - top], out[top])
+        out.append(cur & keep[j % 8])
+    return out[: kmax + 1]
 
 
 def delta_qpow(p: int, precision: int) -> BitSeries:

@@ -39,7 +39,7 @@ from .gf2series import (
     BitSeries,
     bit_positions,
     clmul,
-    delta,
+    delta_powers,
     pack8,
     spread8,
     spread_bits,
@@ -61,7 +61,6 @@ __all__ = [
     "image_table",
     "GF2Matrix",
     "hecke_matrix",
-    "delta7_coeff_sigma",
     "prop1_closed_form",
     "structure_violations",
     "relation_residual",
@@ -165,15 +164,12 @@ def hecke_naive(f: DeltaPoly, p: int) -> DeltaPoly:
 def _naive_monomial_range(p: int, kmax: int) -> list[DeltaPoly]:
     """Naive images of every power 0..kmax, sharing one expansion ladder."""
     _require_odd_prime(p)
-    prec = p * kmax + 1
-    mask = (1 << prec) - 1
-    dbits = delta(prec).bits
     out = [ZERO]
-    cur = 1
-    for k in range(1, kmax + 1):
-        cur = clmul(cur, dbits) & mask
-        img = hecke_naive_series(BitSeries(cur, prec), p)
-        out.append(from_series(img.truncate(k + 1), k))
+    for k, packed in enumerate(delta_powers(p * kmax + 1, kmax)[1:], 1):
+        # Delta^k at hecke_naive's precision p*k + 1: packed bits 8m + k mod 8 <= p*k
+        low = packed & ((1 << ((p * k - k % 8) // 8 + 1)) - 1)
+        image = hecke_naive_series(BitSeries(spread8(low, k % 8), p * k + 1), p)
+        out.append(from_series(image, k))
     return out
 
 
@@ -244,28 +240,10 @@ class _PackedTerms:
     def __init__(self, p: int, n: int, max_j: int) -> None:
         self.p = p
         self.cmask = (1 << (n // 8)) - 1
-        # An even power is the Frobenius square of its half: class c squared
-        # lands on 2c, which wraps past 7 (one packed bit up) when c >= 4.  An
-        # odd power is the even one below it times Delta, whose packed bits
-        # sit at (m^2 - 1)/8 on class 1; an even class plus 1 never wraps.
-        dpos = bit_positions(pack8(delta(n).bits, 1))
-        self.xpow = [1]
-        for j in range(1, max_j + 1):
-            if j % 2 == 0:
-                half = j // 2
-                cur = spread_bits(self.xpow[half], 2) << ((half % 8) >> 2)
-            else:
-                prev, cur = self.xpow[-1], 0
-                for pos in dpos:
-                    cur ^= prev << pos
-            self.xpow.append(cur & self.cmask)
+        self.xpow = delta_powers(n, max_j)
         # Delta(q^p)^i has its bits at p times those of Delta^i below n/p
-        small = -(-n // p)
-        dsmall, smask = delta(small).bits, (1 << small) - 1
-        ypow = [1]
-        for _ in range(p + 1):
-            ypow.append(clmul(ypow[-1], dsmall) & smask)
-        self.ypos = [[p * e for e in bit_positions(y)] for y in ypow]
+        ys = delta_powers(-(-n // p), p + 1)
+        self.ypos = [[p * e for e in bit_positions(spread8(y, i % 8))] for i, y in enumerate(ys)]
 
     def times_y(self, c: int, packed: int, i: int) -> tuple[int, int]:
         """Class and packed bits of a class-c packed mask times Delta(q^p)^i."""
@@ -627,29 +605,6 @@ def hecke_matrix(p: int, K: int) -> GF2Matrix:
 
 # ---------------------------------------------------------------------------
 # low-degree closed forms
-
-
-def _sigma1(n: int) -> int:
-    total = 0
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            total += i
-            j = n // i
-            if j != i:
-                total += j
-        i += 1
-    return total
-
-
-def delta7_coeff_sigma(n: int) -> int:
-    """Coefficient of q^n in the 7th power, via the divisor sum / 8 mod 2."""
-    if n <= 0 or n % 8 != 7:
-        raise BadResidue(f"n must be positive and 7 mod 8, got {n}")
-    s = _sigma1(n)
-    if s % 8:
-        raise AssertionError(f"divisor sum of {n} is not a multiple of 8")
-    return (s // 8) & 1
 
 
 def prop1_closed_form(p: int, k: int) -> DeltaPoly:

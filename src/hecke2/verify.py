@@ -230,21 +230,27 @@ def _t5_table(cfg: VerifyConfig) -> str:
 
 @_claim("naive-fast-agree", "tables")
 def _naive_fast_agree(cfg: VerifyConfig) -> str:
-    # --long reaches p=257, the range the relation criteria (03b) cover
-    pmax = min(cfg.pmax, 257 if cfg.long else 31)
-    kmax = 200
+    # --long covers every prime the CLI accepts.  Image k depends on s_1..s_k
+    # only: a change in an odd s_r first shows at k = r, and in an even s_r at
+    # k = r + m0, where N_m0 is the first nonzero power sum (m0 <= 33 below
+    # 500).  So the powers run to k = p + 34, and at least to 200.
+    pmax = min(cfg.pmax, 500 if cfg.long else 31)
     rng = random.Random(0xF2)
     for p in _checked_primes(pmax):
+        kmax = max(200, p + 34)
         cp = cached_charpoly(p)
         fast = image_table(cp, kmax)
         naive = _naive_monomial_range(p, kmax)
+        m0 = next((m for m, img in enumerate(naive) if img), kmax + 1)
+        assert p + 1 + m0 <= kmax, f"power k<={kmax} misses s_{p + 1} at p={p}"
         assert [fast[k] for k in range(kmax + 1)] == naive, f"monomial routes disagree at p={p}"
         for _ in range(200 if p <= 31 else 50):
-            f = DeltaPoly(rng.getrandbits(kmax) | (1 << (kmax - 1)))
+            f = DeltaPoly(rng.getrandbits(200) | (1 << 199))
             img = fast.apply(f.mask)
             assert hecke_naive(f, p).mask == img, f"random-form routes disagree at p={p}"
     above = ", 50 above p=31" if pmax > 31 else ""
-    return f"p<={pmax}, k<=200, 200 random forms per prime{above}"
+    krange = "k<=200" if pmax + 34 <= 200 else "k<=max(200,p+34)"
+    return f"p<={pmax}, {krange}, 200 random forms per prime{above}"
 
 
 @_claim("newton-solve-agree", "tables")
@@ -258,7 +264,7 @@ def _newton_solve_agree(cfg: VerifyConfig) -> str:
 
 @_claim("relation-structure", "tables")
 def _relation_structure(cfg: VerifyConfig) -> str:
-    # --long reaches p=257, the range naive-fast-agree and 03b cover
+    # --long reaches p=257, the range the relation criteria (03b) cover
     pmax = min(cfg.pmax, 257 if cfg.long else 31)
     for p in _checked_primes(pmax):
         cp = cached_charpoly(p)

@@ -16,6 +16,7 @@ from hecke2.gf2series import (
     BitSeries,
     clmul,
     delta,
+    delta_powers,
     delta_qpow,
     one,
     pack8,
@@ -29,7 +30,6 @@ from hecke2.hecke import (
     charpoly_to_text,
     charpoly_via_newton,
     compute_charpoly,
-    delta7_coeff_sigma,
     hecke_fast,
     hecke_fast_range,
     hecke_matrix,
@@ -165,7 +165,7 @@ def test_rank_deficient_solve_is_not_retried(p, monkeypatch):
 
 
 def _clmul_ladder(n, max_j):
-    """Packed Delta^0..Delta^max_j by one product per power, as a reference."""
+    """Packed Delta^0..Delta^max_j below q^n (n a multiple of 8), one product per power."""
     cmask = (1 << (n // 8)) - 1
     dpack = pack8(delta(n).bits, 1)
     xpow = [1]
@@ -177,14 +177,34 @@ def _clmul_ladder(n, max_j):
     return xpow
 
 
+def _repeated_clmul(n, max_j):
+    """Delta^0..Delta^max_j below q^n, unpacked, one product by Delta per power."""
+    mask, dbits = (1 << n) - 1, delta(n).bits
+    out = [1]
+    for _ in range(max_j):
+        out.append(clmul(out[-1], dbits) & mask)
+    return out
+
+
 @pytest.mark.parametrize("p", [3, 31, 101])
 def test_packed_power_ladder_matches_product_ladder(p):
     max_j = max(17, p + 1)
     # the squaring step runs both with a class wrap (j/2 mod 8 >= 4) and without
     halves = {(j // 2) % 8 >= 4 for j in range(2, max_j + 1, 2)}
     assert halves == {False, True}
-    for n in (8, 72, 8 * -(-((p + 1) ** 2) // 8), 16 * (p + 1) ** 2):
-        assert hecke._PackedTerms(p, n, max_j).xpow == _clmul_ladder(n, max_j), n
+    # the relation solve's window and the residual windows, in packed form
+    solve = 8 * -(-((p + 1) ** 2 + 1) // 8)
+    for n in (8, 72, solve, 8 * (p + 1) ** 2, 16 * (p + 1) ** 2):
+        assert delta_powers(n, max_j) == _clmul_ladder(n, max_j), n
+    # windows off the multiples of 8, unpacked: the powers of Delta(q^p) below
+    # ceil(n/p) for each window above, the naive power sums below p*k + 1, and
+    # the tiny windows
+    kmax = 3 * (p + 1)
+    unpacked = [(-(-w // p), p + 1) for w in (solve, 8 * (p + 1) ** 2, 16 * (p + 1) ** 2)]
+    unpacked += [(p * kmax + 1, kmax)] + [(n, k) for n in (1, 2, 7, 8, 9) for k in (0, 1)]
+    for n, count in unpacked:
+        got = [spread8(x, j % 8) for j, x in enumerate(delta_powers(n, count))]
+        assert got == _repeated_clmul(n, count), (n, count)
 
 
 def test_gf2_solve_pivot_elimination():
@@ -489,6 +509,29 @@ def test_hecke_matrix_validates_arguments():
         hecke_matrix(3, 6)
     with pytest.raises(NotPrime):
         hecke_matrix(9, 5)
+
+
+def _sigma1(n: int) -> int:
+    total = 0
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            total += i
+            j = n // i
+            if j != i:
+                total += j
+        i += 1
+    return total
+
+
+def delta7_coeff_sigma(n: int) -> int:
+    """Coefficient of q^n in the 7th power, via the divisor sum / 8 mod 2."""
+    if n <= 0 or n % 8 != 7:
+        raise BadResidue(f"n must be positive and 7 mod 8, got {n}")
+    s = _sigma1(n)
+    if s % 8:
+        raise AssertionError(f"divisor sum of {n} is not a multiple of 8")
+    return (s // 8) & 1
 
 
 def test_delta7_coefficients():

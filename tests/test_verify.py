@@ -9,6 +9,7 @@ import pytest
 from hecke2 import verify
 from hecke2.deltapoly import DeltaPoly
 from hecke2.errors import WitnessFailed
+from hecke2.hecke import CharPoly
 from hecke2.verify import VerifyConfig, run_suite
 
 
@@ -119,3 +120,24 @@ def test_report_line_keeps_the_range_readable():
         verify.ClaimResult("t3-table", "k in {0,1,3,...,21}", True, 3),
     ])
     assert report.lines() == ["claim=t3-table range=k_in_{0,1,3,...,21} status=pass ms=3"]
+
+
+@pytest.mark.parametrize("r", [211, 212])
+def test_naive_fast_agree_sees_the_last_relation_coefficients(monkeypatch, r):
+    # at p=211 the powers k <= 200 reach neither s_211 nor s_212; under --long
+    # they run to k = p + 34, where a flip in either shows
+    p = 211
+    s = list(verify.cached_charpoly(p).s)
+    s[r - 1] = DeltaPoly(s[r - 1].mask ^ (1 << (p * r) % 8))
+    flipped = CharPoly(p, tuple(s))
+    monkeypatch.setattr(verify, "_checked_primes", lambda n: [p])
+    monkeypatch.setattr(verify, "cached_charpoly", lambda q: flipped)
+    with pytest.raises(AssertionError, match=f"monomial routes disagree at p={p}"):
+        verify._REGISTRY["naive-fast-agree"](VerifyConfig(pmax=500, long=True))
+
+
+def test_naive_fast_agree_range_names_the_power_bound(monkeypatch):
+    monkeypatch.setattr(verify, "_checked_primes", lambda n: [211])
+    assert verify._REGISTRY["naive-fast-agree"](VerifyConfig(pmax=500, long=True)) == (
+        "p<=500, k<=max(200,p+34), 200 random forms per prime, 50 above p=31"
+    )
