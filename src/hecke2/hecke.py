@@ -356,36 +356,54 @@ def charpoly_via_newton(p: int) -> CharPoly:
     with s_i = 0 for i > p+1.  One elimination solves for the allowed
     monomial bits (degree and mod-8 class constraints) of every s_r at once,
     with the identities m = 1..3(p+1) imposed coefficient by coefficient.
-    A closing check then evaluates every identity on the solution; raises
-    SingularSystem if the identities leave a bit undetermined, are
-    inconsistent, or one of them does not close.
+
+    Identity m lies on the class c_m = p*m mod 8, as N_m and every
+    s_i N_(m-i) do, so its row block holds it packed on that class: bit a
+    stands for X^(8a + c_m), and a block of (3(p+1) >> 3) + 1 bits covers
+    degree 3(p+1).  The entry of the unknown X^j of s_i in identity m is
+    N_t X^j with t = m - i, which is packed N_t shifted by
+    (j >> 3) + ((c_i + c_t) >> 3).  So one stream per class c, holding
+    packed N_t shifted by (c + c_t) >> 3 in block t-1, gives every column of
+    s_i as that stream for c = c_i moved up i blocks (and cut at identity
+    3(p+1)) and then j >> 3 bits, plus the lone s_i bit of identity i at odd
+    i.  The stream for c = 0 is the right-hand side.
+
+    A closing check then evaluates every identity on the solution, on the
+    unpacked sums: ``pack8`` folds a bit off its class into the packed bit of
+    its byte, so only this check sees one.  Raises SingularSystem if the
+    identities leave a bit undetermined, are inconsistent, or one of them
+    does not close.
     """
     _require_odd_prime(p)
     big = p + 1
     rmax = 3 * big
     sums = [s.mask for s in _naive_monomial_range(p, rmax)]
-    block = rmax + big + 2  # row stride: x-degrees occurring in one identity
 
     def coeff(m: int, i: int) -> int:
         """Polynomial multiplying s_i in identity m."""
         c = sums[m - i] if m > i else 0
         return c ^ 1 if i == m and m & 1 else c
 
-    def column(i: int, j: int) -> int:
-        col = 0
-        for m in range(i, rmax + 1):
-            c = coeff(m, i)
-            if c:
-                col ^= (c << j) << ((m - 1) * block)
-        return col
+    cls = [(p * m) % 8 for m in range(rmax + 1)]
+    width = (rmax >> 3) + 1  # packed bits of one identity block
+    full = (1 << (rmax * width)) - 1
+    packed = [pack8(sums[t], cls[t]) for t in range(rmax + 1)]
+    streams = []
+    for c in range(8):
+        acc = 0
+        for t in range(rmax, 0, -1):
+            acc = (acc << width) ^ (packed[t] << ((c + cls[t]) >> 3))
+        streams.append(acc)
 
-    bits = [(i, j) for i in range(1, big + 1) for j in range((p * i) % 8, i + 1, 8)]
-    rhs = 0
-    for m in range(1, rmax + 1):
-        rhs ^= sums[m] << ((m - 1) * block)
+    # heads[i]: the column of X^(c_i), the lowest allowed bit of s_i
+    heads = {
+        i: ((streams[cls[i]] << (i * width)) & full) | (i & 1) << ((i - 1) * width)
+        for i in range(1, big + 1)
+    }
+    bits = [(i, j) for i in range(1, big + 1) for j in range(cls[i], i + 1, 8)]
     chosen = _gf2_solve(
-        (column(i, j) for i, j in bits),
-        rhs,
+        (heads[i] << (j >> 3) for i, j in bits),
+        streams[0],
         lambda idx: SingularSystem(
             f"power-sum identities leave s_{bits[idx][0]} underdetermined at p={p}"
         ),
@@ -396,7 +414,7 @@ def charpoly_via_newton(p: int) -> CharPoly:
         i, j = bits[idx]
         smasks[i] |= 1 << j
 
-    # every identity must close on the solution, whatever the row packing
+    # every identity must close on the unpacked sums
     for m in range(1, rmax + 1):
         res = sums[m]
         for i in range(1, min(m, big) + 1):

@@ -225,11 +225,16 @@ def test_gf2_solve_pivot_elimination():
 
 
 def test_newton_oracle_agrees():
-    for p in (3, 5, 7, 11, 13, 17):
+    # every odd p <= 61, the range of the oracle workload
+    for p in hecke.odd_primes_up_to(61):
         assert charpoly_via_newton(p) == compute_charpoly(p), p
 
 
-@pytest.mark.parametrize("p", [3, 11, 31])
+# p mod 8 runs over 3, 3, 5, 7, 1: every carry pattern of the packed rows
+NEWTON_MUTATION_PRIMES = [3, 11, 13, 31, 41]
+
+
+@pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES)
 def test_newton_oracle_rejects_corrupted_power_sum(p, monkeypatch):
     # one flipped bit of one N_m must leave the identities unsatisfiable
     clean = hecke._naive_monomial_range
@@ -244,6 +249,28 @@ def test_newton_oracle_rejects_corrupted_power_sum(p, monkeypatch):
             monkeypatch.setattr(hecke, "_naive_monomial_range", corrupted)
             with pytest.raises(SingularSystem):
                 charpoly_via_newton(p)
+
+
+@pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES)
+def test_newton_oracle_sees_a_bit_that_packing_folds(p, monkeypatch):
+    # pack8 folds an off-class bit into the packed bit of its byte, so the
+    # elimination cannot see it: only the closing check on the unpacked sums can
+    clean = hecke._naive_monomial_range
+    sums = clean(p, 3 * (p + 1))
+    nonzero = [m for m, s in enumerate(sums) if s]
+    for m in (nonzero[0], nonzero[len(nonzero) // 2], nonzero[-1]):
+        c = (p * m) % 8
+        flipped = sums[m].mask ^ (1 << (sums[m].degree + 1))
+        assert pack8(flipped, c) == pack8(sums[m].mask, c)
+
+        def corrupted(q, kmax, m=m, flipped=flipped):
+            out = clean(q, kmax)
+            out[m] = DeltaPoly(flipped)
+            return out
+
+        monkeypatch.setattr(hecke, "_naive_monomial_range", corrupted)
+        with pytest.raises(SingularSystem, match=f"identity {m} does not close"):
+            charpoly_via_newton(p)
 
 
 def newton_initial_sums(cp: CharPoly) -> list[DeltaPoly]:

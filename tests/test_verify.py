@@ -141,3 +141,14 @@ def test_naive_fast_agree_range_names_the_power_bound(monkeypatch):
     assert verify._REGISTRY["naive-fast-agree"](VerifyConfig(pmax=500, long=True)) == (
         "p<=500, k<=max(200,p+34), 200 random forms per prime, 50 above p=31"
     )
+
+
+def test_dominant_product_checks_1000_pairs_from_its_pool(monkeypatch):
+    claim = verify._REGISTRY["dominant-product"]
+    assert claim(VerifyConfig()) == (
+        "1000 admissible pairs from a pool of 600 random forms, deg<=512"
+    )
+    # a pool of one repeated Delta^2 holds no admissible pair
+    monkeypatch.setattr(verify, "_random_sparse_pure", lambda rng, max_deg: DeltaPoly(1 << 2))
+    with pytest.raises(AssertionError, match="only 0 admissible pairs in a pool of 600"):
+        claim(VerifyConfig())
