@@ -48,7 +48,7 @@ PMAX_HELP = f"largest prime covered, 3 to {MAX_PRIME}"
 BENCH_PMAX_HELP = f"largest prime solved, 3 to {MAX_PRIME}"
 # --kmax sizes the structure sweeps' numpy arrays and image stream, as a form's
 # degree sizes `hecke`'s stream, so it shares that cap
-KMAX_HELP = f"top power of the image-structure sweeps, 1 to {MAX_FORM_DEGREE}"
+KMAX_HELP = f"top power of the image-structure sweeps, 1 to {MAX_FORM_DEGREE}; not with --long"
 
 
 def parse_form(spec: str) -> DeltaPoly:
@@ -164,9 +164,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     bad = _pmax_error(args.pmax)
     if bad:
         return _usage_error(bad)
-    if not 1 <= args.kmax <= MAX_FORM_DEGREE:
+    if args.kmax is not None and not 1 <= args.kmax <= MAX_FORM_DEGREE:
         return _usage_error(f"--kmax must be between 1 and {MAX_FORM_DEGREE}")
-    cfg = VerifyConfig(kmax=args.kmax, pmax=args.pmax, long=args.long)
+    cfg = VerifyConfig(kmax=args.kmax or VerifyConfig.kmax, pmax=args.pmax, long=args.long)
+    if args.long and args.kmax is not None:
+        return _usage_error(f"--long sweeps to k<={cfg.structure_kmax} and takes no --kmax")
     report = run_suite(args.suite, cfg)
     for line in report.lines():
         print(line)
@@ -227,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a claim suite")
     ver.add_argument("suite", choices=sorted(SUITES))
-    ver.add_argument("--kmax", type=int, default=4095, help=KMAX_HELP)
+    ver.add_argument("--kmax", type=int, help=KMAX_HELP)
     ver.add_argument("--pmax", type=int, default=31, help=PMAX_HELP)
     ver.add_argument("--long", action="store_true", help="full-scale ranges")
     ver.set_defaults(func=_cmd_verify)

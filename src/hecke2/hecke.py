@@ -38,7 +38,6 @@ from .errors import (
 from .gf2series import (
     BitSeries,
     bit_positions,
-    clmul,
     delta_powers,
     pack8,
     spread8,
@@ -368,22 +367,18 @@ def charpoly_via_newton(p: int) -> CharPoly:
     3(p+1)) and then j >> 3 bits, plus the lone s_i bit of identity i at odd
     i.  The stream for c = 0 is the right-hand side.
 
-    A closing check then evaluates every identity on the solution, on the
-    unpacked sums: ``pack8`` folds a bit off its class into the packed bit of
-    its byte, so only this check sees one.  Raises SingularSystem if the
-    identities leave a bit undetermined, are inconsistent, or one of them
-    does not close.
+    A closing pass runs the solution through ``_packed_stream``, the fast
+    route's recurrence, which the packed solve does not use.  By induction on
+    m, identity m closes on the unpacked sums exactly when image m is packed
+    N_m and N_m has no bit off its class (``pack8`` folds one into its byte).
+    Every image is compared with the naive sums, so a faulty stream can only
+    raise.  Raises SingularSystem if the identities leave a bit undetermined,
+    are inconsistent, or one of them does not close.
     """
     _require_odd_prime(p)
     big = p + 1
     rmax = 3 * big
     sums = [s.mask for s in _naive_monomial_range(p, rmax)]
-
-    def coeff(m: int, i: int) -> int:
-        """Polynomial multiplying s_i in identity m."""
-        c = sums[m - i] if m > i else 0
-        return c ^ 1 if i == m and m & 1 else c
-
     cls = [(p * m) % 8 for m in range(rmax + 1)]
     width = (rmax >> 3) + 1  # packed bits of one identity block
     full = (1 << (rmax * width)) - 1
@@ -414,15 +409,11 @@ def charpoly_via_newton(p: int) -> CharPoly:
         i, j = bits[idx]
         smasks[i] |= 1 << j
 
-    # every identity must close on the unpacked sums
-    for m in range(1, rmax + 1):
-        res = sums[m]
-        for i in range(1, min(m, big) + 1):
-            if smasks[i]:
-                res ^= clmul(smasks[i], coeff(m, i))
-        if res:
+    cp = CharPoly(p, tuple(DeltaPoly(sm) for sm in smasks[1:]))
+    for m, image in enumerate(_packed_stream(cp, rmax)):
+        if m and not (image == packed[m] and spread8(packed[m], cls[m]) == sums[m]):
             raise SingularSystem(f"power-sum identity {m} does not close at p={p}")
-    return CharPoly(p, tuple(DeltaPoly(sm) for sm in smasks[1:]))
+    return cp
 
 
 # ---------------------------------------------------------------------------

@@ -256,8 +256,8 @@ def _naive_fast_agree(cfg: VerifyConfig) -> str:
 
 @_claim("newton-solve-agree", "tables")
 def _newton_solve_agree(cfg: VerifyConfig) -> str:
-    # --long takes the oracle to p=127 (about 1.5 s of Newton solves); p<=157
-    # would cost about 3.8 s, most of it elimination
+    # --long takes the oracle to p=127 (about 1.2 s of Newton solves on 2 cores);
+    # p<=157 would cost about 4 s, most of it elimination
     pmax = min(cfg.pmax, 127 if cfg.long else 31)
     for p in _checked_primes(pmax):
         assert cached_charpoly(p) == charpoly_via_newton(p), f"methods split at p={p}"
@@ -279,9 +279,13 @@ def _relation_structure(cfg: VerifyConfig) -> str:
 
 @_claim("recurrence-genfun", "tables")
 def _recurrence_genfun(cfg: VerifyConfig) -> str:
-    # product form of the recurrence: (sum_k P_k t^k)(1 + sum_r s_r t^r) is
-    # the polynomial t S'(t) = sum_(r odd) s_r t^r; the images come from the
-    # packed stream, the products from clmul on unpacked masks
+    """Product form (sum_k P_k t^k)(1 + sum_r s_r t^r) = t S'(t) = sum_(r odd) s_r t^r.
+
+    Images come from the packed stream, products from clmul on unpacked masks.
+    Both sides read one F_p, so a corrupted F_p passes by construction and the
+    mutation target is the stream (``test_recurrence_genfun_covers_every_prime_to_pmax``).
+    With ``naive-fast-agree`` it checks the stream the Newton oracle closes through.
+    """
     pmax = max(cfg.pmax, 5)
     for p in odd_primes_up_to(pmax):
         cp = cached_charpoly(p)

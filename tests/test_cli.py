@@ -109,6 +109,8 @@ def test_verify_and_bench_range_caps(capsys, monkeypatch):
         ["verify", "all", "--kmax", str(MAX_FORM_DEGREE + 1)],
         ["verify", "all", "--pmax", str(MAX_PRIME + 1)],
         ["verify", "all", "--pmax", str(MAX_PRIME + 1), "--long"],
+        # --long sweeps to its own bound, so a --kmax beside it would be ignored
+        ["verify", "theorem", "--long", "--kmax", "100"],
         ["bench", "--pmax", str(MAX_PRIME + 1)],
         # no odd prime to check or solve: a claim or table over none must not run
         ["verify", "all", "--pmax", "2"],
@@ -119,6 +121,7 @@ def test_verify_and_bench_range_caps(capsys, monkeypatch):
         assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"--kmax must be between 1 and {MAX_FORM_DEGREE}" in err
+    assert "--long sweeps to k<=32999 and takes no --kmax" in err
     assert err.count(f"--pmax must be between 3 and {MAX_PRIME}") == 7
     for command in ("verify", "bench"):
         with pytest.raises(SystemExit):
@@ -126,7 +129,7 @@ def test_verify_and_bench_range_caps(capsys, monkeypatch):
         assert f"3 to {MAX_PRIME}" in capsys.readouterr().out
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
-    assert f"1 to {MAX_FORM_DEGREE}" in capsys.readouterr().out
+    assert f"1 to {MAX_FORM_DEGREE}; not with --long" in " ".join(capsys.readouterr().out.split())
 
     # the bounds themselves are accepted
     seen = []
@@ -134,7 +137,12 @@ def test_verify_and_bench_range_caps(capsys, monkeypatch):
     argv = ["verify", "all", "--kmax", str(MAX_FORM_DEGREE), "--pmax", str(MAX_PRIME)]
     assert main(argv) == 0
     assert main(["verify", "all", "--kmax", "1"]) == 0
-    assert [(c.kmax, c.pmax) for c in seen] == [(MAX_FORM_DEGREE, MAX_PRIME), (1, 31)]
+    assert main(["verify", "all", "--long"]) == 0
+    assert main(["verify", "all"]) == 0
+    assert [(c.kmax, c.pmax, c.structure_kmax) for c in seen] == [
+        (MAX_FORM_DEGREE, MAX_PRIME, MAX_FORM_DEGREE), (1, 31, 1),
+        (4095, 31, 32999), (4095, 31, 4095),
+    ]
     capsys.readouterr()
 
 

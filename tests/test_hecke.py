@@ -239,7 +239,9 @@ def test_newton_oracle_rejects_corrupted_power_sum(p, monkeypatch):
     # one flipped bit of one N_m must leave the identities unsatisfiable
     clean = hecke._naive_monomial_range
     for m in (1, p + 1, 3 * (p + 1)):
-        for e in ((p * m) % 8, m - 1):
+        c = (p * m) % 8
+        # on the class, at m - 1, and the first bit of the class above degree m
+        for e in (c, m - 1, 8 * ((m - c) // 8 + 1) + c):
 
             def corrupted(q, kmax, m=m, e=e):
                 sums = clean(q, kmax)
@@ -270,6 +272,22 @@ def test_newton_oracle_sees_a_bit_that_packing_folds(p, monkeypatch):
 
         monkeypatch.setattr(hecke, "_naive_monomial_range", corrupted)
         with pytest.raises(SingularSystem, match=f"identity {m} does not close"):
+            charpoly_via_newton(p)
+
+
+@pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES)
+def test_newton_oracle_rejects_corrupted_stream(p, monkeypatch):
+    # the closing pass runs the packed recurrence: a fault in it must make the
+    # oracle raise, since every image is compared with the naive power sums
+    clean = hecke._packed_stream
+    for k in (1, p + 1, 3 * (p + 1)):
+
+        def corrupted(cp, kmax, k=k):
+            for j, image in enumerate(clean(cp, kmax)):
+                yield image ^ (j == k)
+
+        monkeypatch.setattr(hecke, "_packed_stream", corrupted)
+        with pytest.raises(SingularSystem, match=f"identity {k} does not close"):
             charpoly_via_newton(p)
 
 
