@@ -32,8 +32,9 @@ from .nilpotence import g_general, render_report
 from .verify import SUITES, VerifyConfig, run_suite
 
 USAGE_ERROR = 2
-# Largest exponent a form spec may hold: `hecke` streams one image per power
-# up to the degree, and every command packs the form into a bit mask.
+# Largest exponent a form spec may hold: `hecke` streams one image per odd
+# power up to the largest odd part of an exponent, and every command packs
+# the form into a bit mask.
 MAX_FORM_DEGREE = 65535
 FORM_HELP = f"comma-separated exponents, each at most {MAX_FORM_DEGREE}"
 # Largest --p and --pmax (`verify` and `bench` solve F_p at every prime up to

@@ -43,7 +43,7 @@ class Parity(enum.Enum):
     MIXED = "mixed"
 
 
-_EVEN_BITS = None  # lazily built alternating mask, grown on demand
+_EVEN_BITS = 0  # lazily built alternating mask, grown on demand
 _EVEN_BITS_LEN = 0
 
 

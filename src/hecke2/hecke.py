@@ -11,10 +11,14 @@ satisfied by the expansions X = Delta(q), Y = Delta(q^p); its coefficients
 drive an order-(p+1) linear recurrence for the images of the powers of
 Delta.  Every s_r lies on the exponent class p*r mod 8, so the image of
 Delta^k lies on the class p*k mod 8 and the recurrence runs on images packed
-on their classes.  The relation itself is computed by a packed GF(2) linear
-solve whose unknowns are the monomial bits allowed by the degree and mod-8
-congruence constraints; the classical power-sum (Newton) identities give a
-second derivation from naive data, used as an independent oracle.
+on their classes.  In characteristic 2, T_p(g^2) = T_p(g)^2, and the odd
+images obey the same kind of recurrence with the coefficients squared, so
+the consumers that apply T_p to forms run that one at half the steps and
+square the images of the odd parts into every even one.  The relation
+itself is computed by a packed GF(2) linear solve whose unknowns are the
+monomial bits allowed by the degree and mod-8 congruence constraints; the
+classical power-sum (Newton) identities give a second derivation from naive
+data, used as an independent oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
 
-from .deltapoly import ZERO, DeltaPoly, from_series, monomial, to_series
+from .deltapoly import ONE, ZERO, DeltaPoly, _even_mask, from_series, monomial, to_series
 from .errors import (
     BadK,
     BadResidue,
@@ -38,6 +42,7 @@ from .errors import (
 from .gf2series import (
     BitSeries,
     bit_positions,
+    clmul,
     delta_powers,
     pack8,
     spread8,
@@ -421,54 +426,82 @@ def charpoly_via_newton(p: int) -> CharPoly:
 
 
 @lru_cache(maxsize=64)
-def _recurrence_shifts(cp: CharPoly) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-    """Per k mod 8, the terms (r, shifts) of the packed recurrence.
+def _recurrence_plan(cp: CharPoly, step: int) -> tuple[tuple, tuple[int, ...]]:
+    """Per index i mod 8, the terms (r, shifts) of the packed recurrence, and its seeds.
 
-    Coefficient s_r lies on the class p*r mod 8, so image k lies on the class
-    c_k = p*k mod 8.  With images packed on their classes, the term s_r *
-    I_(k-r) is a xor of I_(k-r) shifted by (e + c_(k-r) - c_k) >> 3 for each
-    exponent e of s_r: exact, and never negative since e >= p*r mod 8.
+    Value i of the stream is image k = step*i + step - 1: every image at
+    step 1, the odd images at step 2.  Coefficient s_r lies on the class p*r
+    mod 8, so image k lies on the class c_k = p*k mod 8.  The power sums obey
+    P(t) S(t) = t S'(t), with S(t) = 1 + s_1 t + ... + s_(p+1) t^(p+1),
+    P(t) = sum_k N_k t^k and t S'(t) = sum over odd r of s_r t^r.
+    Multiplied by S(t), the left side becomes P(t) S(t)^2, and S(t)^2 =
+    sum_r s_r^2 t^(2r) is even, so the odd part of P times S(t)^2 is the odd
+    part of t S'(t) S(t).  So the odd images obey the recurrence of the
+    squared coefficients at step 2, seeded by a_j = sum over odd r of
+    s_r s_(2j+1-r), with s_0 = 1, for j = 0..p.  Both hold for any monic
+    relation on these classes, not only for F_p.
+
+    With images packed on their classes, the term s_r^step * N_(k-step*r) is
+    a xor of value i - r shifted by (step*e + c_(k-step*r) - c_k) >> 3 for
+    each exponent e of s_r: exact and never negative, since
+    step*e + c_(k-step*r) >= 0 is congruent to c_k mod 8.  Each seed is
+    packed on the class of its image.
     """
     p = cp.p
     for r, sr in enumerate(cp.s, 1):
         if any(e % 8 != (p * r) % 8 for e in sr.exponents()):
             raise BadResidue(f"s{r} of the relation at p={p} leaves its class mod 8")
-    out = []
-    for cls in range(8):
-        ck = (p * cls) % 8
-        out.append(tuple(
-            (r, tuple((e + (p * (cls - r)) % 8 - ck) >> 3 for e in sr.exponents()))
+    shifts = []
+    for i in range(8):
+        k = step * i + step - 1
+        ck = (p * k) % 8
+        shifts.append(tuple(
+            (r, tuple((step * e + (p * (k - step * r)) % 8 - ck) >> 3 for e in sr.exponents()))
             for r, sr in enumerate(cp.s, 1)
             if sr
         ))
-    return tuple(out)
+    s = (ONE, *cp.s)
+    if step == 1:
+        numerator = [s[k].mask if k & 1 else 0 for k in range(p + 2)]
+    else:
+        # every product s_r s_(k-r) at once, by Kronecker substitution t = X^width
+        width = 2 * max(sr.mask.bit_length() for sr in s)
+        odd_part = sum(s[r].mask << (width * r) for r in range(1, p + 2, 2))
+        even_part = sum(s[r].mask << (width * r) for r in range(0, p + 2, 2))
+        prod = clmul(odd_part, even_part)
+        numerator = [(prod >> (width * k)) & ((1 << width) - 1) for k in range(1, 2 * p + 2, 2)]
+    seeds = tuple(pack8(m, (p * (step * i + step - 1)) % 8) for i, m in enumerate(numerator))
+    return tuple(shifts), seeds
 
 
-def _packed_stream(cp: CharPoly, kmax: int):
-    """Images of Delta^k for k = 0..kmax, each packed on its class p*k mod 8.
+def _packed_stream(cp: CharPoly, kmax: int, *, step: int = 1):
+    """Images of Delta^k for k <= kmax, each packed on its class p*k mod 8.
 
-    Bit m of the k-th value is the coefficient of Delta^(8m + p*k mod 8).
+    Bit m of image k is the coefficient of Delta^(8m + p*k mod 8).  Step 1
+    yields every image k = 0..kmax: the full stream of ``iter_hecke_fast``,
+    the Newton oracle's closing pass and the ``verify`` sweeps.  Step 2
+    yields the odd images k = 1, 3, ..., <= kmax in half the steps, and
+    ``image_table`` and ``hecke_fast`` square them into every even one.
     The images are the power sums N_k, and mod 2 the Newton identities read
     N_k = s_1 N_(k-1) + ... + s_(p+1) N_(k-p-1) + [k odd, k <= p+1] s_k, so
-    one loop runs the order-(p+1) recurrence over a ring window of the last
-    p+2 packed values and xors in s_k at odd k <= p+1.  N_0 counts the p+1
-    conjugate series, an even number, so N_0 = 0; the window starts zeroed,
-    and a slot not yet written reads 0, which gives N_j = 0 for j <= 0.
+    one loop runs the order-(p+1) recurrence of either plan
+    (``_recurrence_plan``) over a ring window of the last p+2 packed values
+    and xors in the seeds.  N_0 counts the p+1 conjugate series, an even
+    number, so N_0 = 0; the window starts zeroed, and a slot not yet written
+    reads 0, which gives N_j = 0 for j <= 0.
     """
-    p = cp.p
-    shifts = _recurrence_shifts(cp)
-    size = p + 2
-    seeds = [pack8(cp.s[k - 1].mask, (p * k) % 8) if k & 1 else 0 for k in range(size)]
+    shifts, seeds = _recurrence_plan(cp, step)
+    size = cp.p + 2
     window = [0] * size
-    # the seeds ride along the index, so images past p+1 pay no seed lookup
-    for k, acc in zip(range(kmax + 1), chain(seeds, repeat(0))):
-        for r, term_shifts in shifts[k % 8]:
-            m = window[(k - r) % size]
+    # the seeds ride along the index, so values past them pay no seed lookup
+    for i, acc in zip(range((kmax + 1) // step), chain(seeds, repeat(0))):
+        for r, term_shifts in shifts[i % 8]:
+            m = window[(i - r) % size]
             if m:
                 for sh in term_shifts:
                     acc ^= m << sh
         yield acc
-        window[k % size] = acc
+        window[i % size] = acc
 
 
 def _unpack_classes(acc: list[int]) -> int:
@@ -477,6 +510,47 @@ def _unpack_classes(acc: list[int]) -> int:
     for cls, packed in enumerate(acc):
         if packed:
             out |= spread8(packed, cls)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _squared_blocks(c: int, s: int) -> tuple[bytes, bytes]:
+    """The 2^s big-endian bytes that a clear and a set packed bit become.
+
+    Bit m of a mask packed on class c, squared s times, stands for
+    Delta^(2^s (8m + c)): bit 2^s c of the m-th block of 2^s bytes.
+    """
+    width = 1 << s
+    e = c << s
+    one = bytearray(width)
+    one[width - 1 - (e >> 3)] = 1 << (e & 7)
+    return bytes(width), bytes(one)
+
+
+def _unpack_squared(packed: int, c: int, s: int) -> int:
+    """Exponent mask of (unpacked ``packed`` on class c)^(2^s), in one bytes pass.
+
+    Each binary digit becomes 2^s bytes, as each becomes one byte in ``spread8``.
+    """
+    if not s:
+        return spread8(packed, c)
+    clear, set_ = _squared_blocks(c, s)
+    digits = format(packed, "b").encode()
+    return int.from_bytes(digits.replace(b"0", clear).replace(b"1", set_), "big")
+
+
+def _frobenius_sum(accs: dict[int, list[int]]) -> int:
+    """Exponent mask of the sum over s of (unpacked ``accs[s]``)^(2^s).
+
+    ``accs[s]`` holds eight class accumulators of images of odd powers.  In
+    characteristic 2, T_p(g^2) = T_p(g)^2, so the image of Delta^(2^s m) is
+    the image of Delta^m with every exponent scaled by 2^s.
+    """
+    out = 0
+    for s, acc in accs.items():
+        for c, packed in enumerate(acc):
+            if packed:
+                out ^= _unpack_squared(packed, c, s)
     return out
 
 
@@ -502,53 +576,94 @@ def hecke_fast_range(cp: CharPoly, kmax: int) -> list[DeltaPoly]:
 
 @dataclass(frozen=True, slots=True)
 class ImageTable:
-    """Images of Delta^0..Delta^kmax, image k packed on its class p*k mod 8."""
+    """Images of Delta^0..Delta^kmax, from the odd ones only.
+
+    ``odd[j]`` is the image of Delta^(2j+1), packed on its class p(2j+1) mod 8.
+    The image of Delta^(2^s m), m odd, is that of Delta^m squared s times, and
+    the image of the constant Delta^0 is 0.
+    """
 
     p: int
-    packed: tuple[int, ...]
+    kmax: int
+    odd: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.packed)
+        return self.kmax + 1
 
     def __getitem__(self, k: int) -> DeltaPoly:
-        return DeltaPoly(spread8(self.packed[k], (self.p * k) % 8))
+        if not 0 <= k <= self.kmax:
+            raise IndexError(f"power {k} outside 0..{self.kmax}")
+        if not k:
+            return ZERO
+        s = (k & -k).bit_length() - 1
+        m = k >> s
+        return DeltaPoly(_unpack_squared(self.odd[m >> 1], (self.p * m) % 8, s))
 
     def apply(self, mask: int) -> int:
         """Exponent mask of T_p applied to the form with exponent mask ``mask``.
 
-        Images are xored on their classes and unpacked once per class.
+        Each exponent k = 2^s m, m odd, xors the image of Delta^m into the
+        accumulator of its class among the eight of valuation s, and
+        ``_frobenius_sum`` unpacks and squares each accumulator once.  A form
+        on odd powers only, as every witness step is, takes one flat loop.
         """
-        p, packed = self.p, self.packed
+        if mask.bit_length() > self.kmax + 1:
+            raise IndexError(f"degree {mask.bit_length() - 1} above {self.kmax}")
+        p, odd = self.p, self.odd
         acc = [0] * 8
-        for k in bit_positions(mask):
-            acc[(p * k) % 8] ^= packed[k]
-        return _unpack_classes(acc)
+        if not mask & _even_mask(mask.bit_length()):
+            for k in bit_positions(mask):
+                acc[(p * k) % 8] ^= odd[k >> 1]
+            return _unpack_classes(acc)
+        accs = {0: acc}
+        for k in bit_positions(mask >> 1 << 1):
+            if k & 1:
+                acc[(p * k) % 8] ^= odd[k >> 1]
+                continue
+            s = (k & -k).bit_length() - 1
+            m = k >> s
+            if s not in accs:
+                accs[s] = [0] * 8
+            accs[s][(p * m) % 8] ^= odd[m >> 1]
+        return _frobenius_sum(accs)
 
 
 def image_table(cp: CharPoly, kmax: int) -> ImageTable:
-    """The packed images of Delta^0..Delta^kmax, for applying T_p repeatedly."""
+    """The images of Delta^0..Delta^kmax, for applying T_p repeatedly.
+
+    Only the odd images are streamed, at half the recurrence steps.
+    """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    return ImageTable(cp.p, tuple(_packed_stream(cp, kmax)))
+    return ImageTable(cp.p, kmax, tuple(_packed_stream(cp, kmax, step=2)))
 
 
 def hecke_fast(f: DeltaPoly, cp: CharPoly) -> DeltaPoly:
-    """T_p of an arbitrary polynomial, monomial-wise over the packed stream.
+    """T_p of an arbitrary polynomial, monomial-wise over the odd packed stream.
 
     The image of Delta^k lies on the exponent class p*k mod 8, and the stream
     holds it packed on that class (bit m stands for Delta^(8m + p*k mod 8)).
-    The images of the monomials of f are xored into eight accumulators, one
-    per class, and each accumulator is unpacked once at the end.
+    Each exponent k = 2^s m of f, m odd, draws the image of Delta^m from the
+    odd stream, which runs only to the largest odd part.  The image is xored
+    into the accumulator of its class among the eight of valuation s, and
+    ``_frobenius_sum`` unpacks each accumulator once and squares it s times.
+    The constant term maps to 0.
     """
-    if not f:
+    wanted: dict[int, list[int]] = {}
+    for k in bit_positions(f.mask >> 1 << 1):
+        s = (k & -k).bit_length() - 1
+        wanted.setdefault(k >> s, []).append(s)
+    if not wanted:
         return ZERO
     p = cp.p
-    wanted = set(bit_positions(f.mask))
-    acc = [0] * 8
-    for k, packed in enumerate(_packed_stream(cp, f.degree)):
-        if k in wanted:
-            acc[(p * k) % 8] ^= packed
-    return DeltaPoly(_unpack_classes(acc))
+    accs = {s: [0] * 8 for s in set(chain.from_iterable(wanted.values()))}
+    for j, packed in enumerate(_packed_stream(cp, max(wanted), step=2)):
+        valuations = wanted.get(2 * j + 1)
+        if valuations and packed:
+            c = (p * (2 * j + 1)) % 8
+            for s in valuations:
+                accs[s][c] ^= packed
+    return DeltaPoly(_frobenius_sum(accs))
 
 
 # ---------------------------------------------------------------------------

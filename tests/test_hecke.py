@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -405,6 +409,100 @@ def test_packed_kernel_rejects_off_class_relation():
     broken = CharPoly(3, (ZERO, ZERO, poly(2), poly(4)))
     with pytest.raises(BadResidue):
         hecke_fast_range(broken, 10)
+    with pytest.raises(BadResidue):
+        image_table(broken, 10)
+    with pytest.raises(BadResidue):
+        hecke_fast(poly(3, 8), broken)
+
+
+def flip_in_class_bit(cp: CharPoly, r: int) -> CharPoly:
+    """``cp`` with the bit one step above the class p*r mod 8 of s_r flipped."""
+    s = list(cp.s)
+    s[r - 1] = DeltaPoly(s[r - 1].mask ^ (1 << ((cp.p * r) % 8 + 8)))
+    return CharPoly(cp.p, tuple(s))
+
+
+@pytest.mark.parametrize("p", [*hecke.odd_primes_up_to(61), 127, 257])
+def test_odd_stream_is_the_odd_part_of_the_full_stream(p):
+    # the odd images obey the squared recurrence for every monic relation on
+    # its classes, so an in-class corruption of F_p keeps the two streams equal
+    for cp in (cached_charpoly(p), flip_in_class_bit(cached_charpoly(p), p)):
+        full = list(hecke._packed_stream(cp, 700))
+        for kmax in (0, 1, 2, p, 2 * p + 1, 2 * p + 2, 2 * p + 3, 700):
+            odd = list(hecke._packed_stream(cp, kmax, step=2))
+            assert odd == full[1 : kmax + 1 : 2], (p, kmax)
+
+
+def test_every_2adic_valuation():
+    # the images of Delta^(2^s m) are squared from the odd stream; the oracle
+    # runs the full-width recurrence through every power
+    forms = [
+        DeltaPoly.from_exponents(m << s for m in (1, 3, 5, 7)) for s in range(11)
+    ]
+    forms.append(DeltaPoly.from_exponents([0, *(3 << s for s in range(11))]))
+    for p in (3, 5, 7, 11):
+        cp = cached_charpoly(p)
+        want = unpacked_recurrence(cp, 7 << 10)
+        table = image_table(cp, 7 << 10)
+        for f in forms:
+            acc = 0
+            for e in f.exponents():
+                acc ^= want[e].mask
+                assert table[e] == want[e], (p, e)
+            assert hecke_fast(f, cp) == DeltaPoly(acc), (p, f.degree)
+            assert table.apply(f.mask) == acc, (p, f.degree)
+        assert hecke_fast(ONE, cp) == ZERO and table.apply(ONE.mask) == 0
+        assert table[0] == ZERO
+
+
+def test_image_table_rejects_powers_outside_it():
+    table = image_table(F3, 20)
+    assert len(table) == 21 and table[18] == poly(6)
+    for k in (-1, -3, -21, 21, 40):
+        with pytest.raises(IndexError):
+            table[k]
+    with pytest.raises(IndexError):
+        table.apply(1 << 21)
+    assert table.apply(1 << 20) == table[20].mask
+
+
+def test_image_table_applies_to_the_zero_form_in_a_fresh_process():
+    # apply tests the parity of a form against the lazily built alternating
+    # mask, which a fresh process has not built yet
+    src = str(Path(hecke.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "from hecke2.hecke import compute_charpoly, image_table\n"
+        "print(image_table(compute_charpoly(3), 5).apply(0))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert (run.returncode, run.stdout) == (0, "0\n"), run.stderr
+
+
+def test_hecke_fast_streams_odd_powers_only(monkeypatch):
+    # T_p(Delta^d) draws the images of Delta^1, Delta^3, ..., Delta^m, where m
+    # is the odd part of d, so (d+1)//2 of them at odd d: the even images are
+    # squares, never streamed
+    clean = hecke._packed_stream
+    drawn = []
+
+    def counting(cp, kmax, **kw):
+        for image in clean(cp, kmax, **kw):
+            drawn.append(image)
+            yield image
+
+    monkeypatch.setattr(hecke, "_packed_stream", counting)
+    cp = cached_charpoly(7)
+    for d, m in ((1, 1), (3, 3), (99, 99), (1001, 1001), (1000, 125), (4096, 1)):
+        drawn.clear()
+        hecke_fast(DeltaPoly(1 << d), cp)
+        assert len(drawn) == (m + 1) // 2, d
+    drawn.clear()
+    image_table(cp, 1000)
+    assert len(drawn) == 500
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,23 @@ def test_recurrence_genfun_covers_every_prime_to_pmax(monkeypatch):
         claim(VerifyConfig(pmax=13))
 
 
+def test_frobenius_doubling_covers_every_prime_and_sees_one_flipped_image(monkeypatch):
+    claim = verify._REGISTRY["frobenius-doubling"]
+    assert claim(VerifyConfig(pmax=13)) == "p<=13, k<=500"
+
+    fast_range = verify.hecke_fast_range
+
+    def corrupted(cp, kmax):
+        images = fast_range(cp, kmax)
+        if cp.p == 13:
+            images[300] = images[300] + DeltaPoly(1 << 4)
+        return images
+
+    monkeypatch.setattr(verify, "hecke_fast_range", corrupted)
+    with pytest.raises(AssertionError, match="doubling fails at p=13, k=150"):
+        claim(VerifyConfig(pmax=13))
+
+
 def test_optimized_python_fails_every_claim():
     # python -O strips asserts, so a claim there could only pass vacuously
     src = str(Path(verify.__file__).resolve().parents[1])
