@@ -8,8 +8,14 @@ results carry the minimum precision of their operands.
 The module also provides the two generators everything else is built from:
 ``delta`` (the weight-12 cusp form reduced mod 2, whose expansion has a
 coefficient 1 exactly at the odd squares) and its ``q -> q^p`` substitution,
-and ``delta_powers``, the one ladder of the powers of ``delta``, each packed
-on its exponent class mod 8.
+and ``delta_powers``, the ladder of the powers of ``delta`` behind the
+relation solve, its residual check and the naive power sums, each packed on
+its exponent class mod 8.  Two smaller caches of powers stay apart from it.
+``deltapoly.to_series`` builds the powers below Delta^32 unpacked, by dense
+products at each node's precision, since its leaves xor full q-series and
+unpacking this ladder's powers there made the expansion slower.
+``deltapoly.from_series`` keeps the powers for the gaps between the exponents
+it peels off.
 """
 
 from __future__ import annotations

@@ -13,12 +13,13 @@ Delta.  Every s_r lies on the exponent class p*r mod 8, so the image of
 Delta^k lies on the class p*k mod 8 and the recurrence runs on images packed
 on their classes.  In characteristic 2, T_p(g^2) = T_p(g)^2, and the odd
 images obey the same kind of recurrence with the coefficients squared, so
-the consumers that apply T_p to forms run that one at half the steps and
-square the images of the odd parts into every even one.  The relation
-itself is computed by a packed GF(2) linear solve whose unknowns are the
-monomial bits allowed by the degree and mod-8 congruence constraints; the
-classical power-sum (Newton) identities give a second derivation from naive
-data, used as an independent oracle.
+``hecke_fast`` and ``ImageTable`` run that one at half the steps and share
+one applier, ``_apply_packed``, which squares the images of the odd parts
+of a form into every even one.  The relation itself is computed by a packed
+GF(2) linear solve whose unknowns are the monomial bits allowed by the
+degree and mod-8 congruence constraints; the classical power-sum (Newton)
+identities give a second derivation from naive data, used as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
 
-from .deltapoly import ONE, ZERO, DeltaPoly, _even_mask, from_series, monomial, to_series
+from .deltapoly import ONE, ZERO, DeltaPoly, from_series, monomial, to_series
 from .errors import (
     BadK,
     BadResidue,
@@ -278,7 +279,7 @@ def relation_residual(cp: CharPoly, precision: int) -> BitSeries:
     """F_p evaluated at the two expansions, truncated; must vanish."""
     max_j = max((sr.degree for sr in cp.s if sr), default=0)
     terms = _PackedTerms(cp.p, 8 * -(-precision // 8), max_j)
-    bits = _unpack_classes(terms.residual(cp)) & ((1 << precision) - 1)
+    bits = _unpack_classes(terms.residual(cp), 0) & ((1 << precision) - 1)
     return BitSeries(bits, precision)
 
 
@@ -504,15 +505,6 @@ def _packed_stream(cp: CharPoly, kmax: int, *, step: int = 1):
         window[i % size] = acc
 
 
-def _unpack_classes(acc: list[int]) -> int:
-    """Full exponent mask of eight per-class packed accumulators."""
-    out = 0
-    for cls, packed in enumerate(acc):
-        if packed:
-            out |= spread8(packed, cls)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _squared_blocks(c: int, s: int) -> tuple[bytes, bytes]:
     """The 2^s big-endian bytes that a clear and a set packed bit become.
@@ -539,18 +531,39 @@ def _unpack_squared(packed: int, c: int, s: int) -> int:
     return int.from_bytes(digits.replace(b"0", clear).replace(b"1", set_), "big")
 
 
-def _frobenius_sum(accs: dict[int, list[int]]) -> int:
-    """Exponent mask of the sum over s of (unpacked ``accs[s]``)^(2^s).
+def _unpack_classes(acc: list[int], s: int) -> int:
+    """Exponent mask of eight per-class packed accumulators, squared s times."""
+    out = 0
+    for c, packed in enumerate(acc):
+        if packed:
+            out |= _unpack_squared(packed, c, s)
+    return out
 
-    ``accs[s]`` holds eight class accumulators of images of odd powers.  In
-    characteristic 2, T_p(g^2) = T_p(g)^2, so the image of Delta^(2^s m) is
-    the image of Delta^m with every exponent scaled by 2^s.
+
+def _apply_packed(p: int, mask: int, odd) -> int:
+    """Exponent mask of T_p applied to the form with exponent mask ``mask``.
+
+    ``odd[m >> 1]`` is the image of Delta^m, m odd, packed on its class
+    p*m mod 8.  T_p(g^2) = T_p(g)^2 in characteristic 2, so each exponent
+    k = 2^s m xors the image of Delta^m into the accumulator of its class
+    among the eight of valuation s (odd k straight into valuation 0), and
+    each accumulator is unpacked once, squared s times.  The constant term
+    maps to 0.
     """
+    accs = {0: [0] * 8}
+    acc0 = accs[0]
+    for k in bit_positions(mask >> 1 << 1):
+        if k & 1:
+            acc0[p * k & 7] ^= odd[k >> 1]
+            continue
+        s = (k & -k).bit_length() - 1
+        m = k >> s
+        if s not in accs:
+            accs[s] = [0] * 8
+        accs[s][p * m & 7] ^= odd[m >> 1]
     out = 0
     for s, acc in accs.items():
-        for c, packed in enumerate(acc):
-            if packed:
-                out ^= _unpack_squared(packed, c, s)
+        out ^= _unpack_classes(acc, s)
     return out
 
 
@@ -579,8 +592,8 @@ class ImageTable:
     """Images of Delta^0..Delta^kmax, from the odd ones only.
 
     ``odd[j]`` is the image of Delta^(2j+1), packed on its class p(2j+1) mod 8.
-    The image of Delta^(2^s m), m odd, is that of Delta^m squared s times, and
-    the image of the constant Delta^0 is 0.
+    ``apply`` sums images through ``_apply_packed``, as ``hecke_fast`` does;
+    ``table[k]`` decodes image 2^s m, m odd, as image m squared s times.
     """
 
     p: int
@@ -600,32 +613,12 @@ class ImageTable:
         return DeltaPoly(_unpack_squared(self.odd[m >> 1], (self.p * m) % 8, s))
 
     def apply(self, mask: int) -> int:
-        """Exponent mask of T_p applied to the form with exponent mask ``mask``.
-
-        Each exponent k = 2^s m, m odd, xors the image of Delta^m into the
-        accumulator of its class among the eight of valuation s, and
-        ``_frobenius_sum`` unpacks and squares each accumulator once.  A form
-        on odd powers only, as every witness step is, takes one flat loop.
-        """
+        """Exponent mask of T_p applied to the form with exponent mask ``mask``."""
+        if mask < 0:
+            raise ValueError("exponent mask must be nonnegative")
         if mask.bit_length() > self.kmax + 1:
             raise IndexError(f"degree {mask.bit_length() - 1} above {self.kmax}")
-        p, odd = self.p, self.odd
-        acc = [0] * 8
-        if not mask & _even_mask(mask.bit_length()):
-            for k in bit_positions(mask):
-                acc[(p * k) % 8] ^= odd[k >> 1]
-            return _unpack_classes(acc)
-        accs = {0: acc}
-        for k in bit_positions(mask >> 1 << 1):
-            if k & 1:
-                acc[(p * k) % 8] ^= odd[k >> 1]
-                continue
-            s = (k & -k).bit_length() - 1
-            m = k >> s
-            if s not in accs:
-                accs[s] = [0] * 8
-            accs[s][(p * m) % 8] ^= odd[m >> 1]
-        return _frobenius_sum(accs)
+        return _apply_packed(self.p, mask, self.odd)
 
 
 def image_table(cp: CharPoly, kmax: int) -> ImageTable:
@@ -639,31 +632,18 @@ def image_table(cp: CharPoly, kmax: int) -> ImageTable:
 
 
 def hecke_fast(f: DeltaPoly, cp: CharPoly) -> DeltaPoly:
-    """T_p of an arbitrary polynomial, monomial-wise over the odd packed stream.
+    """T_p of an arbitrary polynomial, over the odd packed stream.
 
-    The image of Delta^k lies on the exponent class p*k mod 8, and the stream
-    holds it packed on that class (bit m stands for Delta^(8m + p*k mod 8)).
-    Each exponent k = 2^s m of f, m odd, draws the image of Delta^m from the
-    odd stream, which runs only to the largest odd part.  The image is xored
-    into the accumulator of its class among the eight of valuation s, and
-    ``_frobenius_sum`` unpacks each accumulator once and squares it s times.
-    The constant term maps to 0.
+    The stream runs to the largest odd part m of an exponent 2^s m of f and
+    keeps just the images of the odd parts f uses, for ``_apply_packed``.
     """
-    wanted: dict[int, list[int]] = {}
-    for k in bit_positions(f.mask >> 1 << 1):
-        s = (k & -k).bit_length() - 1
-        wanted.setdefault(k >> s, []).append(s)
+    # k >> (s + 1) = m >> 1 indexes the odd stream
+    wanted = {k >> (k & -k).bit_length() for k in bit_positions(f.mask >> 1 << 1)}
     if not wanted:
         return ZERO
-    p = cp.p
-    accs = {s: [0] * 8 for s in set(chain.from_iterable(wanted.values()))}
-    for j, packed in enumerate(_packed_stream(cp, max(wanted), step=2)):
-        valuations = wanted.get(2 * j + 1)
-        if valuations and packed:
-            c = (p * (2 * j + 1)) % 8
-            for s in valuations:
-                accs[s][c] ^= packed
-    return DeltaPoly(_frobenius_sum(accs))
+    stream = _packed_stream(cp, 2 * max(wanted) + 1, step=2)
+    odd = {j: packed for j, packed in enumerate(stream) if j in wanted}
+    return DeltaPoly(_apply_packed(cp.p, f.mask, odd))
 
 
 # ---------------------------------------------------------------------------

@@ -464,11 +464,15 @@ def test_image_table_rejects_powers_outside_it():
     with pytest.raises(IndexError):
         table.apply(1 << 21)
     assert table.apply(1 << 20) == table[20].mask
+    # the set bits of a negative int never run out
+    for mask in (-1, -6, -(1 << 30)):
+        with pytest.raises(ValueError):
+            table.apply(mask)
 
 
 def test_image_table_applies_to_the_zero_form_in_a_fresh_process():
-    # apply tests the parity of a form against the lazily built alternating
-    # mask, which a fresh process has not built yet
+    # a fresh process has built none of the package's lazy caches, and the
+    # empty form must still map to 0 there
     src = str(Path(hecke.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
@@ -503,6 +507,35 @@ def test_hecke_fast_streams_odd_powers_only(monkeypatch):
     drawn.clear()
     image_table(cp, 1000)
     assert len(drawn) == 500
+
+
+def test_hecke_fast_keeps_only_the_images_its_form_uses(monkeypatch):
+    # the odd stream runs to the largest odd part m of an exponent 2^s m, but
+    # the applier receives just the images of the odd parts, keyed m >> 1
+    rng = random.Random(15)
+    exps = {0}
+    for s in range(16):
+        exps.add(((1 << (16 - s)) - 1) << s)
+        exps.add(rng.randrange(1, 1 << (16 - s), 2) << s)
+    f = DeltaPoly.from_exponents(exps)
+    clean = hecke._apply_packed
+    drawn = []
+
+    def capturing(p, mask, odd):
+        drawn.append(dict(odd))
+        return clean(p, mask, odd)
+
+    monkeypatch.setattr(hecke, "_apply_packed", capturing)
+    got = hecke_fast(f, F3)
+    parts = {k >> ((k & -k).bit_length() - 1) for k in exps if k}
+    assert f.degree == 65535 and len(drawn) == 1
+    assert set(drawn[0]) == {m >> 1 for m in parts}
+    # the step-1 stream behind hecke_fast_range, unpacked at the exponents of f
+    want = 0
+    for k, packed in enumerate(hecke._packed_stream(F3, f.degree)):
+        if k in exps:
+            want ^= spread8(packed, 3 * k % 8)
+    assert got == DeltaPoly(want)
 
 
 @pytest.mark.parametrize(
