@@ -2,7 +2,7 @@
 
 from .codes import NEG_INF, Code, code, decode, dominant_exponent, dominates, h, h_poly, n3, n5, support
 from .deltapoly import DeltaPoly, FormDecomposition, Parity, decompose, from_series, monomial, to_series
-from .gf2series import BitSeries, delta, delta_qpow, one, zero
+from .gf2series import BitSeries, delta, one, zero
 from .hecke import (
     CharPoly,
     cached_charpoly,
@@ -33,7 +33,6 @@ __all__ = [
     "decode",
     "decompose",
     "delta",
-    "delta_qpow",
     "dominant_exponent",
     "dominates",
     "from_series",

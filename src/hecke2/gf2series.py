@@ -5,17 +5,16 @@ coefficient of ``q^n``, together with an explicit ``precision`` (the number
 of known coefficients).  Arithmetic never invents unknown coefficients:
 results carry the minimum precision of their operands.
 
-The module also provides the two generators everything else is built from:
+The module also provides the generator everything else is built from,
 ``delta`` (the weight-12 cusp form reduced mod 2, whose expansion has a
-coefficient 1 exactly at the odd squares) and its ``q -> q^p`` substitution,
-and ``delta_powers``, the ladder of the powers of ``delta`` behind the
-relation solve, its residual check and the naive power sums, each packed on
-its exponent class mod 8.  Two smaller caches of powers stay apart from it.
-``deltapoly.to_series`` builds the powers below Delta^32 unpacked, by dense
-products at each node's precision, since its leaves xor full q-series and
-unpacking this ladder's powers there made the expansion slower.
-``deltapoly.from_series`` keeps the powers for the gaps between the exponents
-it peels off.
+coefficient 1 exactly at the odd squares), and ``delta_powers``, the ladder
+of the powers of ``delta`` behind the relation solve, its residual check and
+the naive power sums, each packed on its exponent class mod 8.  Two smaller
+caches of powers stay apart from it.  ``deltapoly.to_series`` builds the
+powers below Delta^32 unpacked, by dense products at each node's precision,
+since its leaves xor full q-series and unpacking this ladder's powers there
+made the expansion slower.  ``deltapoly.from_series`` keeps the powers for
+the gaps between the exponents it peels off.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "one",
     "delta",
     "delta_powers",
-    "delta_qpow",
 ]
 
 # Below these popcounts a plain Python loop beats the numpy round trip.
@@ -277,16 +275,3 @@ def delta_powers(n: int, kmax: int) -> list[int]:
         out.append(cur & keep[j % 8])
     return out[: kmax + 1]
 
-
-def delta_qpow(p: int, precision: int) -> BitSeries:
-    """The generator with ``q`` replaced by ``q^p``: bits at ``p * m**2``, m odd."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    bits = 0
-    m = 1
-    while p * m * m < precision:
-        bits |= 1 << (p * m * m)
-        m += 2
-    return BitSeries(bits, precision)

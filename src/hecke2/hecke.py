@@ -15,7 +15,8 @@ on their classes.  In characteristic 2, T_p(g^2) = T_p(g)^2, and the odd
 images obey the same kind of recurrence with the coefficients squared, so
 ``hecke_fast`` and ``ImageTable`` run that one at half the steps and share
 one applier, ``_apply_packed``, which squares the images of the odd parts
-of a form into every even one.  The relation itself is computed by a packed
+of a form into every even one; ``shared_image_table`` keeps one table per
+relation across calls for the witness route.  The relation itself is computed by a packed
 GF(2) linear solve whose unknowns are the monomial bits allowed by the
 degree and mod-8 congruence constraints; the classical power-sum (Newton)
 identities give a second derivation from naive data, used as an
@@ -30,7 +31,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
 
-from .deltapoly import ONE, ZERO, DeltaPoly, from_series, monomial, to_series
+from .deltapoly import ONE, ZERO, DeltaPoly, _even_mask, from_series, monomial, to_series
 from .errors import (
     BadK,
     BadResidue,
@@ -64,6 +65,7 @@ __all__ = [
     "hecke_fast",
     "ImageTable",
     "image_table",
+    "shared_image_table",
     "GF2Matrix",
     "hecke_matrix",
     "prop1_closed_form",
@@ -546,16 +548,16 @@ def _apply_packed(p: int, mask: int, odd) -> int:
     ``odd[m >> 1]`` is the image of Delta^m, m odd, packed on its class
     p*m mod 8.  T_p(g^2) = T_p(g)^2 in characteristic 2, so each exponent
     k = 2^s m xors the image of Delta^m into the accumulator of its class
-    among the eight of valuation s (odd k straight into valuation 0), and
-    each accumulator is unpacked once, squared s times.  The constant term
-    maps to 0.
+    among the eight of valuation s, and each accumulator is unpacked once,
+    squared s times.  The odd exponents are split off by one mask and go
+    straight into valuation 0.  The constant term maps to 0.
     """
-    accs = {0: [0] * 8}
-    acc0 = accs[0]
-    for k in bit_positions(mask >> 1 << 1):
-        if k & 1:
-            acc0[p * k & 7] ^= odd[k >> 1]
-            continue
+    even = mask & _even_mask(mask.bit_length())
+    acc0 = [0] * 8
+    accs = {0: acc0}
+    for k in bit_positions(mask ^ even):
+        acc0[p * k & 7] ^= odd[k >> 1]
+    for k in bit_positions(even >> 1 << 1):
         s = (k & -k).bit_length() - 1
         m = k >> s
         if s not in accs:
@@ -629,6 +631,32 @@ def image_table(cp: CharPoly, kmax: int) -> ImageTable:
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     return ImageTable(cp.p, kmax, tuple(_packed_stream(cp, kmax, step=2)))
+
+
+# relations whose tables ``shared_image_table`` keeps, the least recently used dropped first
+_SHARED_RELATIONS = 8
+_shared_tables: dict[CharPoly, ImageTable] = {}
+
+
+def shared_image_table(cp: CharPoly, kmax: int) -> ImageTable:
+    """An image table of ``cp`` reaching at least ``kmax``, kept for later calls.
+
+    The process-wide store is keyed on the relation itself, so a relation that
+    differs from F_p in one bit gets its own table.  It holds one table per
+    relation, for at most ``_SHARED_RELATIONS`` relations.  A request at or
+    below the held table's kmax reuses it; a larger one replaces it with a
+    table to the next 2^j - 1, so a run of growing requests streams each odd
+    image about twice.  ``len`` of the result may exceed kmax + 1.
+    """
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    table = _shared_tables.pop(cp, None)
+    if table is None or table.kmax < kmax:
+        table = image_table(cp, (1 << kmax.bit_length()) - 1)
+    _shared_tables[cp] = table  # reinserted: dict order is recency order
+    if len(_shared_tables) > _SHARED_RELATIONS:
+        del _shared_tables[next(iter(_shared_tables))]
+    return table
 
 
 def hecke_fast(f: DeltaPoly, cp: CharPoly) -> DeltaPoly:

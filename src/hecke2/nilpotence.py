@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .codes import NEG_INF, Code, code, dominant_exponent, h, n3, n5
 from .deltapoly import DeltaPoly, Parity, decompose
 from .errors import NotOddForm, WitnessFailed, ZeroPolynomial
-from .hecke import cached_charpoly, image_table, is_odd_prime
+from .hecke import cached_charpoly, is_odd_prime, shared_image_table
 
 __all__ = [
     "NilpotenceReport",
@@ -83,7 +83,14 @@ def g_general(f: DeltaPoly) -> NilpotenceReport:
 
 
 def apply_witness(f: DeltaPoly) -> DeltaPoly:
-    """Apply T_3^(n3) T_5^(n5) for the dominant-exponent code; must yield Delta."""
+    """Apply T_3^(n3) T_5^(n5) for the dominant-exponent code; must yield Delta.
+
+    The T_3 and T_5 tables come from ``hecke.shared_image_table``, the
+    process-wide store keyed on the relation, so a call at or below the
+    degree of a held table reuses it.  T_p never raises the degree, so an
+    image above the form's degree raises WitnessFailed, however far the held
+    table reaches.
+    """
     parity = f.parity_class()
     if parity is Parity.ZERO:
         raise ZeroPolynomial("the zero form has no witness")
@@ -95,9 +102,11 @@ def apply_witness(f: DeltaPoly) -> DeltaPoly:
     for p, times in ((3, a), (5, b)):
         if not times:
             continue
-        table = image_table(cached_charpoly(p), deg)
+        table = shared_image_table(cached_charpoly(p), deg)
         for _ in range(times):
             out = table.apply(out)
+            if out.bit_length() > deg + 1:  # T_p never raises the degree
+                raise WitnessFailed(f"T{p} took the form above degree {deg}")
     result = DeltaPoly(out)
     if out != 2:
         raise WitnessFailed(
@@ -115,7 +124,8 @@ def g_bruteforce(f: DeltaPoly, primes) -> int | float:
     this is C(L + |primes| - 1, |primes| - 1) operator chains.
 
     The value is at most the true order of nilpotence, with equality whenever
-    3 and 5 are both available.
+    3 and 5 are both available.  The tables come from
+    ``hecke.shared_image_table``, as ``apply_witness``'s do.
     """
     plist = sorted(set(primes))
     if not plist:
@@ -125,7 +135,7 @@ def g_bruteforce(f: DeltaPoly, primes) -> int | float:
             raise ValueError(f"{p} is not an odd prime")
     if not f:
         return NEG_INF
-    tables = [image_table(cached_charpoly(p), f.degree) for p in plist]
+    tables = [shared_image_table(cached_charpoly(p), f.degree) for p in plist]
     memo: dict[int, int] = {0: 0}
 
     def survive(mask: int) -> int:

@@ -24,6 +24,7 @@ from .deltapoly import DeltaPoly, Parity, _even_mask, decompose, from_series, mo
 from .errors import Hecke2Error, ParityMismatch
 from .gf2series import bit_positions, clmul
 from .hecke import (
+    ImageTable,
     _naive_monomial_range,
     _packed_stream,
     cached_charpoly,
@@ -35,6 +36,7 @@ from .hecke import (
     odd_primes_up_to,
     prop1_closed_form,
     relation_residual,
+    shared_image_table,
     structure_violations,
 )
 from .nilpotence import (
@@ -740,6 +742,15 @@ def _theta_vanishing(cfg: VerifyConfig) -> str:
     return f"v<={vmax}"
 
 
+def _witness_tables(deg: int) -> dict[int, ImageTable]:
+    """The stored T_3 and T_5 tables (``shared_image_table``) reaching ``deg``.
+
+    The claims below pass the largest odd exponent of their random forms, one
+    below their even degree bound; ``apply_witness`` reads the same tables.
+    """
+    return {p: shared_image_table(cached_charpoly(p), deg) for p in (3, 5)}
+
+
 @_claim("witness-chain", "theorem")
 def _witness_chain(cfg: VerifyConfig) -> str:
     kmax = 1023
@@ -756,7 +767,7 @@ def _witness_chain(cfg: VerifyConfig) -> str:
 def _h_decrement(cfg: VerifyConfig) -> str:
     rng = random.Random(0x3D)
     deg = 2048
-    tables = {p: image_table(cached_charpoly(p), deg) for p in (3, 5)}
+    tables = _witness_tables(deg - 1)
     for _ in range(500):
         f = DeltaPoly(_random_pure_mask(rng, deg, True))
         for p in (3, 5):
@@ -769,7 +780,7 @@ def _h_decrement(cfg: VerifyConfig) -> str:
 def _dominant_code_decrement(cfg: VerifyConfig) -> str:
     rng = random.Random(0xDC)
     deg = 2048
-    tables = {p: image_table(cached_charpoly(p), deg) for p in (3, 5)}
+    tables = _witness_tables(deg - 1)
     hits3 = hits5 = 0
     for _ in range(400):
         f = DeltaPoly(_random_pure_mask(rng, deg, True))
@@ -793,7 +804,7 @@ def _dominant_code_decrement(cfg: VerifyConfig) -> str:
 def _delta_kernel(cfg: VerifyConfig) -> str:
     rng = random.Random(0x15)
     deg = 1024
-    tables = {p: image_table(cached_charpoly(p), deg) for p in (3, 5)}
+    tables = _witness_tables(deg - 1)
     assert tables[3].apply(2) == 0 and tables[5].apply(2) == 0
     for _ in range(500):
         f = _random_pure_mask(rng, deg, True)

@@ -9,12 +9,14 @@ Each benchmark times one batch of calls, with the relations and tables built
 outside the timed region, and checks the batch's results once afterwards.
 """
 
+import itertools
 import random
 
 import pytest
 
-from hecke2.deltapoly import DeltaPoly
+from hecke2.deltapoly import DeltaPoly, decompose, monomial
 from hecke2.hecke import cached_charpoly, hecke_fast, image_table, odd_primes_up_to
+from hecke2.nilpotence import apply_witness, g_general
 
 PRIMES = odd_primes_up_to(31)
 
@@ -23,6 +25,19 @@ def sparse_mask(rng: random.Random, degree: int, terms: int, odd: bool = False) 
     pool = range(1, degree, 2) if odd else range(degree)
     mask = 1 << degree
     for e in rng.sample(pool, terms - 1):
+        mask |= 1 << e
+    return mask
+
+
+def witness_mask(rng: random.Random, degree: int, terms: int, odd: bool) -> int:
+    # degree is 2^n - 1; 2-adic part s (s = 0 only when odd, else s = 0..3)
+    # holds the anchor (2^(n-s) - 1) << s, whose part exponent dominates the
+    # part, and the random terms lie below the anchors
+    parts = 1 if odd else 4
+    anchors = {((degree + 1 >> s) - 1) << s for s in range(parts)}
+    pool = [e for e in range(1, degree) if (e & -e) < 1 << parts and e not in anchors]
+    mask = 0
+    for e in itertools.chain(anchors, rng.sample(pool, terms - parts)):
         mask |= 1 << e
     return mask
 
@@ -90,3 +105,27 @@ def test_image_table_lookups(benchmark):
 
     out = benchmark(lookups)
     assert len(out) == 2010 and out[1024].mask == table.apply(1 << 1024)
+
+
+def test_witness_query_forms(benchmark):
+    # the witness ops of the queries workload: g_general and a witness per
+    # 2-adic part of 15 odd and 15 mixed 24-term forms at degrees 1023, 2047
+    # and 4095; apply_witness reads its tables from the shared store, which
+    # one untimed pass fills
+    rng = random.Random(4)
+    forms = [
+        DeltaPoly(witness_mask(rng, (1023, 2047, 4095)[i % 3], 24, odd))
+        for odd in (True, False)
+        for i in range(15)
+    ]
+
+    def witnesses():
+        return [
+            (g_general(f).g, [apply_witness(part) for _, part in decompose(f).components])
+            for f in forms
+        ]
+
+    witnesses()
+    out = benchmark(witnesses)
+    results = [r for _, rs in out for r in rs]
+    assert len(results) == 15 + 4 * 15 and set(results) == {monomial(1)}

@@ -79,7 +79,7 @@ def test_criterion_03_bench_to_101():
 
 @pytest.mark.long
 def test_criterion_03b_bench_to_257():
-    with budget("03b-bench-257", 8.0):
+    with budget("03b-bench-257", 4.0):
         for p in odd_primes_up_to(257):
             cp = compute_charpoly(p)
             assert structure_violations(cp) == []

@@ -12,12 +12,12 @@ from hecke2.gf2series import (
     bit_positions,
     clmul,
     delta,
-    delta_qpow,
     one,
     spread_bits,
     stride_bits,
     zero,
 )
+from qseries import delta_qpow
 
 
 def conv_oracle(a: BitSeries, b: BitSeries) -> BitSeries:

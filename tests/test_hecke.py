@@ -21,7 +21,6 @@ from hecke2.gf2series import (
     clmul,
     delta,
     delta_powers,
-    delta_qpow,
     one,
     pack8,
     spread8,
@@ -43,8 +42,10 @@ from hecke2.hecke import (
     iter_hecke_fast,
     prop1_closed_form,
     relation_residual,
+    shared_image_table,
     structure_violations,
 )
+from qseries import delta_qpow
 
 
 def poly(*exponents):
@@ -453,6 +454,43 @@ def test_every_2adic_valuation():
             assert table.apply(f.mask) == acc, (p, f.degree)
         assert hecke_fast(ONE, cp) == ZERO and table.apply(ONE.mask) == 0
         assert table[0] == ZERO
+
+
+def test_shared_table_rounds_up_and_serves_smaller_requests(monkeypatch):
+    monkeypatch.setattr(hecke, "_shared_tables", {})
+    with pytest.raises(ValueError):
+        shared_image_table(F3, -1)
+    rng = random.Random(16)
+    for p in (3, 5, 7):
+        cp = cached_charpoly(p)
+        # a fresh store builds to the next 2^j - 1, and only a larger request regrows it
+        assert [shared_image_table(cp, k).kmax for k in (0, 1, 2, 1023, 1024, 5, 2047)] == [
+            0, 1, 3, 1023, 2047, 2047, 2047
+        ]
+        big = shared_image_table(cp, 2047)
+        small = shared_image_table(cp, 100)
+        assert small is big
+        fresh = image_table(cp, 100)
+        assert [small[k] for k in range(101)] == [fresh[k] for k in range(101)], p
+        for _ in range(20):
+            mask = rng.getrandbits(101)
+            assert small.apply(mask) == fresh.apply(mask), p
+
+
+def test_shared_store_holds_at_most_its_bound(monkeypatch):
+    store = {}
+    monkeypatch.setattr(hecke, "_shared_tables", store)
+    bound = hecke._SHARED_RELATIONS
+    primes = hecke.odd_primes_up_to(61)
+    assert len(primes) > bound
+    for p in primes:
+        shared_image_table(cached_charpoly(p), 50)
+        assert len(store) <= bound
+    assert [cp.p for cp in store] == primes[-bound:]
+    # a hit makes its relation the most recent, so the next one in line goes
+    shared_image_table(cached_charpoly(primes[-bound]), 10)
+    shared_image_table(F3, 10)
+    assert [cp.p for cp in store] == [*primes[-bound + 2 :], primes[-bound], 3]
 
 
 def test_image_table_rejects_powers_outside_it():

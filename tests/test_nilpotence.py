@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
+from hecke2 import hecke, nilpotence
 from hecke2.codes import NEG_INF, h
 from hecke2.deltapoly import ZERO, DeltaPoly
-from hecke2.errors import NotOddForm, ZeroPolynomial
-from hecke2.hecke import cached_charpoly, hecke_fast
+from hecke2.errors import NotOddForm, WitnessFailed, ZeroPolynomial
+from hecke2.hecke import CharPoly, cached_charpoly, hecke_fast
 from hecke2.nilpotence import (
     apply_witness,
     check_bounds_g,
@@ -76,6 +77,48 @@ def test_apply_witness():
         apply_witness(ZERO)
     with pytest.raises(NotOddForm):
         apply_witness(poly(2))
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    # the shared image tables start empty, so a test sees only what it builds
+    store = {}
+    monkeypatch.setattr(hecke, "_shared_tables", store)
+    return store
+
+
+def test_witnesses_stream_each_relation_twice(monkeypatch, empty_store):
+    # 1023 builds both tables, 4095 regrows them, 2047 and 4095 reuse them
+    built = []
+    stream = hecke._packed_stream
+
+    def counted(cp, kmax, *, step=1):
+        if step == 2:
+            built.append(cp.p)
+        return stream(cp, kmax, step=step)
+
+    monkeypatch.setattr(hecke, "_packed_stream", counted)
+    for k in (1023, 4095, 2047, 4095):
+        assert apply_witness(poly(k, 5, 3)) == poly(1), k
+    assert sorted(built) == [3, 3, 5, 5]
+    assert {cp.p: table.kmax for cp, table in empty_store.items()} == {3: 4095, 5: 4095}
+
+
+def test_witness_is_never_served_the_table_of_another_relation(monkeypatch, empty_store):
+    f = poly(1023, 5, 3)
+    assert apply_witness(f) == poly(1)
+    # s_1 = X^3 at p=3: on its class mod 8, but above the degree bound, so
+    # T_3 raises the degree
+    true3 = cached_charpoly(3)
+    s = list(true3.s)
+    s[0] = DeltaPoly(s[0].mask ^ 1 << 3)
+    flipped = CharPoly(3, tuple(s))
+    monkeypatch.setattr(
+        nilpotence, "cached_charpoly", lambda p: flipped if p == 3 else cached_charpoly(p)
+    )
+    with pytest.raises(WitnessFailed, match="T3 took the form above degree 1023"):
+        apply_witness(f)
+    assert flipped in empty_store and true3 in empty_store
 
 
 def test_witness_chain_against_operator_count():
