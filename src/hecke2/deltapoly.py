@@ -18,6 +18,8 @@ from .gf2series import (
     bit_positions,
     clmul,
     delta,
+    delta_powers,
+    spread8,
     spread_bits,
     square_multiply,
     stride_bits,
@@ -222,12 +224,14 @@ def _expand(mask: int, precision: int, dbits: int, ladders: dict[int, list[int]]
 def from_series(f: BitSeries, max_deg: int) -> DeltaPoly:
     """Recover the unique polynomial of degree <= ``max_deg`` matching ``f``.
 
-    Peels off the least nonzero coefficient ``j`` (each power of the
-    generator starts with ``q^j``), so the residual's valuation strictly
-    increases.  A residual term with ``j > max_deg`` means no polynomial in
-    the degree budget matches the known coefficients; non-membership beyond
-    the supplied precision is not decidable, so a match here only certifies
-    agreement on the known window.
+    Every power Delta^e starts with ``q^e``, so peeling off the least
+    nonzero coefficient ``j`` strictly raises the residual's valuation.  A
+    residual term with ``j > max_deg`` means no polynomial in the degree
+    budget matches the known coefficients; non-membership beyond the
+    supplied precision is not decidable, so a match here only certifies
+    agreement on the known window.  The peel runs one exponent class mod 8
+    at a time (see ``_peel``), from the packed Delta^0..Delta^7 below the
+    precision.
     """
     if max_deg < 0:
         raise ValueError("max_deg must be nonnegative")
@@ -235,24 +239,63 @@ def from_series(f: BitSeries, max_deg: int) -> DeltaPoly:
         raise PrecisionTooLow(
             f"precision {f.precision} cannot pin down degree <= {max_deg}"
         )
-    d = delta(f.precision)
-    gap_powers: dict[int, int] = {}
-    residual = f.bits
+    return _peel(f.bits, f.precision, max_deg, delta_powers(f.precision, 7))
+
+
+def _peel(bits: int, precision: int, max_deg: int, ladder: list[int]) -> DeltaPoly:
+    """The polynomial of degree <= ``max_deg`` expanding to ``bits`` below ``precision``.
+
+    Delta^e lies on the q-exponents congruent to e mod 8, so class c of the
+    series fixes exactly the exponents e = 8m + c of the polynomial, and each
+    class is peeled on its own, packed (bit m stands for q^(8m + c)).  The
+    class starts from packed Delta^c, and moving from exponent 8m + c to
+    8m' + c multiplies by Delta^(8(m' - m)), which packed on class 0 is the
+    plain series of Delta^(m' - m): a gap power at an eighth of the
+    precision and an eighth of the exponent.
+
+    ``ladder`` is ``delta_powers(n, kmax)`` with n >= ``precision`` and
+    kmax >= 7; its items give the starting powers and every gap below
+    kmax + 1, the rest come from square-and-multiply.  The error names the
+    lowest exponent above ``max_deg`` left on any class, the term a peel of
+    the whole series in ascending order stops at.
+    """
+    width = (precision + 7) // 8  # packed precision of class 0, the widest
+    gaps = {0: [0]}  # set-bit positions of the gap powers
+    digits = format(bits, f"0{8 * width}b")
     mask = 0
-    cur = 1  # expansion of the current generator power
-    last = 0
-    while residual:
-        j = (residual & -residual).bit_length() - 1
-        if j > max_deg:
-            raise NotAPolynomial(
-                f"residual term q^{j} exceeds the degree bound {max_deg}"
-            )
-        gap = j - last
-        step = gap_powers.get(gap)
-        if step is None:
-            step = gap_powers[gap] = d.pow(gap).bits
-        cur = clmul(cur, step) & ((1 << f.precision) - 1)
-        last = j
-        mask ^= 1 << j
-        residual ^= cur
+    stops = []
+    for c in range(8):
+        residual = int(digits[7 - c :: 8], 2)
+        keep = (1 << ((precision - c + 7) // 8)) - 1
+        cur = ladder[c] & keep  # packed expansion of the current power
+        if residual and not cur & 1:
+            raise ValueError(f"ladder item {c} does not start at q^{c}")
+        last = 0
+        while residual:
+            m = (residual & -residual).bit_length() - 1
+            if 8 * m + c > max_deg:
+                stops.append(8 * m + c)
+                break
+            gap = m - last
+            step = gaps.get(gap)
+            if step is None:
+                if gap < len(ladder):
+                    low = ladder[gap] & ((1 << ((width - gap % 8 + 7) // 8)) - 1)
+                    power = spread8(low, gap % 8)
+                else:
+                    power = delta(width).pow(gap).bits
+                step = gaps[gap] = bit_positions(power)
+                if step[:1] != [gap]:  # else the residual's valuation could stall
+                    raise ValueError(f"ladder item {gap} does not start at q^{gap}")
+            acc = 0
+            for n in step:
+                acc ^= cur << n
+            cur = acc & keep
+            last = m
+            mask ^= 1 << (8 * m + c)
+            residual ^= cur
+    if stops:
+        raise NotAPolynomial(
+            f"residual term q^{min(stops)} exceeds the degree bound {max_deg}"
+        )
     return DeltaPoly(mask)

@@ -13,8 +13,11 @@ the naive power sums, each packed on its exponent class mod 8.  Two smaller
 caches of powers stay apart from it.  ``deltapoly.to_series`` builds the
 powers below Delta^32 unpacked, by dense products at each node's precision,
 since its leaves xor full q-series and unpacking this ladder's powers there
-made the expansion slower.  ``deltapoly.from_series`` keeps the powers for
-the gaps between the exponents it peels off.
+made the expansion slower.  Recognition in ``deltapoly`` peels one class
+mod 8 at a time: it starts each class from this ladder's packed Delta^c and
+steps by Delta^(8g), which packed on class 0 is the plain series of Delta^g,
+read from the ladder's items below the precision or raised by
+square-and-multiply past them.
 """
 
 from __future__ import annotations

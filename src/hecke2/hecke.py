@@ -31,7 +31,16 @@ from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
 
-from .deltapoly import ONE, ZERO, DeltaPoly, _even_mask, from_series, monomial, to_series
+from .deltapoly import (
+    ONE,
+    ZERO,
+    DeltaPoly,
+    _even_mask,
+    _peel,
+    from_series,
+    monomial,
+    to_series,
+)
 from .errors import (
     BadK,
     BadResidue,
@@ -154,7 +163,12 @@ def hecke_naive_series(f: BitSeries, p: int) -> BitSeries:
 
 
 def hecke_naive(f: DeltaPoly, p: int) -> DeltaPoly:
-    """T_p through q-expansions, at the minimal reconstructing precision."""
+    """T_p through q-expansions, at the minimal reconstructing precision.
+
+    The image of a degree-d form is known to precision d + 1, which pins
+    down a polynomial of degree <= d; ``from_series`` recognizes it one
+    exponent class mod 8 at a time.
+    """
     _require_odd_prime(p)
     if not f:
         return ZERO
@@ -169,14 +183,21 @@ def hecke_naive(f: DeltaPoly, p: int) -> DeltaPoly:
 
 
 def _naive_monomial_range(p: int, kmax: int) -> list[DeltaPoly]:
-    """Naive images of every power 0..kmax, sharing one expansion ladder."""
+    """Naive images of every power 0..kmax from one packed ladder.
+
+    The ladder ``delta_powers(p*kmax + 1, max(kmax, 7))`` gives both the
+    expansion of each power and every power the peel of an image needs:
+    the starting Delta^0..Delta^7 and the gaps, which stay below k/8.  So
+    recognition computes no powers of its own.
+    """
     _require_odd_prime(p)
+    ladder = delta_powers(p * kmax + 1, max(kmax, 7))
     out = [ZERO]
-    for k, packed in enumerate(delta_powers(p * kmax + 1, kmax)[1:], 1):
+    for k in range(1, kmax + 1):
         # Delta^k at hecke_naive's precision p*k + 1: packed bits 8m + k mod 8 <= p*k
-        low = packed & ((1 << ((p * k - k % 8) // 8 + 1)) - 1)
+        low = ladder[k] & ((1 << ((p * k - k % 8) // 8 + 1)) - 1)
         image = hecke_naive_series(BitSeries(spread8(low, k % 8), p * k + 1), p)
-        out.append(from_series(image, k))
+        out.append(_peel(image.bits, image.precision, k, ladder))
     return out
 
 

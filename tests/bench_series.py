@@ -1,0 +1,53 @@
+"""Timings of q-series recognition, ``from_series`` and the peel it shares.
+
+The file name keeps it out of the tier-1 suite; run it with pytest-benchmark
+installed as
+
+    pytest tests/bench_series.py
+
+Each benchmark times one batch of calls, with its inputs built outside the
+timed region, and checks the batch's results once afterwards.
+"""
+
+import random
+
+from hecke2.deltapoly import DeltaPoly, from_series, to_series
+from hecke2.hecke import (
+    _naive_monomial_range,
+    cached_charpoly,
+    hecke_fast_range,
+    hecke_naive,
+    hecke_naive_series,
+    odd_primes_up_to,
+)
+
+
+def test_from_series_oracle_images(benchmark):
+    # the naive images of the oracle workload: dense forms of degree 64-512
+    # at every prime up to 31, recognized at hecke_naive's precision
+    rng = random.Random(1)
+    cases = []
+    for p in odd_primes_up_to(31):
+        for degree in (64, 128, 199, 256, 384, 512):
+            f = DeltaPoly(rng.getrandbits(degree) | 1 << degree)
+            cases.append((hecke_naive_series(to_series(f, p * degree + 1), p), degree, p, f))
+
+    def recognize():
+        return [from_series(image, degree) for image, degree, _, _ in cases]
+
+    out = benchmark(recognize)
+    _, _, p, f = cases[-1]
+    assert out[-1] == hecke_naive(f, p)
+
+
+def test_naive_monomial_range_newton_sums(benchmark):
+    # the power sums of the Newton oracle at p=61: 186 naive images, each
+    # peeled against the ladder that expanded it
+    out = benchmark(_naive_monomial_range, 61, 186)
+    assert out == hecke_fast_range(cached_charpoly(61), 186)
+
+
+def test_from_series_dense_round_trip(benchmark):
+    f = DeltaPoly(random.Random(2).getrandbits(10_000) | 1 << 10_000)
+    series = to_series(f, 10_001)
+    assert benchmark(from_series, series, 10_000) == f

@@ -3,7 +3,7 @@
 All arithmetic is exact over GF(2); every comparison is bit-exact with zero
 tolerance.  Each test prints one `ACCEPTANCE <id>: PASS (<ms> ms)` line (run
 pytest with -s to see them) and enforces its runtime budget.  Full-scale
-ranges (criteria 3b and 7b) are gated behind HECKE2_LONG=1.
+ranges (criteria 3b, 7b and 12b) are gated behind HECKE2_LONG=1.
 """
 
 import random
@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from hecke2.cli import MAX_FORM_DEGREE
 from hecke2.codes import h, h_poly
 from hecke2.deltapoly import ZERO, DeltaPoly, decompose, from_series, to_series
 from hecke2.gf2series import bit_positions
@@ -215,3 +216,14 @@ def test_criterion_12_property_suites():
             d = f.degree if f else 0
             assert from_series(to_series(f, d + 1), d) == f
             assert decompose(f).reassemble() == f
+
+
+@pytest.mark.long
+def test_criterion_12b_naive_fast_at_form_cap():
+    # both routes on one dense form of the largest degree the CLI accepts;
+    # the naive image expands to q^196606 and is recognized at degree 65535
+    with budget("12b-naive-fast-form-cap", 12.0):
+        f = DeltaPoly(random.Random(1213).getrandbits(MAX_FORM_DEGREE) | 1 << MAX_FORM_DEGREE)
+        image = hecke_naive(f, 3)
+        assert image == hecke_fast(f, cached_charpoly(3))
+        assert 0 < image.degree < f.degree

@@ -16,7 +16,7 @@ from hecke2.deltapoly import (
     to_series,
 )
 from hecke2.errors import NotAPolynomial, PrecisionTooLow, ZeroPolynomial
-from hecke2.gf2series import BitSeries, delta, zero
+from hecke2.gf2series import BitSeries, clmul, delta, zero
 
 
 def poly(*exponents):
@@ -89,6 +89,72 @@ def test_from_series_rejects_non_polynomial():
         assert to_series(cand, 16) != target
     with pytest.raises(NotAPolynomial):
         from_series(target, 5)
+
+
+def single_stream_peel(f: BitSeries, max_deg: int) -> DeltaPoly:
+    """The peel from_series ran before it split the series by class mod 8."""
+    d = delta(f.precision)
+    gap_powers = {}
+    residual = f.bits
+    mask = 0
+    cur = 1
+    last = 0
+    while residual:
+        j = (residual & -residual).bit_length() - 1
+        if j > max_deg:
+            raise NotAPolynomial(f"residual term q^{j} exceeds the degree bound {max_deg}")
+        gap = j - last
+        if gap not in gap_powers:
+            gap_powers[gap] = d.pow(gap).bits
+        cur = clmul(cur, gap_powers[gap]) & ((1 << f.precision) - 1)
+        last = j
+        mask ^= 1 << j
+        residual ^= cur
+    return DeltaPoly(mask)
+
+
+def peel_outcome(peel, f: BitSeries, max_deg: int):
+    try:
+        return peel(f, max_deg)
+    except NotAPolynomial as exc:
+        return str(exc)
+
+
+def test_from_series_matches_single_stream_peel():
+    rng = random.Random(0x9E)
+    outcomes = []
+    for i in range(600):
+        deg = rng.randint(0, 600)
+        precision = deg + 1 + rng.choice((0, 0, 1, 7, rng.randint(8, 600)))
+        if i % 3 == 2:  # random bits: mostly no polynomial above precision deg+1
+            series = BitSeries(rng.getrandbits(precision), precision)
+        else:
+            series = to_series(DeltaPoly(rng.getrandbits(deg) | 1 << deg), precision)
+            if i % 3 == 1:  # one flipped coefficient
+                series = BitSeries(series.bits ^ 1 << rng.randrange(precision), precision)
+        want = peel_outcome(single_stream_peel, series, deg)
+        assert peel_outcome(from_series, series, deg) == want, (i, deg, precision)
+        outcomes.append(isinstance(want, str))
+    assert 100 < sum(outcomes) < 500  # both outcomes are well covered
+
+
+def test_from_series_dense_round_trip():
+    f = DeltaPoly(random.Random(0x10).getrandbits(10_000) | 1 << 10_000)
+    assert from_series(to_series(f, 10_001), 10_000) == f
+
+
+def test_not_a_polynomial_names_the_lowest_offending_exponent():
+    # each class stops at its own offending term; the error names the lowest,
+    # here on a higher class than the other: q^7 on class 7 below q^8 on
+    # class 0, and q^14 on class 6 below q^17 on class 1
+    base = to_series(poly(1, 3, 6), 40).bits
+    for extra, max_deg, lowest in ((1 << 7 | 1 << 8, 6, 7), (1 << 14 | 1 << 17, 13, 14)):
+        series = BitSeries(base ^ extra, 40)
+        message = f"residual term q^{lowest} exceeds the degree bound {max_deg}"
+        assert peel_outcome(single_stream_peel, series, max_deg) == message
+        with pytest.raises(NotAPolynomial) as exc:
+            from_series(series, max_deg)
+        assert str(exc.value) == message
 
 
 def test_from_series_requires_precision():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hecke2.deltapoly import ONE, ZERO, DeltaPoly, to_series
+from hecke2.deltapoly import ONE, ZERO, DeltaPoly, from_series, monomial, to_series
 from hecke2.errors import (
     BadK,
     BadResidue,
@@ -294,6 +294,69 @@ def test_newton_oracle_rejects_corrupted_stream(p, monkeypatch):
         monkeypatch.setattr(hecke, "_packed_stream", corrupted)
         with pytest.raises(SingularSystem, match=f"identity {k} does not close"):
             charpoly_via_newton(p)
+
+
+@pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES)
+def test_naive_monomial_range_matches_from_series(p):
+    # the range peels against its expansion ladder, from_series computes its own
+    kmax = 3 * (p + 1)
+    want = [
+        from_series(hecke_naive_series(to_series(monomial(k), p * k + 1), p), k)
+        for k in range(kmax + 1)
+    ]
+    assert hecke._naive_monomial_range(p, kmax) == want
+
+
+def flipped_ladder(monkeypatch, j: int, e: int) -> None:
+    """Make ``hecke.delta_powers`` return item j with the coefficient of q^e flipped."""
+    clean = delta_powers
+
+    def corrupted(n, kmax):
+        out = clean(n, kmax)
+        out[j] ^= 1 << (e >> 3)  # e lies on the class j mod 8
+        return out
+
+    monkeypatch.setattr(hecke, "delta_powers", corrupted)
+
+
+@pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES)
+def test_newton_oracle_rejects_a_corrupted_shared_ladder(p, monkeypatch):
+    # the naive power sums expand each power from the ladder and peel the
+    # images against its low items, so a wrong item must not cancel out: a
+    # flip at a q-exponent 0 < e <= p*j divisible by p changes the naive
+    # image of Delta^j (T_p kills q^0), on every item the peel reads as a
+    # gap power and on p+1 and 3(p+1), at the lowest and highest such e
+    rmax = 3 * (p + 1)
+    flips = []
+    for j in sorted({*range(1, rmax // 8 + 1), p + 1, rmax}):
+        es = [p * t for t in range(1, j + 1) if (p * t - j) % 8 == 0]
+        if es:
+            flips += [(j, e) for e in {es[0], es[-1]}]
+    assert len(flips) >= 3
+    for j, e in flips:
+        flipped_ladder(monkeypatch, j, e)
+        with pytest.raises(SingularSystem):
+            charpoly_via_newton(p)
+
+
+@pytest.mark.parametrize("p", [11, 13, 31, 41])
+def test_newton_oracle_rejects_a_corrupted_starting_power(p, monkeypatch):
+    # Delta^1..Delta^7 start the peel of every class; a flip of their second
+    # term q^(j+8) reaches the expansion only when p divides j + 8, so it is
+    # the peel that must carry the fault into the power sums
+    for j in range(1, 8):
+        flipped_ladder(monkeypatch, j, j + 8)
+        with pytest.raises(SingularSystem):
+            charpoly_via_newton(p)
+
+
+def test_peel_rejects_a_ladder_item_off_its_leading_term(monkeypatch):
+    # a power that does not start at its own q-exponent would stall the
+    # residual's valuation; the peel raises instead of looping
+    for j, e in ((3, 3), (8, 0), (8, 8)):
+        flipped_ladder(monkeypatch, j, e)
+        with pytest.raises(ValueError, match=f"ladder item {j} does not start"):
+            charpoly_via_newton(41)
 
 
 def newton_initial_sums(cp: CharPoly) -> list[DeltaPoly]:
