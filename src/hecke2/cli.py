@@ -39,10 +39,10 @@ MAX_FORM_DEGREE = 65535
 FORM_HELP = f"comma-separated exponents, each at most {MAX_FORM_DEGREE}"
 # Largest --p and --pmax (`verify` and `bench` solve F_p at every prime up to
 # --pmax).  With the relation solve's window of (p+1)^2 + 1 bits, `fp compute
-# --p 499` takes about 1 s and 115 MB on a 2-core machine; the residual
-# check at 8(p+1)^2 bits (`fp verify`, `relation-structure`) grows steeper,
-# about 2 s at p=499.  The cap bounds that check and keeps `is_odd_prime`'s
-# trial division away from huge inputs.
+# --p 499` takes about 0.5 s and 115 MB on a 2-core machine, and the residual
+# check at 8(p+1)^2 bits (`fp verify`, `relation-structure`) about 0.45 s.
+# The cap bounds that check and keeps `is_odd_prime`'s trial division away
+# from huge inputs.
 MAX_PRIME = 500
 PRIME_HELP = f"odd prime, at most {MAX_PRIME}"
 PMAX_HELP = f"largest prime covered, 3 to {MAX_PRIME}"

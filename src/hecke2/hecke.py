@@ -241,16 +241,25 @@ class CharPoly:
 
 
 def structure_violations(cp: CharPoly) -> list[str]:
-    """Names of violated structural invariants (empty when all hold)."""
+    """Names of violated structural invariants (empty when all hold).
+
+    Each s_r is checked on its mask: the degree bound by one shift, the class
+    p*r mod 8 by one AND against the repeated byte of the other seven classes.
+    Symmetry is checked on the rows of F_p indexed by Y-degree (the X-degrees
+    of the terms of Y^b, with the monic Y^(p+1)): every term X^a Y^b needs
+    its mirror X^b Y^a, and that one direction makes the term set symmetric.
+    """
     out = []
+    nbytes = max(sr.mask.bit_length() for sr in cp.s) // 8 + 1
+    off_class = [int.from_bytes(bytes([0xFF ^ 1 << c]) * nbytes, "little") for c in range(8)]
     for r, sr in enumerate(cp.s, 1):
-        if sr and sr.degree > r:
+        if sr.mask >> (r + 1):
             out.append(f"degree bound: s{r}")
-        want = (cp.p * r) % 8
-        if any(e % 8 != want for e in sr.exponents()):
+        if sr.mask & off_class[(cp.p * r) % 8]:
             out.append(f"congruence class: s{r}")
-    terms = cp.bivariate_terms()
-    if terms != frozenset((b, a) for a, b in terms):
+    big = cp.p + 1
+    rows = [sr.mask for sr in reversed(cp.s)] + [1]
+    if any(a > big or not rows[a] >> b & 1 for b, row in enumerate(rows) for a in bit_positions(row)):
         out.append("symmetry")
     return out
 
@@ -261,8 +270,12 @@ class _PackedTerms:
     ``n`` is a multiple of 8, and bit m of a mask packed on class c is the
     coefficient of q^(8m + c).  Delta has its bits at the odd squares, so
     Delta^j lies on the class j mod 8 and Delta(q^p)^i on the class p*i mod 8.
-    ``xpow[j]`` is Delta^j packed on its class, for j = 0..max_j; ``ypos[i]``
-    lists the exponents of Delta(q^p)^i below n, for i = 0..p+1.
+    ``xpow[j]`` is Delta^j packed on its class, for j = 0..max_j.  Every higher
+    power of Y = Delta(q^p) is reached through Y^8 = Delta(q^(8p)), which
+    lies on class 0 with its bits at 8p*m^2, m odd: packed, a product by Y^8
+    is one shift by p*m^2 per term below q^n, and it keeps the class.  So
+    ``ypos[i]`` lists the exponents of Y^i below n for i = 0..7 only, and
+    ``y8`` the packed shifts of Y^8.
     """
 
     def __init__(self, p: int, n: int, max_j: int) -> None:
@@ -270,36 +283,57 @@ class _PackedTerms:
         self.cmask = (1 << (n // 8)) - 1
         self.xpow = delta_powers(n, max_j)
         # Delta(q^p)^i has its bits at p times those of Delta^i below n/p
-        ys = delta_powers(-(-n // p), p + 1)
-        self.ypos = [[p * e for e in bit_positions(spread8(y, i % 8))] for i, y in enumerate(ys)]
+        ys = delta_powers(-(-n // p), 7)
+        self.ypos = [[p * e for e in bit_positions(spread8(y, i))] for i, y in enumerate(ys)]
+        # Y^8 has a bit at 8e for each exponent e of Y, packed as bit e
+        self.y8 = [e for e in self.ypos[1] if 8 * e < n]
 
     def times_y(self, c: int, packed: int, i: int) -> tuple[int, int]:
-        """Class and packed bits of a class-c packed mask times Delta(q^p)^i."""
+        """Class and packed bits of a class-c packed mask times Delta(q^p)^i, i < 8."""
         d = (c + self.p * i) % 8
         acc = 0
         for pos in self.ypos[i]:
             acc ^= packed << ((pos + c - d) >> 3)
         return d, acc & self.cmask
 
+    def times_y8(self, packed: int) -> int:
+        """Packed bits of a packed mask times Y^8, on the mask's own class."""
+        acc = 0
+        for sh in self.y8:
+            acc ^= packed << sh
+        return acc & self.cmask
+
     def residual(self, cp: CharPoly) -> list[int]:
-        """F_p(Delta, Delta(q^p)) below q^n, as eight per-class packed masks."""
+        """F_p(Delta, Delta(q^p)) below q^n, as eight per-class packed masks.
+
+        F_p = sum_i s_(p+1-i)(X) Y^i with s_0 = 1, run as eight Horner chains
+        in Y^8, one per i mod 8.  Each chain keeps eight class accumulators,
+        so the bits of a relation off its classes or over its degree bounds
+        land where a term-by-term sum puts them, and it is multiplied by
+        Y^(i mod 8) once at the end.
+        """
         big = cp.p + 1
-        acc = [0] * 8
-        d, bits = self.times_y(0, 1, big)
-        acc[d] = bits
-        for r, sr in enumerate(cp.s, 1):
-            by_class = [0] * 8
-            for j in sr.exponents():
-                by_class[j % 8] ^= self.xpow[j]
-            for c, packed in enumerate(by_class):
+        coeffs = (*reversed(cp.s), ONE)  # coeffs[i] is the coefficient of Y^i
+        out = [0] * 8
+        for e in range(8):
+            acc = [0] * 8
+            for i in range(big - (big - e) % 8, e - 1, -8):
+                acc = [self.times_y8(a) if a else 0 for a in acc]
+                for j in coeffs[i].exponents():
+                    acc[j % 8] ^= self.xpow[j]
+            for c, packed in enumerate(acc):
                 if packed:
-                    d, bits = self.times_y(c, packed, big - r)
-                    acc[d] ^= bits
-        return acc
+                    d, bits = self.times_y(c, packed, e)
+                    out[d] ^= bits
+        return out
 
 
 def relation_residual(cp: CharPoly, precision: int) -> BitSeries:
-    """F_p evaluated at the two expansions, truncated; must vanish."""
+    """F_p evaluated at the two expansions, truncated; must vanish.
+
+    It runs by Horner in Y^8 (``_PackedTerms.residual``), exact below the
+    precision for any relation, corrupted or not.
+    """
     max_j = max((sr.degree for sr in cp.s if sr), default=0)
     terms = _PackedTerms(cp.p, 8 * -(-precision // 8), max_j)
     bits = _unpack_classes(terms.residual(cp), 0) & ((1 << precision) - 1)
@@ -311,17 +345,37 @@ def _solve_relation(p: int, window: int) -> CharPoly:
 
     Every term s_r(X) Y^(p+1-r) with s_r on its class p*r mod 8 lies on the
     class p(p+1) mod 8, so the solve works on packed masks.  Unknowns are the
-    allowed monomial bits of each s_r; columns are the packed expansions of
-    Delta^j * Delta(q^p)^(p+1-r); elimination keeps pivots keyed by lowest
-    row with deterministic insertion order.
+    allowed monomial bits X^j of each s_r; their columns are the packed
+    expansions of Delta^j * Delta(q^p)^(p+1-r).  For a fixed j the allowed r
+    step by 8, so the columns go to the elimination with r descending and
+    column (r, j) is column (r+8, j) times Y^8: only the chain heads, with
+    Y-degree below 8, start from Delta^j, and one column per j is kept.  The
+    right-hand side is Y^(p+1) = Y^((p+1) mod 8) (Y^8)^((p+1) div 8).  At
+    full column rank the solution is unique, so the column order cannot
+    change it.  Elimination keeps pivots keyed by lowest row with
+    deterministic insertion order.
     """
     big = p + 1
     n_window = ((window + 7) // 8) * 8
     terms = _PackedTerms(p, n_window, big)
-    unknowns = [(r, j) for r in range(1, big + 1) for j in range((p * r) % 8, r + 1, 8)]
+    unknowns = [(r, j) for r in range(big, 0, -1) for j in range((p * r) % 8, r + 1, 8)]
+
+    def columns():
+        latest = [0] * (big + 1)  # latest[j]: the last column of X^j
+        for r, j in unknowns:
+            i = big - r
+            if i < 8:
+                latest[j] = terms.times_y(j % 8, terms.xpow[j], i)[1]
+            else:
+                latest[j] = terms.times_y8(latest[j])
+            yield latest[j]
+
+    rhs = terms.times_y(0, 1, big % 8)[1]
+    for _ in range(big // 8):
+        rhs = terms.times_y8(rhs)
     chosen = _gf2_solve(
-        (terms.times_y(j % 8, terms.xpow[j], big - r)[1] for r, j in unknowns),
-        terms.times_y(0, 1, big)[1],
+        columns(),
+        rhs,
         lambda idx: RankDeficient(
             f"coefficient window {n_window} leaves the relation underdetermined (p={p})"
         ),

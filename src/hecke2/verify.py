@@ -268,8 +268,9 @@ def _newton_solve_agree(cfg: VerifyConfig) -> str:
 
 @_claim("relation-structure", "tables")
 def _relation_structure(cfg: VerifyConfig) -> str:
-    # --long reaches p=257, the range the relation criteria (03b) cover
-    pmax = min(cfg.pmax, 257 if cfg.long else 31)
+    # --long covers every prime the CLI accepts; the residuals of the primes
+    # 263..499 take about 10 s on 2 cores
+    pmax = min(cfg.pmax, 500 if cfg.long else 31)
     for p in _checked_primes(pmax):
         cp = cached_charpoly(p)
         bad = structure_violations(cp)

@@ -708,6 +708,41 @@ def test_structure_violations_detects_corruption():
     assert any("degree" in b for b in structure_violations(too_big))
 
 
+def set_structure_violations(cp: CharPoly) -> list[str]:
+    """The invariants checked on exponent lists and two sets of (X, Y) terms, kept as the masks' oracle."""
+    out = []
+    for r, sr in enumerate(cp.s, 1):
+        if sr and sr.degree > r:
+            out.append(f"degree bound: s{r}")
+        want = (cp.p * r) % 8
+        if any(e % 8 != want for e in sr.exponents()):
+            out.append(f"congruence class: s{r}")
+    terms = cp.bivariate_terms()
+    if terms != frozenset((b, a) for a, b in terms):
+        out.append("symmetry")
+    return out
+
+
+def test_structure_violations_match_set_version():
+    rng = random.Random(7)
+    relations = [F3, F5, F7, CharPoly(7, (ZERO,) * 8), CharPoly(3, (poly(*range(12)), ZERO, poly(1), poly(4)))]
+    for p in hecke.odd_primes_up_to(61):
+        cp = cached_charpoly(p)
+        relations.append(cp)
+        for _ in range(40):
+            # one flipped bit anywhere up to twice the degree bound, and
+            # now and then a second one at its mirror, to keep symmetry
+            r = rng.randrange(1, p + 2)
+            j = rng.randrange(2 * r + 2)
+            bad = flip_bit(cp, r, j)
+            relations.append(bad)
+            if j <= p and rng.random() < 0.3:
+                relations.append(flip_bit(bad, p + 1 - j, p + 1 - r))
+    for cp in relations:
+        assert structure_violations(cp) == set_structure_violations(cp), cp
+    assert sum(not structure_violations(cp) for cp in relations) > 20
+
+
 def test_relation_residual_vanishes():
     for p in (3, 5, 7, 11, 13):
         cp = cached_charpoly(p)
@@ -719,12 +754,9 @@ def test_relation_residual_detects_wrong_coefficients():
     assert not relation_residual(broken, 128).is_zero()
 
 
-def full_width_residual(cp: CharPoly, precision: int) -> BitSeries:
-    """F_p(Delta, Delta(q^p)) from full-width power ladders, kept as the packed residual's oracle."""
-    p = cp.p
-    big = p + 1
+def full_width_ladders(p: int, precision: int, max_j: int) -> tuple[list[int], list[int]]:
+    """Delta^0..Delta^max_j and Delta(q^p)^0..Delta(q^p)^(p+1), full width below q^precision."""
     mask = (1 << precision) - 1
-    max_j = max((sr.degree for sr in cp.s if sr), default=0)
 
     def ladder(base: int, count: int) -> list[int]:
         out = [1]
@@ -732,8 +764,15 @@ def full_width_residual(cp: CharPoly, precision: int) -> BitSeries:
             out.append(clmul(out[-1], base) & mask)
         return out
 
-    apow = ladder(delta(precision).bits, max_j)
-    bpow = ladder(delta_qpow(p, precision).bits, big)
+    return ladder(delta(precision).bits, max_j), ladder(delta_qpow(p, precision).bits, p + 1)
+
+
+def full_width_residual(cp: CharPoly, precision: int) -> BitSeries:
+    """F_p(Delta, Delta(q^p)) from full-width power ladders, kept as the packed residual's oracle."""
+    big = cp.p + 1
+    mask = (1 << precision) - 1
+    max_j = max((sr.degree for sr in cp.s if sr), default=0)
+    apow, bpow = full_width_ladders(cp.p, precision, max_j)
     res = bpow[big]
     for r, sr in enumerate(cp.s, 1):
         if not sr:
@@ -752,11 +791,23 @@ def test_packed_residual_matches_full_width():
         assert (got.bits, got.precision) == (want.bits, want.precision), (cp.p, precision)
         return got
 
-    for p in hecke.odd_primes_up_to(31):
+    # past p = 31 each Horner chain in Y^8 takes several steps
+    for p in (*hecke.odd_primes_up_to(31), 37, 101):
         cp = cached_charpoly(p)
         assert same(cp, 8 * (p + 1) ** 2).is_zero(), p
         for precision in (1, 7, 129):
             same(cp, precision)
+    for p in (37, 101):
+        cp = cached_charpoly(p)
+        flips = [
+            (p, 1),  # in class, within the degree bound, symmetric: only the residual sees it
+            (p // 2, (p * (p // 2)) % 8),  # in class, lowest allowed bit
+            (p // 3, (p * (p // 3)) % 8 + 1),  # off its class
+            (5, 13),  # over the degree bound
+            (p + 1, p + 1),  # the top coefficient, in class
+        ]
+        for r, j in flips:
+            assert not same(flip_bit(cp, r, j), 8 * (p + 1) ** 2).is_zero(), (p, r, j)
     off_class = CharPoly(3, (ZERO, ZERO, poly(1), poly(2)))
     too_high = CharPoly(5, (ZERO, poly(2), ZERO, poly(4), poly(1, 9, 17), poly(6, 14)))
     zero = CharPoly(7, (ZERO,) * 8)
@@ -765,6 +816,42 @@ def test_packed_residual_matches_full_width():
         for precision in (1, 7, 128, 129):
             same(cp, precision)
         assert not same(cp, 1000).is_zero(), cp
+
+
+def flip_bit(cp: CharPoly, r: int, j: int) -> CharPoly:
+    """``cp`` with the bit X^j of s_r flipped."""
+    s = list(cp.s)
+    s[r - 1] = DeltaPoly(s[r - 1].mask ^ (1 << j))
+    return CharPoly(cp.p, tuple(s))
+
+
+def test_solve_columns_match_full_width(monkeypatch):
+    # every column the packed solve hands the elimination, and its right-hand
+    # side, is packed Delta^j * Delta(q^p)^(p+1-r) on the class p(p+1) mod 8
+    solve = hecke._gf2_solve
+    fed = []
+
+    def recording(columns, rhs, dependent, inconsistent):
+        columns = list(columns)
+        fed.append((columns, rhs))
+        return solve(columns, rhs, dependent, inconsistent)
+
+    monkeypatch.setattr(hecke, "_gf2_solve", recording)
+    for p in hecke.odd_primes_up_to(31):
+        big = p + 1
+        fed.clear()
+        assert compute_charpoly(p) == cached_charpoly(p), p
+        ((columns, rhs),) = fed
+        precision = 8 * -(-(big * big + 1) // 8)
+        c = (p * big) % 8
+        apow, bpow = full_width_ladders(p, precision, big)
+        # r descending, and j ascending within each s_r
+        unknowns = [(r, j) for r in range(big, 0, -1) for j in range((p * r) % 8, r + 1, 8)]
+        assert len(columns) == len(unknowns), p
+        for (r, j), col in zip(unknowns, columns):
+            want = clmul(apow[j], bpow[big - r]) & ((1 << precision) - 1)
+            assert spread8(col, c) == want, (p, r, j)
+        assert spread8(rhs, c) == bpow[big], p
 
 
 def test_hecke_matrix_small():

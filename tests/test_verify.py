@@ -160,6 +160,27 @@ def test_naive_fast_agree_range_names_the_power_bound(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("r, j, detail", [
+    # X^1 Y^1 keeps every structural invariant, so only the residual sees it
+    (263, 1, "relation residual nonzero at p=263"),
+    # off the diagonal: X^7 Y^167 and its mirror X^167 Y^7 no longer match
+    (97, 7, r"\['symmetry'\] at p=263"),
+])
+def test_relation_structure_reaches_past_257(monkeypatch, r, j, detail):
+    p = 263
+    s = list(verify.cached_charpoly(p).s)
+    assert j % 8 == (p * r) % 8 and j <= r  # in class, within the degree bound
+    s[r - 1] = DeltaPoly(s[r - 1].mask ^ (1 << j))
+    flipped = CharPoly(p, tuple(s))
+    # only p itself, and only if the claim's range reaches it
+    monkeypatch.setattr(verify, "_checked_primes", lambda n: [p] if n >= p else [])
+    monkeypatch.setattr(verify, "cached_charpoly", lambda q: flipped)
+    claim = verify._REGISTRY["relation-structure"]
+    with pytest.raises(AssertionError, match=detail):
+        claim(VerifyConfig(pmax=500, long=True))
+    assert claim(VerifyConfig(pmax=262, long=True)) == "p<=262, residual to 8(p+1)^2"
+
+
 def test_dominant_product_checks_1000_pairs_from_its_pool(monkeypatch):
     claim = verify._REGISTRY["dominant-product"]
     assert claim(VerifyConfig()) == (
