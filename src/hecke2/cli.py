@@ -15,6 +15,7 @@ import time
 from .deltapoly import DeltaPoly
 from .errors import CacheFormatError, Hecke2Error
 from .hecke import (
+    MAX_PRIME,
     cache_path,
     cached_charpoly,
     charpoly_to_text,
@@ -37,18 +38,12 @@ USAGE_ERROR = 2
 # the form into a bit mask.
 MAX_FORM_DEGREE = 65535
 FORM_HELP = f"comma-separated exponents, each at most {MAX_FORM_DEGREE}"
-# Largest --p and --pmax (`verify` and `bench` solve F_p at every prime up to
-# --pmax).  With the relation solve's window of (p+1)^2 + 1 bits, `fp compute
-# --p 499` takes about 0.5 s and 115 MB on a 2-core machine, and the residual
-# check at 8(p+1)^2 bits (`fp verify`, `relation-structure`) about 0.45 s.
-# The cap bounds that check and keeps `is_odd_prime`'s trial division away
-# from huge inputs.
-MAX_PRIME = 500
 PRIME_HELP = f"odd prime, at most {MAX_PRIME}"
 PMAX_HELP = f"largest prime covered, 3 to {MAX_PRIME}"
 BENCH_PMAX_HELP = f"largest prime solved, 3 to {MAX_PRIME}"
 # --kmax sizes the structure sweeps' numpy arrays and image stream, as a form's
-# degree sizes `hecke`'s stream, so it shares that cap
+# degree sizes `hecke`'s stream, so it shares that cap; the domination key
+# table the sweeps rank exponents by ends there too
 KMAX_HELP = f"top power of the image-structure sweeps, 1 to {MAX_FORM_DEGREE}; not with --long"
 
 

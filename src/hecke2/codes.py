@@ -7,8 +7,9 @@ The map ``k -> code(k)`` is a bijection on each parity class; comparing
 ``(h, n5)`` lexicographically defines the domination total order that picks
 out the dominant exponent of a parity-pure polynomial.
 
-The scalar functions gather digits one exponent at a time; the domination
-order of a whole polynomial reads a lazily built table of packed keys instead.
+The scalar functions gather digits one exponent at a time; ``code_arrays``
+gathers a whole range at once, and the domination order of a polynomial reads
+a lazily built table of packed keys made from it.
 """
 
 from __future__ import annotations
@@ -52,8 +53,25 @@ def support(k: int) -> frozenset[int]:
     return frozenset(1 << n for n in bit_positions(k & ~1))
 
 
-def _gather(k: int) -> Code:
-    # Walk the digits two at a time: bit 2i+1 feeds n3, bit 2i+2 feeds n5.
+def n3(k: int) -> int:
+    """Odd-position digit gather of ``k``."""
+    return code(k).n3
+
+
+def n5(k: int) -> int:
+    """Even-position (>= 2) digit gather of ``k``."""
+    return code(k).n5
+
+
+def h(k: int) -> int:
+    return sum(code(k))
+
+
+def code(k: int) -> Code:
+    """The pair ``(n3(k), n5(k))``, by a walk over the digits of ``k``."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    # two digits per step: bit 2i+1 feeds n3, bit 2i+2 feeds n5
     a = b = 0
     k >>= 1
     w = 1
@@ -65,33 +83,6 @@ def _gather(k: int) -> Code:
         k >>= 2
         w <<= 1
     return Code(a, b)
-
-
-def n3(k: int) -> int:
-    """Odd-position digit gather of ``k``."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return _gather(k).n3
-
-
-def n5(k: int) -> int:
-    """Even-position (>= 2) digit gather of ``k``."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return _gather(k).n5
-
-
-def h(k: int) -> int:
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    c = _gather(k)
-    return c.n3 + c.n5
-
-
-def code(k: int) -> Code:
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return _gather(k)
 
 
 def decode(c: Code | tuple[int, int], odd: int) -> int:
@@ -132,6 +123,12 @@ def _even_bits(x: np.ndarray) -> np.ndarray:
     return (x | (x >> 16)) & 0x00000000FFFFFFFF
 
 
+def code_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n3`` and ``n5`` of every exponent ``0..n-1`` as int64 arrays (the vector twin of ``code``)."""
+    m = np.arange(n, dtype=np.int64) >> 1
+    return _even_bits(m), _even_bits(m >> 1)
+
+
 def _key_table(top: int) -> list[int] | None:
     """The key table covering exponents ``0..top``, or None above the cap."""
     global _keys
@@ -139,8 +136,7 @@ def _key_table(top: int) -> list[int] | None:
         return _keys
     if top >= _TABLE_CAP:
         return None
-    m = np.arange(max(_TABLE_MIN, 1 << top.bit_length()), dtype=np.int64) >> 1
-    a, b = _even_bits(m), _even_bits(m >> 1)
+    a, b = code_arrays(max(_TABLE_MIN, 1 << top.bit_length()))
     _keys = ((a + b) << _KEY_SHIFT | b).tolist()
     return _keys
 
@@ -151,8 +147,7 @@ def domination_key(k: int) -> tuple[int, int]:
         raise ValueError("k must be nonnegative")
     keys = _key_table(k)
     if keys is None:
-        c = _gather(k)
-        return (c.n3 + c.n5, c.n5)
+        return (h(k), n5(k))
     return divmod(keys[k], 1 << _KEY_SHIFT)
 
 

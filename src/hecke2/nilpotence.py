@@ -11,9 +11,9 @@ decomposition; a finite-prime-set brute force serves as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .codes import NEG_INF, Code, code, dominant_exponent, h, n3, n5
+from .codes import NEG_INF, Code, code, dominant_exponent
 from .deltapoly import DeltaPoly, Parity, decompose
 from .errors import NotOddForm, WitnessFailed, ZeroPolynomial
 from .hecke import cached_charpoly, is_odd_prime, shared_image_table
@@ -154,8 +154,40 @@ class BoundsTightness(NamedTuple):
     upper_tight: bool
 
 
-def _is_power_of_four(x: int) -> bool:
-    return x > 0 and x & (x - 1) == 0 and x.bit_length() & 1
+class _Bound(NamedTuple):
+    """A square-root bound on odd k >= 1, for ints and numpy arrays alike (spelled out
+    by ``check_bounds_g/n3/n5``): ``slack(value(n3, n5), k)`` is >= 0, and 0
+    exactly at the tight points ``point(4^a)``, a >= ``first``."""
+
+    value: Callable
+    slack: Callable
+    point: Callable[[int], int]
+    first: int
+
+    def tight(self, lim: int) -> set[int]:
+        """The tight points up to ``lim``."""
+        return {k for a in range(self.first, lim.bit_length() + 2) if (k := self.point(4**a)) <= lim}
+
+
+_BOUNDS = {
+    "lower": _Bound(lambda a, b: a + b, lambda h, k: 4 * h * h - (k - 1), lambda q: q + 1 if q > 1 else 1, 0),
+    "upper": _Bound(lambda a, b: a + b + 1, lambda g, k: 9 * (k + 1) - 4 * (g + 1) ** 2, lambda q: q - 1, 1),
+    "n3": _Bound(lambda a, b: a, lambda v, k: 3 * k - 1 - 2 * (v + 1) ** 2, lambda q: (2 * q + 1) // 3, 0),
+    "n5": _Bound(lambda a, b: b, lambda v, k: 3 * k + 1 - 4 * (v + 1) ** 2, lambda q: (q - 1) // 3, 1),
+}
+
+
+def _check_bound(name: str, k: int) -> bool:
+    """Exact-integer check of one of ``_BOUNDS`` at ``k``; True where it is tight."""
+    if k < 1 or k % 2 == 0:
+        raise ValueError("k must be odd and positive")
+    bound = _BOUNDS[name]
+    slack = bound.slack(bound.value(*code(k)), k)
+    if slack < 0:
+        raise AssertionError(f"{name} bound fails at k={k}")
+    if (slack == 0) != (k in bound.tight(k)):
+        raise AssertionError(f"{name} tightness characterization fails at k={k}")
+    return slack == 0
 
 
 def check_bounds_g(k: int) -> BoundsTightness:
@@ -164,47 +196,17 @@ def check_bounds_g(k: int) -> BoundsTightness:
     lower: 1 + sqrt(k-1)/2 <= g(k), tight exactly at k = 1 and k = 4^a + 1;
     upper: g(k) <= (3/2) sqrt(k+1) - 1, tight exactly at k = 4^a - 1.
     """
-    if k < 1 or k % 2 == 0:
-        raise ValueError("k must be odd and positive")
-    hk = h(k)
-    g = hk + 1
-    if 4 * hk * hk < k - 1:
-        raise AssertionError(f"lower bound fails at k={k}")
-    if 4 * (g + 1) * (g + 1) > 9 * (k + 1):
-        raise AssertionError(f"upper bound fails at k={k}")
-    lower_tight = 4 * hk * hk == k - 1
-    if lower_tight != (k == 1 or _is_power_of_four(k - 1)):
-        raise AssertionError(f"lower tightness characterization fails at k={k}")
-    upper_tight = 4 * (g + 1) * (g + 1) == 9 * (k + 1)
-    if upper_tight != _is_power_of_four(k + 1):
-        raise AssertionError(f"upper tightness characterization fails at k={k}")
-    return BoundsTightness(lower_tight, upper_tight)
+    return BoundsTightness(_check_bound("lower", k), _check_bound("upper", k))
 
 
 def check_bounds_n3(k: int) -> bool:
     """n3(k) <= sqrt((3k-1)/2) - 1, tight exactly at k = 1 + 2(4^a - 1)/3."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError("k must be odd and positive")
-    v = n3(k)
-    if 2 * (v + 1) * (v + 1) > 3 * k - 1:
-        raise AssertionError(f"n3 bound fails at k={k}")
-    tight = 2 * (v + 1) * (v + 1) == 3 * k - 1
-    if tight != (k == 1 or _is_power_of_four(3 * (k - 1) // 2 + 1)):
-        raise AssertionError(f"n3 tightness characterization fails at k={k}")
-    return tight
+    return _check_bound("n3", k)
 
 
 def check_bounds_n5(k: int) -> bool:
     """n5(k) <= sqrt((3k+1)/4) - 1, tight exactly at k = (4^a - 1)/3."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError("k must be odd and positive")
-    v = n5(k)
-    if 4 * (v + 1) * (v + 1) > 3 * k + 1:
-        raise AssertionError(f"n5 bound fails at k={k}")
-    tight = 4 * (v + 1) * (v + 1) == 3 * k + 1
-    if tight != _is_power_of_four(3 * k + 1):
-        raise AssertionError(f"n5 tightness characterization fails at k={k}")
-    return tight
+    return _check_bound("n5", k)
 
 
 def render_report(report: NilpotenceReport, kv: bool = False) -> str:

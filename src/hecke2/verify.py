@@ -19,11 +19,12 @@ from typing import Callable
 import numpy as np
 
 from . import structural
-from .codes import cap_H, code, decode, dominant_exponent, dominates, h, h_poly, n3, n5
+from .codes import _key_table, cap_H, code, code_arrays, decode, dominant_exponent, dominates, h, h_poly
 from .deltapoly import DeltaPoly, Parity, _even_mask, decompose, from_series, monomial, to_series
 from .errors import Hecke2Error, ParityMismatch
 from .gf2series import bit_positions, clmul
 from .hecke import (
+    MAX_PRIME,
     ImageTable,
     _naive_monomial_range,
     _packed_stream,
@@ -40,6 +41,7 @@ from .hecke import (
     structure_violations,
 )
 from .nilpotence import (
+    _BOUNDS,
     apply_witness,
     check_bounds_g,
     check_bounds_n3,
@@ -119,25 +121,15 @@ def _checked_primes(n: int) -> list[int]:
     return primes
 
 
-def _checked_kmax(kmax: int) -> int:
-    """The top power of a structure sweep; a sweep over no k >= 1 would check nothing."""
+def _checked_kmax(kmax: int) -> list[int]:
+    """The key table ranking the exponents of a structure sweep to ``kmax``; a
+    sweep over no k >= 1 would check nothing, and one above the table's cap fails."""
     if kmax < 1:
         raise AssertionError(f"no power k in 1..{kmax} to check")
-    return kmax
-
-
-def _n3_n5_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized digit gathers for 0..n-1 (independent of the scalar path)."""
-    ks = np.arange(n, dtype=np.int64)
-    a = np.zeros(n, dtype=np.int64)
-    b = np.zeros(n, dtype=np.int64)
-    i = 0
-    while (1 << (2 * i + 1)) < n:
-        a |= ((ks >> (2 * i + 1)) & 1) << i
-        if (1 << (2 * i + 2)) < n:
-            b |= ((ks >> (2 * i + 2)) & 1) << i
-        i += 1
-    return a, b
+    keys = _key_table(kmax)
+    if keys is None:
+        raise AssertionError(f"k<={kmax} is above the domination key table's cap")
+    return keys
 
 
 def _random_pure_mask(rng: random.Random, max_deg: int, odd: bool) -> int:
@@ -154,15 +146,15 @@ def _random_pure_mask(rng: random.Random, max_deg: int, odd: bool) -> int:
 def _image_codes(p: int, kmax: int):
     """Yield k, code(k) and the code of the dominant exponent of T_p(Delta^k).
 
-    Codes are (n3, n5) pairs from ``_n3_n5_arrays``; the dominant exponent
-    has the largest h, then the largest n5, and a zero image gives None.  The
+    Codes are (n3, n5) pairs from ``code_arrays``; the dominant exponent is
+    picked by the domination key table, and a zero image gives None.  The
     images are read packed, for k = 0..kmax: bit m of image k is the
     exponent 8m + p*k mod 8.  An image has degree below k, so every exponent
-    is in the table.
+    is in the tables.
     """
-    a, b = _n3_n5_arrays(kmax + 1)
+    keys = _checked_kmax(kmax)
+    a, b = code_arrays(kmax + 1)
     n3s, n5s = a.tolist(), b.tolist()
-    keys = (((a + b) << 32) | b).tolist()
     for k, packed in enumerate(_packed_stream(cached_charpoly(p), kmax)):
         dom = None
         if packed:
@@ -237,7 +229,7 @@ def _naive_fast_agree(cfg: VerifyConfig) -> str:
     # only: a change in an odd s_r first shows at k = r, and in an even s_r at
     # k = r + m0, where N_m0 is the first nonzero power sum (m0 <= 33 below
     # 500).  So the powers run to k = p + 34, and at least to 200.
-    pmax = min(cfg.pmax, 500 if cfg.long else 31)
+    pmax = min(cfg.pmax, MAX_PRIME if cfg.long else 31)
     rng = random.Random(0xF2)
     for p in _checked_primes(pmax):
         kmax = max(200, p + 34)
@@ -270,7 +262,7 @@ def _newton_solve_agree(cfg: VerifyConfig) -> str:
 def _relation_structure(cfg: VerifyConfig) -> str:
     # --long covers every prime the CLI accepts; the residuals of the primes
     # 263..499 take about 10 s on 2 cores
-    pmax = min(cfg.pmax, 500 if cfg.long else 31)
+    pmax = min(cfg.pmax, MAX_PRIME if cfg.long else 31)
     for p in _checked_primes(pmax):
         cp = cached_charpoly(p)
         bad = structure_violations(cp)
@@ -352,7 +344,7 @@ _PARITY_H = (0, 0, 1, 1, 1, 1, 0, 0)
 @_claim("code-parity-table", "codes")
 def _code_parity_table(cfg: VerifyConfig) -> str:
     lim = 100_000
-    a, b = _n3_n5_arrays(lim + 1)
+    a, b = code_arrays(lim + 1)
     ks = np.arange(lim + 1)
     r = ks & 7
     assert np.all((a & 1) == np.take(_PARITY_N3, r)), "n3 parity table fails"
@@ -362,14 +354,14 @@ def _code_parity_table(cfg: VerifyConfig) -> str:
     rng = random.Random(7)
     for _ in range(2000):
         k = rng.randrange(lim + 1)
-        assert n3(k) == a[k] and n5(k) == b[k], f"gather mismatch at k={k}"
+        assert code(k) == (a[k], b[k]), f"gather mismatch at k={k}"
     return "k<=1e5"
 
 
 @_claim("odd-step-invariance", "codes")
 def _odd_step_invariance(cfg: VerifyConfig) -> str:
     lim = 100_000
-    a, b = _n3_n5_arrays(2 * lim + 2)
+    a, b = code_arrays(2 * lim + 2)
     ev = np.arange(0, 2 * lim + 1, 2)
     assert np.all(a[ev] == a[ev + 1]), "n3 changes from 2l to 2l+1"
     assert np.all(b[ev] == b[ev + 1]), "n5 changes from 2l to 2l+1"
@@ -379,21 +371,21 @@ def _odd_step_invariance(cfg: VerifyConfig) -> str:
 @_claim("code-doubling-rules", "codes")
 def _code_doubling_rules(cfg: VerifyConfig) -> str:
     lim = 100_000
-    a, b = _n3_n5_arrays(4 * lim + 1)
+    a, b = code_arrays(4 * lim + 1)
     ks = np.arange(1, lim + 1)
     odd = ks[ks % 2 == 1]
     even = ks[ks % 2 == 0]
-    assert np.all(a[2 * odd] == 1 + 2 * b[odd]) and np.all(b[2 * odd] == a[odd])
-    assert np.all(a[4 * odd] == 2 * a[odd]) and np.all(b[4 * odd] == 1 + 2 * b[odd])
-    assert np.all(a[2 * even] == 2 * b[even]) and np.all(b[2 * even] == a[even])
-    assert np.all(a[4 * even] == 2 * a[even]) and np.all(b[4 * even] == 2 * b[even])
+    assert np.all(a[2 * odd] == 1 + 2 * b[odd]) and np.all(b[2 * odd] == a[odd]), "2k rule fails, k odd"
+    assert np.all(a[4 * odd] == 2 * a[odd]) and np.all(b[4 * odd] == 1 + 2 * b[odd]), "4k rule fails, k odd"
+    assert np.all(a[2 * even] == 2 * b[even]) and np.all(b[2 * even] == a[even]), "2k rule fails, k even"
+    assert np.all(a[4 * even] == 2 * a[even]) and np.all(b[4 * even] == 2 * b[even]), "4k rule fails, k even"
     return "k<=1e5, both parities"
 
 
 @_claim("h-subadditive", "codes")
 def _h_subadditive(cfg: VerifyConfig) -> str:
     lim = 4096
-    a, b = _n3_n5_arrays(2 * lim + 1)
+    a, b = code_arrays(2 * lim + 1)
     H = a + b
     ls = np.arange(lim + 1)
     hl = H[ls]
@@ -417,7 +409,7 @@ def _h_subadditive(cfg: VerifyConfig) -> str:
 @_claim("h-increments", "codes")
 def _h_increments(cfg: VerifyConfig) -> str:
     lim = 1_000_000
-    a, b = _n3_n5_arrays(lim + 5)
+    a, b = code_arrays(lim + 5)
     H = a + b
     ks = np.arange(lim + 1)
     h0, h1, h2 = H[ks], H[ks + 1], H[ks + 2]
@@ -435,7 +427,7 @@ def _h_increments(cfg: VerifyConfig) -> str:
 @_claim("h-disjoint-support", "codes")
 def _h_disjoint_support(cfg: VerifyConfig) -> str:
     lim = 2048
-    a, b = _n3_n5_arrays(2 * lim + 1)
+    a, b = code_arrays(2 * lim + 1)
     H = a + b
     ls = np.arange(lim + 1)
     for k in range(lim + 1):
@@ -597,62 +589,38 @@ def _uvwy_family_structure(cfg: VerifyConfig) -> str:
 # bounds suite
 
 
+def _bounds_claim(check: Callable[[int], object], *names: str) -> str:
+    """Check the named ``_BOUNDS`` on the codes of every odd k <= 1e6, and
+    ``check`` (their scalar form) on every odd k < 4096 and at every tight point."""
+    lim = 1_000_000
+    ks = np.arange(1, lim + 1, 2, dtype=np.int64)
+    a, b = (x[1::2] for x in code_arrays(lim + 1))
+    tight_points = set()
+    for name in names:
+        bound = _BOUNDS[name]
+        slack = bound.slack(bound.value(a, b), ks)
+        assert np.all(slack >= 0), f"{name} bound fails"
+        tight = bound.tight(lim)
+        assert set(ks[slack == 0].tolist()) == tight, f"{name} tightness set differs"
+        tight_points |= tight
+    for k in [*range(1, 4096, 2), *tight_points]:
+        check(k)
+    return "odd k<=1e6 (vector) + k<4096 (scalar)"
+
+
 @_claim("g-two-sided-bounds", "bounds")
 def _g_two_sided_bounds(cfg: VerifyConfig) -> str:
-    lim = 1_000_000
-    a, b = _n3_n5_arrays(lim + 1)
-    ks = np.arange(1, lim + 1, 2, dtype=np.int64)
-    hh = (a + b)[ks]
-    g = hh + 1
-    assert np.all(4 * hh * hh >= ks - 1), "lower bound fails"
-    assert np.all(4 * (g + 1) * (g + 1) <= 9 * (ks + 1)), "upper bound fails"
-    low_tight = set(ks[4 * hh * hh == ks - 1].tolist())
-    low_want = {1} | {4**e + 1 for e in range(1, 11) if 4**e + 1 <= lim}
-    assert low_tight == low_want, "lower tightness set differs"
-    up_tight = set(ks[4 * (g + 1) * (g + 1) == 9 * (ks + 1)].tolist())
-    up_want = {4**e - 1 for e in range(1, 11) if 4**e - 1 <= lim}
-    assert up_tight == up_want, "upper tightness set differs"
-    for k in range(1, 4096, 2):
-        check_bounds_g(k)
-    for k in low_want | up_want:
-        check_bounds_g(int(k))
-    return "odd k<=1e6 (vector) + k<4096 (scalar)"
+    return _bounds_claim(check_bounds_g, "lower", "upper")
 
 
 @_claim("n3-upper-bound", "bounds")
 def _n3_upper_bound(cfg: VerifyConfig) -> str:
-    lim = 1_000_000
-    a, _ = _n3_n5_arrays(lim + 1)
-    ks = np.arange(1, lim + 1, 2, dtype=np.int64)
-    v = a[ks]
-    assert np.all(2 * (v + 1) * (v + 1) <= 3 * ks - 1), "n3 bound fails"
-    tight = ks[2 * (v + 1) * (v + 1) == 3 * ks - 1]
-    want = {1 + 2 * (4**e - 1) // 3 for e in range(11)}
-    want = {k for k in want if k <= lim}
-    assert set(tight.tolist()) == want, "n3 tightness set differs"
-    for k in range(1, 4096, 2):
-        check_bounds_n3(k)
-    for k in want:
-        check_bounds_n3(int(k))
-    return "odd k<=1e6 (vector) + k<4096 (scalar)"
+    return _bounds_claim(check_bounds_n3, "n3")
 
 
 @_claim("n5-upper-bound", "bounds")
 def _n5_upper_bound(cfg: VerifyConfig) -> str:
-    lim = 1_000_000
-    _, b = _n3_n5_arrays(lim + 1)
-    ks = np.arange(1, lim + 1, 2, dtype=np.int64)
-    v = b[ks]
-    assert np.all(4 * (v + 1) * (v + 1) <= 3 * ks + 1), "n5 bound fails"
-    tight = ks[4 * (v + 1) * (v + 1) == 3 * ks + 1]
-    want = {(4**e - 1) // 3 for e in range(1, 12)}
-    want = {k for k in want if k <= lim}
-    assert set(tight.tolist()) == want, "n5 tightness set differs"
-    for k in range(1, 4096, 2):
-        check_bounds_n5(k)
-    for k in want:
-        check_bounds_n5(int(k))
-    return "odd k<=1e6 (vector) + k<4096 (scalar)"
+    return _bounds_claim(check_bounds_n5, "n5")
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +628,7 @@ def _n5_upper_bound(cfg: VerifyConfig) -> str:
 
 
 def _structure_sweep_t3(kmax: int) -> None:
-    for k, (ak, bk), dom in _image_codes(3, _checked_kmax(kmax)):
+    for k, (ak, bk), dom in _image_codes(3, kmax):
         hk = ak + bk
         if dom is None:
             assert not (k & 1 and ak >= 1), f"odd image vanishes at k={k}"
@@ -683,7 +651,7 @@ def _structure_sweep_t3(kmax: int) -> None:
 
 
 def _structure_sweep_t5(kmax: int) -> None:
-    for k, (ak, bk), dom in _image_codes(5, _checked_kmax(kmax)):
+    for k, (ak, bk), dom in _image_codes(5, kmax):
         hk = ak + bk
         if dom is None:
             assert not (k & 1 and bk >= 1), f"odd image vanishes at k={k}"

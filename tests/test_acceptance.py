@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import pytest
 
 from hecke2.cli import MAX_FORM_DEGREE
-from hecke2.codes import h, h_poly
+from hecke2.codes import code_arrays, h, h_poly
 from hecke2.deltapoly import ZERO, DeltaPoly, decompose, from_series, to_series
 from hecke2.gf2series import bit_positions
 from hecke2.hecke import (
@@ -32,7 +32,8 @@ from hecke2.hecke import (
 )
 from hecke2.nilpotence import apply_witness, g_bruteforce, g_general
 from hecke2.structural import check_corollary_values, check_shift3, check_shift5
-from hecke2.verify import _REGISTRY, VerifyConfig, _n3_n5_arrays
+from hecke2.verify import _REGISTRY, VerifyConfig
+from helpers import poly
 
 
 @contextmanager
@@ -42,10 +43,6 @@ def budget(criterion: str, seconds: float):
     elapsed = time.perf_counter() - start
     assert elapsed < seconds, f"{criterion} exceeded its {seconds}s budget: {elapsed:.1f}s"
     print(f"ACCEPTANCE {criterion}: PASS ({int(elapsed * 1000)} ms)")
-
-
-def poly(*exponents):
-    return DeltaPoly.from_exponents(exponents)
 
 
 def test_criterion_01_f3_f5_exact():
@@ -102,7 +99,7 @@ def test_criterion_05_image_tables_both_routes():
 
 def test_criterion_06_witnesses_and_bruteforce_g():
     with budget("06-witness-and-g", 5.0):
-        a, b = _n3_n5_arrays(1024)
+        a, b = code_arrays(1024)
         hs = a + b
         tables = {p: hecke_fast_range(cached_charpoly(p), 1023) for p in (3, 5)}
         for k in range(1, 1024, 2):

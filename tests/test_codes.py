@@ -26,10 +26,7 @@ from hecke2.codes import (
 )
 from hecke2.deltapoly import DeltaPoly
 from hecke2.errors import MixedParity, ParityMismatch, ZeroPolynomial
-
-
-def poly(*exponents):
-    return DeltaPoly.from_exponents(exponents)
+from helpers import poly
 
 
 def test_support_examples():
@@ -186,11 +183,16 @@ def _old_h_poly(f):
 
 
 def test_key_table_matches_gather():
+    # the vector unshuffle against the scalar digit walk, on every k <= 2^16
     keys = codes._key_table((1 << 16) - 1)
     assert len(keys) == 1 << 16
-    for k, key in enumerate(keys):
-        c = codes._gather(k)
-        assert key == (c.n3 + c.n5) << 32 | c.n5, k
+    a, b = (x.tolist() for x in codes.code_arrays((1 << 16) + 1))
+    assert len(a) == len(b) == (1 << 16) + 1
+    for k in range(len(a)):
+        c = code(k)
+        assert (a[k], b[k]) == c, k
+        if k < len(keys):
+            assert keys[k] == (c.n3 + c.n5) << 32 | c.n5, k
 
 
 def test_table_kernel_matches_digit_walk(monkeypatch):

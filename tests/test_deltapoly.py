@@ -17,10 +17,7 @@ from hecke2.deltapoly import (
 )
 from hecke2.errors import NotAPolynomial, PrecisionTooLow, ZeroPolynomial
 from hecke2.gf2series import BitSeries, clmul, delta, zero
-
-
-def poly(*exponents):
-    return DeltaPoly.from_exponents(exponents)
+from helpers import poly
 
 
 def test_to_series_basics():

@@ -17,7 +17,7 @@ from hecke2.gf2series import (
     stride_bits,
     zero,
 )
-from qseries import delta_qpow
+from helpers import delta_qpow, sigma1
 
 
 def conv_oracle(a: BitSeries, b: BitSeries) -> BitSeries:
@@ -30,10 +30,6 @@ def conv_oracle(a: BitSeries, b: BitSeries) -> BitSeries:
             c ^= ((a.bits >> i) & 1) & ((b.bits >> (n - i)) & 1)
         out |= c << n
     return BitSeries(out, prec)
-
-
-def sigma1(n: int) -> int:
-    return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
 def test_zero_basics():

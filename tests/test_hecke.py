@@ -45,11 +45,7 @@ from hecke2.hecke import (
     shared_image_table,
     structure_violations,
 )
-from qseries import delta_qpow
-
-
-def poly(*exponents):
-    return DeltaPoly.from_exponents(exponents)
+from helpers import delta_qpow, poly, sigma1
 
 
 F3 = CharPoly(3, (ZERO, ZERO, poly(1), poly(4)))
@@ -875,24 +871,11 @@ def test_hecke_matrix_validates_arguments():
         hecke_matrix(9, 5)
 
 
-def _sigma1(n: int) -> int:
-    total = 0
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            total += i
-            j = n // i
-            if j != i:
-                total += j
-        i += 1
-    return total
-
-
 def delta7_coeff_sigma(n: int) -> int:
     """Coefficient of q^n in the 7th power, via the divisor sum / 8 mod 2."""
     if n <= 0 or n % 8 != 7:
         raise BadResidue(f"n must be positive and 7 mod 8, got {n}")
-    s = _sigma1(n)
+    s = sigma1(n)
     if s % 8:
         raise AssertionError(f"divisor sum of {n} is not a multiple of 8")
     return (s // 8) & 1

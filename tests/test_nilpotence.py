@@ -17,10 +17,7 @@ from hecke2.nilpotence import (
     g_odd,
     render_report,
 )
-
-
-def poly(*exponents):
-    return DeltaPoly.from_exponents(exponents)
+from helpers import poly
 
 
 def test_g_odd_examples():

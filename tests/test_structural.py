@@ -1,7 +1,7 @@
 import pytest
 
 from hecke2.codes import code, dominant_exponent, h_poly
-from hecke2.deltapoly import ZERO, DeltaPoly, Parity, monomial
+from hecke2.deltapoly import ZERO, Parity, monomial
 from hecke2.hecke import cached_charpoly, hecke_fast_range, hecke_naive, image_table
 from hecke2.structural import (
     a_seq,
@@ -14,10 +14,7 @@ from hecke2.structural import (
     w_poly,
     y_poly,
 )
-
-
-def poly(*exponents):
-    return DeltaPoly.from_exponents(exponents)
+from helpers import poly
 
 
 def test_a_seq_values():

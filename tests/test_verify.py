@@ -190,3 +190,53 @@ def test_dominant_product_checks_1000_pairs_from_its_pool(monkeypatch):
     monkeypatch.setattr(verify, "_random_sparse_pure", lambda rng, max_deg: DeltaPoly(1 << 2))
     with pytest.raises(AssertionError, match="only 0 admissible pairs in a pool of 600"):
         claim(VerifyConfig())
+
+
+# (claim, entry k, 0 for n3 / 1 for n5, change, the failure it must report);
+# every bound mutation sits on a tight point of the bound it breaks
+_CODE_MUTATIONS = [
+    ("code-parity-table", 3, 0, 1, "n3 parity table fails"),
+    ("odd-step-invariance", 3, 0, 1, "n3 changes from 2l to 2l+1"),
+    ("code-doubling-rules", 3, 0, 1, "2k rule fails, k odd"),
+    ("h-subadditive", 3, 0, 1, "mixed bound fails near k=1"),
+    ("h-increments", 3, 0, 1, "h(k+1) != h(k) for even k"),
+    ("h-disjoint-support", 3, 0, 1, "disjoint additivity fails near k=1"),
+    ("g-two-sided-bounds", 5, 1, 1, "lower tightness set differs"),
+    ("g-two-sided-bounds", 5, 1, -1, "lower bound fails"),
+    ("g-two-sided-bounds", 15, 0, 1, "upper bound fails"),
+    ("g-two-sided-bounds", 15, 0, -1, "upper tightness set differs"),
+    ("n3-upper-bound", 11, 0, 1, "n3 bound fails"),
+    ("n3-upper-bound", 11, 0, -1, "n3 tightness set differs"),
+    ("n5-upper-bound", 21, 1, 1, "n5 bound fails"),
+    ("n5-upper-bound", 21, 1, -1, "n5 tightness set differs"),
+]
+
+
+@pytest.mark.parametrize(
+    "claim_id, k, which, change, detail", _CODE_MUTATIONS,
+    ids=[f"{c}-{'n3n5'[2 * w:2 * w + 2]}({k}){d:+d}" for c, k, w, d, _ in _CODE_MUTATIONS],
+)
+def test_code_claims_fail_on_one_corrupted_code(monkeypatch, claim_id, k, which, change, detail):
+    claim = verify._REGISTRY[claim_id]
+    code_arrays = verify.code_arrays
+
+    def corrupted(n):
+        arrays = code_arrays(n)
+        arrays[which][k] += change
+        return arrays
+
+    monkeypatch.setattr(verify, "code_arrays", corrupted)
+    with pytest.raises(AssertionError) as failure:
+        claim(VerifyConfig())
+    assert str(failure.value) == detail
+
+
+def test_structure_sweeps_fail_above_the_key_table(monkeypatch):
+    with pytest.raises(AssertionError, match="k<=65536 is above the domination key table's cap"):
+        next(verify._image_codes(3, 1 << 16))
+    monkeypatch.setitem(verify.SUITES, "sweeps", ("t3-image-structure", "t5-image-structure"))
+    report = run_suite("sweeps", VerifyConfig(kmax=70000))
+    status = {c.claim_id: c for c in report.claims}
+    for claim_id in ("t3-image-structure", "t5-image-structure"):
+        assert not status[claim_id].ok
+        assert status[claim_id].detail == "k<=70000 is above the domination key table's cap"
