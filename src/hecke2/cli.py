@@ -12,6 +12,7 @@ import argparse
 import sys
 import time
 
+from .codes import _TABLE_CAP
 from .deltapoly import DeltaPoly
 from .errors import CacheFormatError, Hecke2Error
 from .hecke import (
@@ -33,17 +34,16 @@ from .nilpotence import g_general, render_report
 from .verify import SUITES, VerifyConfig, run_suite
 
 USAGE_ERROR = 2
-# Largest exponent a form spec may hold: `hecke` streams one image per odd
-# power up to the largest odd part of an exponent, and every command packs
-# the form into a bit mask.
-MAX_FORM_DEGREE = 65535
+# Largest exponent a form spec may hold, the domination key table's last:
+# `hecke` streams one image per odd power up to the largest odd part of an
+# exponent, and every command packs the form into a bit mask.
+MAX_FORM_DEGREE = _TABLE_CAP - 1
 FORM_HELP = f"comma-separated exponents, each at most {MAX_FORM_DEGREE}"
 PRIME_HELP = f"odd prime, at most {MAX_PRIME}"
 PMAX_HELP = f"largest prime covered, 3 to {MAX_PRIME}"
 BENCH_PMAX_HELP = f"largest prime solved, 3 to {MAX_PRIME}"
 # --kmax sizes the structure sweeps' numpy arrays and image stream, as a form's
-# degree sizes `hecke`'s stream, so it shares that cap; the domination key
-# table the sweeps rank exponents by ends there too
+# degree sizes `hecke`'s stream, so it shares that cap, the end of the key table
 KMAX_HELP = f"top power of the image-structure sweeps, 1 to {MAX_FORM_DEGREE}; not with --long"
 
 

@@ -105,8 +105,8 @@ def decode(c: Code | tuple[int, int], odd: int) -> int:
 
 # Entry k is h(k) << 32 | n5(k), which sorts as (h, n5) does.  The table grows
 # to the next power of two above the largest exponent asked for, from
-# _TABLE_MIN up to _TABLE_CAP entries, which covers every exponent a form spec
-# may hold.
+# _TABLE_MIN up to _TABLE_CAP entries; the command line's cap on the exponents
+# of a form spec is the table's last entry.
 _KEY_SHIFT = 32
 _TABLE_MIN = 1 << 12
 _TABLE_CAP = 1 << 16

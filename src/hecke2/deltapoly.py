@@ -160,19 +160,29 @@ class FormDecomposition:
         return DeltaPoly(mask)
 
 
+def _odd_parts(mask: int) -> dict[int, list[int]]:
+    """The odd parts m of the exponents 2^s m >= 1 of ``mask``, ascending, grouped by s:
+    the one 2-adic split, read by ``decompose`` and the T_p applier.  Group 0, the odd
+    exponents, is split off by one AND against the even mask and is always present."""
+    even = mask & _even_mask(mask.bit_length())
+    groups = {0: bit_positions(mask ^ even)}
+    for k in bit_positions(even >> 1 << 1):
+        s = (k & -k).bit_length() - 1
+        if s not in groups:
+            groups[s] = []
+        groups[s].append(k >> s)
+    return groups
+
+
 def decompose(f: DeltaPoly) -> FormDecomposition:
     """Group the exponents of ``f`` by their 2-adic valuation.
 
-    Component ``s`` collects ``{k >> s : v2(k) = s}``; each part has only odd
-    exponents and the reassembly identity is exact.
+    Component ``s`` collects ``{k >> s : v2(k) = s}`` (``_odd_parts``), s ascending;
+    each part has only odd exponents and the reassembly identity is exact.
     """
-    groups: dict[int, int] = {}
-    has_constant = 0 in f
-    for e in bit_positions(f.mask & ~1):
-        s = (e & -e).bit_length() - 1
-        groups[s] = groups.get(s, 0) | (1 << (e >> s))
-    components = tuple((s, DeltaPoly(groups[s])) for s in sorted(groups))
-    return FormDecomposition(has_constant, components)
+    groups = _odd_parts(f.mask)
+    components = tuple((s, DeltaPoly.from_exponents(groups[s])) for s in sorted(groups) if groups[s])
+    return FormDecomposition(0 in f, components)
 
 
 # Forms of degree below this expand from a ladder of low powers of Delta;

@@ -15,12 +15,12 @@ on their classes.  In characteristic 2, T_p(g^2) = T_p(g)^2, and the odd
 images obey the same kind of recurrence with the coefficients squared, so
 ``hecke_fast`` and ``ImageTable`` run that one at half the steps and share
 one applier, ``_apply_packed``, which squares the images of the odd parts
-of a form into every even one; ``shared_image_table`` keeps one table per
-relation across calls for the witness route.  The relation itself is computed by a packed
-GF(2) linear solve whose unknowns are the monomial bits allowed by the
-degree and mod-8 congruence constraints; the classical power-sum (Newton)
-identities give a second derivation from naive data, used as an
-independent oracle.
+of a form (``deltapoly._odd_parts``) into every even one;
+``shared_image_table`` keeps one table per relation across calls for the
+witness route.  The relation itself is computed by a packed GF(2) linear
+solve whose unknowns are the monomial bits allowed by the degree and mod-8
+congruence constraints; the classical power-sum (Newton) identities give a
+second derivation from naive data, used as an independent oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .deltapoly import (
     ONE,
     ZERO,
     DeltaPoly,
-    _even_mask,
+    _odd_parts,
     _peel,
     from_series,
     monomial,
@@ -58,7 +58,6 @@ from .gf2series import (
     pack8,
     spread8,
     spread_bits,
-    square_multiply,
     stride_bits,
 )
 
@@ -247,22 +246,38 @@ class CharPoly:
         return " + ".join(parts)
 
 
+def _chosen_relation(p: int, unknowns, chosen: int) -> CharPoly:
+    """The relation of a solve for F_p: X^j in s_r for each (r, j) = ``unknowns[idx]``, idx in ``chosen``."""
+    smasks = [0] * (p + 2)
+    for idx in bit_positions(chosen):
+        r, j = unknowns[idx]
+        smasks[r] |= 1 << j
+    return CharPoly(p, tuple(DeltaPoly(sm) for sm in smasks[1:]))
+
+
+def _off_class(cp: CharPoly) -> list[int]:
+    """The r, ascending, whose s_r has a bit off its class p*r mod 8, each by
+    one AND against the repeated byte of the other seven classes."""
+    nbytes = max(sr.mask.bit_length() for sr in cp.s) // 8 + 1
+    off = [int.from_bytes(bytes([0xFF ^ 1 << c]) * nbytes, "little") for c in range(8)]
+    return [r for r, sr in enumerate(cp.s, 1) if sr.mask & off[(cp.p * r) % 8]]
+
+
 def structure_violations(cp: CharPoly) -> list[str]:
     """Names of violated structural invariants (empty when all hold).
 
     Each s_r is checked on its mask: the degree bound by one shift, the class
-    p*r mod 8 by one AND against the repeated byte of the other seven classes.
-    Symmetry is checked on the rows of F_p indexed by Y-degree (the X-degrees
-    of the terms of Y^b, with the monic Y^(p+1)): every term X^a Y^b needs
-    its mirror X^b Y^a, and that one direction makes the term set symmetric.
+    p*r mod 8 by ``_off_class``.  Symmetry is checked on the rows of F_p
+    indexed by Y-degree (the X-degrees of the terms of Y^b, with the monic
+    Y^(p+1)): every term X^a Y^b needs its mirror X^b Y^a, and that one
+    direction makes the term set symmetric.
     """
     out = []
-    nbytes = max(sr.mask.bit_length() for sr in cp.s) // 8 + 1
-    off_class = [int.from_bytes(bytes([0xFF ^ 1 << c]) * nbytes, "little") for c in range(8)]
+    off = set(_off_class(cp))
     for r, sr in enumerate(cp.s, 1):
         if sr.mask >> (r + 1):
             out.append(f"degree bound: s{r}")
-        if sr.mask & off_class[(cp.p * r) % 8]:
+        if r in off:
             out.append(f"congruence class: s{r}")
     big = cp.p + 1
     rows = [sr.mask for sr in reversed(cp.s)] + [1]
@@ -388,12 +403,7 @@ def _solve_relation(p: int, window: int) -> CharPoly:
         ),
         lambda: AssertionError(f"no monic degree-{big} relation exists at p={p}"),
     )
-
-    smasks = [0] * (big + 1)
-    for idx in bit_positions(chosen):
-        r, j = unknowns[idx]
-        smasks[r] |= 1 << j
-    cp = CharPoly(p, tuple(DeltaPoly(sm) for sm in smasks[1:]))
+    cp = _chosen_relation(p, unknowns, chosen)
     if any(terms.residual(cp)):
         raise AssertionError(f"solved relation leaves a residual at p={p}")
     bad = structure_violations(cp)
@@ -494,12 +504,7 @@ def charpoly_via_newton(p: int) -> CharPoly:
         ),
         lambda: SingularSystem(f"power-sum identities are inconsistent at p={p}"),
     )
-    smasks = [0] * (big + 1)
-    for idx in bit_positions(chosen):
-        i, j = bits[idx]
-        smasks[i] |= 1 << j
-
-    cp = CharPoly(p, tuple(DeltaPoly(sm) for sm in smasks[1:]))
+    cp = _chosen_relation(p, bits, chosen)
     for m, image in enumerate(_packed_stream(cp, rmax)):
         if m and not (image == packed[m] and spread8(packed[m], cls[m]) == sums[m]):
             raise SingularSystem(f"power-sum identity {m} does not close at p={p}")
@@ -533,9 +538,9 @@ def _recurrence_plan(cp: CharPoly, step: int) -> tuple[tuple, tuple[int, ...]]:
     packed on the class of its image.
     """
     p = cp.p
-    for r, sr in enumerate(cp.s, 1):
-        if any(e % 8 != (p * r) % 8 for e in sr.exponents()):
-            raise BadResidue(f"s{r} of the relation at p={p} leaves its class mod 8")
+    off = _off_class(cp)
+    if off:
+        raise BadResidue(f"s{off[0]} of the relation at p={p} leaves its class mod 8")
     shifts = []
     for i in range(8):
         k = step * i + step - 1
@@ -624,29 +629,19 @@ def _unpack_classes(acc: list[int], s: int) -> int:
     return out
 
 
-def _apply_packed(p: int, mask: int, odd) -> int:
-    """Exponent mask of T_p applied to the form with exponent mask ``mask``.
+def _apply_packed(p: int, groups: dict[int, list[int]], odd) -> int:
+    """Exponent mask of T_p on the form with the 2-adic split ``groups`` (``_odd_parts``).
 
     ``odd[m >> 1]`` is the image of Delta^m, m odd, packed on its class
-    p*m mod 8.  T_p(g^2) = T_p(g)^2 in characteristic 2, so each exponent
-    k = 2^s m xors the image of Delta^m into the accumulator of its class
-    among the eight of valuation s, and each accumulator is unpacked once,
-    squared s times.  The odd exponents are split off by one mask and go
-    straight into valuation 0.  The constant term maps to 0.
+    p*m mod 8.  T_p(g^2) = T_p(g)^2 in characteristic 2, so group s xors the
+    images of its odd parts into eight class accumulators, each unpacked once
+    and squared s times.  The constant term maps to 0.
     """
-    even = mask & _even_mask(mask.bit_length())
-    acc0 = [0] * 8
-    accs = {0: acc0}
-    for k in bit_positions(mask ^ even):
-        acc0[p * k & 7] ^= odd[k >> 1]
-    for k in bit_positions(even >> 1 << 1):
-        s = (k & -k).bit_length() - 1
-        m = k >> s
-        if s not in accs:
-            accs[s] = [0] * 8
-        accs[s][p * m & 7] ^= odd[m >> 1]
     out = 0
-    for s, acc in accs.items():
+    for s, parts in groups.items():
+        acc = [0] * 8
+        for m in parts:
+            acc[p * m & 7] ^= odd[m >> 1]
         out ^= _unpack_classes(acc, s)
     return out
 
@@ -702,7 +697,7 @@ class ImageTable:
             raise ValueError("exponent mask must be nonnegative")
         if mask.bit_length() > self.kmax + 1:
             raise IndexError(f"degree {mask.bit_length() - 1} above {self.kmax}")
-        return _apply_packed(self.p, mask, self.odd)
+        return _apply_packed(self.p, _odd_parts(mask), self.odd)
 
 
 def image_table(cp: CharPoly, kmax: int) -> ImageTable:
@@ -744,16 +739,16 @@ def shared_image_table(cp: CharPoly, kmax: int) -> ImageTable:
 def hecke_fast(f: DeltaPoly, cp: CharPoly) -> DeltaPoly:
     """T_p of an arbitrary polynomial, over the odd packed stream.
 
-    The stream runs to the largest odd part m of an exponent 2^s m of f and
-    keeps just the images of the odd parts f uses, for ``_apply_packed``.
+    f is split once (``_odd_parts``): the stream runs to the largest odd part,
+    keeps the images of the parts f uses, and ``_apply_packed`` sums them.
     """
-    # k >> (s + 1) = m >> 1 indexes the odd stream
-    wanted = {k >> (k & -k).bit_length() for k in bit_positions(f.mask >> 1 << 1)}
+    groups = _odd_parts(f.mask)
+    wanted = {m >> 1 for parts in groups.values() for m in parts}  # m >> 1 indexes the odd stream
     if not wanted:
         return ZERO
     stream = _packed_stream(cp, 2 * max(wanted) + 1, step=2)
     odd = {j: packed for j, packed in enumerate(stream) if j in wanted}
-    return DeltaPoly(_apply_packed(cp.p, f.mask, odd))
+    return DeltaPoly(_apply_packed(cp.p, groups, odd))
 
 
 # ---------------------------------------------------------------------------
@@ -766,33 +761,9 @@ class GF2Matrix:
 
     rows: tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def __mul__(self, other: "GF2Matrix") -> "GF2Matrix":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        out = []
-        for row in self.rows:
-            acc = 0
-            for i in bit_positions(row):
-                acc ^= other.rows[i]
-            out.append(acc)
-        return GF2Matrix(tuple(out))
-
-    def square(self) -> "GF2Matrix":
-        return self * self
-
-    def power(self, e: int) -> "GF2Matrix":
-        if e < 0:
-            raise ValueError("negative matrix powers are not defined")
-        return square_multiply(self, e, GF2Matrix(tuple(1 << i for i in range(self.n))))
-
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.rows)
-
     def is_strictly_lower_triangular(self) -> bool:
+        """Whether row i has no bit at column i or above.  Then the n x n matrix
+        has M^n = 0: it maps basis vector i into the span of the first i."""
         return all(row >> i == 0 for i, row in enumerate(self.rows))
 
 

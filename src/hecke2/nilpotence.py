@@ -11,6 +11,7 @@ decomposition; a finite-prime-set brute force serves as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .codes import NEG_INF, Code, code, dominant_exponent
@@ -164,9 +165,10 @@ class _Bound(NamedTuple):
     point: Callable[[int], int]
     first: int
 
-    def tight(self, lim: int) -> set[int]:
-        """The tight points up to ``lim``."""
-        return {k for a in range(self.first, lim.bit_length() + 2) if (k := self.point(4**a)) <= lim}
+    @lru_cache(maxsize=None)
+    def tight(self, lim: int) -> frozenset[int]:
+        """The tight points up to ``lim``, kept for each ``lim`` asked for."""
+        return frozenset(k for a in range(self.first, lim.bit_length() + 2) if (k := self.point(4**a)) <= lim)
 
 
 _BOUNDS = {
@@ -177,17 +179,22 @@ _BOUNDS = {
 }
 
 
-def _check_bound(name: str, k: int) -> bool:
-    """Exact-integer check of one of ``_BOUNDS`` at ``k``; True where it is tight."""
+def _check_bounds(k: int, *names: str) -> list[bool]:
+    """Exact-integer check of the named ``_BOUNDS`` at ``k`` from one code, True where
+    each is tight; tightness reads the tight points below the next 2^j > k."""
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be odd and positive")
-    bound = _BOUNDS[name]
-    slack = bound.slack(bound.value(*code(k)), k)
-    if slack < 0:
-        raise AssertionError(f"{name} bound fails at k={k}")
-    if (slack == 0) != (k in bound.tight(k)):
-        raise AssertionError(f"{name} tightness characterization fails at k={k}")
-    return slack == 0
+    a, b = code(k)
+    out = []
+    for name in names:
+        bound = _BOUNDS[name]
+        slack = bound.slack(bound.value(a, b), k)
+        if slack < 0:
+            raise AssertionError(f"{name} bound fails at k={k}")
+        if (slack == 0) != (k in bound.tight(1 << k.bit_length())):
+            raise AssertionError(f"{name} tightness characterization fails at k={k}")
+        out.append(slack == 0)
+    return out
 
 
 def check_bounds_g(k: int) -> BoundsTightness:
@@ -196,17 +203,17 @@ def check_bounds_g(k: int) -> BoundsTightness:
     lower: 1 + sqrt(k-1)/2 <= g(k), tight exactly at k = 1 and k = 4^a + 1;
     upper: g(k) <= (3/2) sqrt(k+1) - 1, tight exactly at k = 4^a - 1.
     """
-    return BoundsTightness(_check_bound("lower", k), _check_bound("upper", k))
+    return BoundsTightness(*_check_bounds(k, "lower", "upper"))
 
 
 def check_bounds_n3(k: int) -> bool:
     """n3(k) <= sqrt((3k-1)/2) - 1, tight exactly at k = 1 + 2(4^a - 1)/3."""
-    return _check_bound("n3", k)
+    return _check_bounds(k, "n3")[0]
 
 
 def check_bounds_n5(k: int) -> bool:
     """n5(k) <= sqrt((3k+1)/4) - 1, tight exactly at k = (4^a - 1)/3."""
-    return _check_bound("n5", k)
+    return _check_bounds(k, "n5")[0]
 
 
 def render_report(report: NilpotenceReport, kv: bool = False) -> str:

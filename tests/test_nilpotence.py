@@ -171,6 +171,14 @@ def test_check_bounds_n3_n5():
         check_bounds_n5(k)
 
 
+def test_bound_checks_are_tight_exactly_on_the_stated_points():
+    tight = {name: bound.tight(1 << 16) for name, bound in nilpotence._BOUNDS.items()}
+    for k in range(1, 1 << 16, 2):
+        assert check_bounds_g(k) == (k in tight["lower"], k in tight["upper"]), k
+        assert check_bounds_n3(k) == (k in tight["n3"]), k
+        assert check_bounds_n5(k) == (k in tight["n5"]), k
+
+
 def test_render_report():
     text = render_report(g_odd(poly(15)))
     assert text == "g=5 h=4 dominant=15 code=(3,1) witness=T3^3 T5^1"

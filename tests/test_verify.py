@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from hecke2 import verify
-from hecke2.deltapoly import DeltaPoly
+from hecke2 import hecke, verify
+from hecke2.deltapoly import DeltaPoly, monomial
 from hecke2.errors import WitnessFailed
 from hecke2.hecke import CharPoly
 from hecke2.verify import VerifyConfig, run_suite
@@ -130,6 +130,23 @@ def test_structure_sweep_fails_on_one_flipped_image_bit(monkeypatch, p, k, claim
     assert status[claim_id].detail == f"odd image vanishes at k={k}"
     other = "t5-image-structure" if p == 3 else "t3-image-structure"
     assert status[other].ok
+
+
+@pytest.mark.parametrize("p, k, e", [(3, 9, 9), (41, 51, 97)])
+def test_triangular_nilpotent_fails_on_an_image_at_or_above_its_own_index(monkeypatch, p, k, e):
+    # x^e with odd e >= k stays in the odd basis but puts a bit of row
+    # (k - 1) / 2 on or above the diagonal
+    naive_range = hecke._naive_monomial_range
+
+    def corrupted(q, kmax):
+        images = naive_range(q, kmax)
+        if q == p:
+            images[k] = images[k] + monomial(e)
+        return images
+
+    monkeypatch.setattr(hecke, "_naive_monomial_range", corrupted)
+    with pytest.raises(AssertionError, match=f"^matrix not triangular at p={p}$"):
+        verify._REGISTRY["triangular-nilpotent"](VerifyConfig())
 
 
 def test_report_line_keeps_the_range_readable():
