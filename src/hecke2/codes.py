@@ -8,8 +8,10 @@ The map ``k -> code(k)`` is a bijection on each parity class; comparing
 out the dominant exponent of a parity-pure polynomial.
 
 The scalar functions gather digits one exponent at a time; ``code_arrays``
-gathers a whole range at once, and the domination order of a polynomial reads
-a lazily built table of packed keys made from it.
+gathers a whole range at once.  The dominant exponent of a polynomial is read
+from a lazily built table of bit slices made from it: one mask over the
+exponents for each bit of ``h`` and of ``n5``, which narrow the polynomial's
+mask to its dominant exponent with one AND each.
 """
 
 from __future__ import annotations
@@ -103,14 +105,22 @@ def decode(c: Code | tuple[int, int], odd: int) -> int:
     return k
 
 
-# Entry k is h(k) << 32 | n5(k), which sorts as (h, n5) does.  The table grows
-# to the next power of two above the largest exponent asked for, from
-# _TABLE_MIN up to _TABLE_CAP entries; the command line's cap on the exponents
-# of a form spec is the table's last entry.
-_KEY_SHIFT = 32
+# Bit k of a slice covers exponent k: slice b of ``h`` is set where bit b of
+# h(k) is set, and likewise for ``n5``.  The table grows to the next power of
+# two above the largest exponent asked for, from _TABLE_MIN up to _TABLE_CAP
+# exponents; the command line's cap on the exponents of a form spec is the
+# table's last exponent.
 _TABLE_MIN = 1 << 12
 _TABLE_CAP = 1 << 16
-_keys: list[int] = []
+
+
+class _Slices(NamedTuple):
+    size: int  # the slices cover exponents 0..size-1
+    h: tuple[tuple[int, int], ...]  # (2^b, slice b of h), top bit first
+    n5: tuple[int, ...]  # slice b of n5, top bit first
+
+
+_table = _Slices(0, (), ())
 
 
 def _even_bits(x: np.ndarray) -> np.ndarray:
@@ -129,26 +139,31 @@ def code_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _even_bits(m), _even_bits(m >> 1)
 
 
-def _key_table(top: int) -> list[int] | None:
-    """The key table covering exponents ``0..top``, or None above the cap."""
-    global _keys
-    if top < len(_keys):
-        return _keys
+def _bit_slices(values: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """``(2^b, slice b)`` for each bit b of ``values``, top bit first: bit k
+    of slice b is bit b of ``values[k]``."""
+    bits = np.arange(int(values.max()).bit_length())[::-1]
+    rows = np.packbits((values >> bits[:, None]) & 1, axis=1, bitorder="little")
+    return tuple((1 << int(b), int.from_bytes(row.tobytes(), "little")) for b, row in zip(bits, rows))
+
+
+def _slice_table(top: int) -> _Slices | None:
+    """The slice table covering exponents ``0..top``, or None above the cap."""
+    global _table
+    if top < _table.size:
+        return _table
     if top >= _TABLE_CAP:
         return None
-    a, b = code_arrays(max(_TABLE_MIN, 1 << top.bit_length()))
-    _keys = ((a + b) << _KEY_SHIFT | b).tolist()
-    return _keys
+    size = max(_TABLE_MIN, 1 << top.bit_length())
+    a, b = code_arrays(size)
+    _table = _Slices(size, _bit_slices(a + b), tuple(s for _, s in _bit_slices(b)))
+    return _table
 
 
 def domination_key(k: int) -> tuple[int, int]:
     """Sort key realizing the domination order within a parity class."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    keys = _key_table(k)
-    if keys is None:
-        return (h(k), n5(k))
-    return divmod(keys[k], 1 << _KEY_SHIFT)
+    c = code(k)
+    return (c.n3 + c.n5, c.n5)
 
 
 def dominates(k: int, l: int) -> int:
@@ -169,28 +184,44 @@ def dominates(k: int, l: int) -> int:
     return 0
 
 
-def _pure_exponents(f: DeltaPoly) -> tuple[int, ...]:
+def _pure_mask(f: DeltaPoly) -> int:
     p = f.parity_class()
     if p is Parity.MIXED:
         raise MixedParity("polynomial mixes even and odd exponents")
     if p is Parity.ZERO:
         raise ZeroPolynomial("the zero polynomial has no dominant exponent")
-    return f.exponents()
+    return f.mask
 
 
-def _dominant(exps: tuple[int, ...]) -> tuple[int, int]:
-    """The dominant one of ascending pure exponents, and its ``h``."""
-    keys = _key_table(exps[-1])
-    if keys is None:
-        top = max(exps, key=domination_key)
+def _dominant(mask: int) -> tuple[int, int]:
+    """The dominant exponent of a nonzero parity-pure mask, and its ``h``.
+
+    Each slice, h's from the top bit down and then n5's, keeps the candidates
+    that have its bit whenever any does, so the survivors are those with the
+    largest ``(h, n5)``.  That pair is injective on a parity class, so one
+    exponent is left.
+    """
+    table = _slice_table(mask.bit_length() - 1)
+    if table is None:
+        top = max(bit_positions(mask), key=domination_key)
         return top, domination_key(top)[0]
-    top = max(exps, key=keys.__getitem__)
-    return top, keys[top] >> _KEY_SHIFT
+    cand, hk = mask, 0
+    for w, s in table.h:
+        t = cand & s
+        if t:
+            cand, hk = t, hk | w
+    for s in table.n5:
+        t = cand & s
+        if t:
+            cand = t
+    if cand & (cand - 1):
+        raise AssertionError("the slice table leaves more than one dominant exponent")
+    return cand.bit_length() - 1, hk
 
 
 def dominant_exponent(f: DeltaPoly) -> int:
     """The exponent of ``f`` maximal for the domination order."""
-    return _dominant(_pure_exponents(f))[0]
+    return _dominant(_pure_mask(f))[0]
 
 
 def h_poly(f: DeltaPoly) -> int | float:
@@ -201,7 +232,7 @@ def h_poly(f: DeltaPoly) -> int | float:
     """
     if not f:
         return NEG_INF
-    return _dominant(_pure_exponents(f))[1]
+    return _dominant(_pure_mask(f))[1]
 
 
 def cap_H(b: int) -> int:

@@ -19,10 +19,10 @@ from typing import Callable
 import numpy as np
 
 from . import structural
-from .codes import _dominant, _key_table, cap_H, code, code_arrays, decode, dominant_exponent, dominates, h, h_poly
+from .codes import _dominant, _slice_table, cap_H, code, code_arrays, decode, dominant_exponent, dominates, h, h_poly
 from .deltapoly import DeltaPoly, Parity, _even_mask, decompose, from_series, monomial, to_series
 from .errors import Hecke2Error, ParityMismatch
-from .gf2series import bit_positions, clmul
+from .gf2series import clmul, spread8
 from .hecke import (
     MAX_PRIME,
     ImageTable,
@@ -69,7 +69,7 @@ class ClaimResult:
     claim_id: str
     range_str: str
     ok: bool
-    ms: int
+    ms: float
     detail: str = ""
 
 
@@ -85,14 +85,14 @@ class VerificationReport:
         # key=value fields stay parseable: a space inside the range becomes _
         return [
             f"claim={c.claim_id} range={c.range_str.replace(' ', '_')} "
-            f"status={'pass' if c.ok else 'fail'} ms={c.ms}"
+            f"status={'pass' if c.ok else 'fail'} ms={c.ms:.2f}"
             for c in self.claims
         ]
 
     def summary(self) -> str:
         passed = sum(c.ok for c in self.claims)
         total_ms = sum(c.ms for c in self.claims)
-        return f"{passed}/{len(self.claims)} claims passed in {total_ms} ms"
+        return f"{passed}/{len(self.claims)} claims passed in {total_ms:.2f} ms"
 
 
 _REGISTRY: dict[str, Callable[[VerifyConfig], str]] = {}
@@ -123,10 +123,10 @@ def _checked_primes(n: int) -> list[int]:
 
 def _checked_kmax(kmax: int) -> None:
     """Refuse a structure sweep to ``kmax`` that would check nothing (no k >= 1)
-    or rank exponents above the domination key table's cap."""
+    or rank exponents above the cap of the domination order's slice table."""
     if kmax < 1:
         raise AssertionError(f"no power k in 1..{kmax} to check")
-    if _key_table(kmax) is None:
+    if _slice_table(kmax) is None:
         raise AssertionError(f"k<={kmax} is above the domination key table's cap")
 
 
@@ -145,10 +145,10 @@ def _image_codes(p: int, kmax: int):
     """Yield k, code(k) and the code of the dominant exponent of T_p(Delta^k).
 
     Codes are (n3, n5) pairs from ``code_arrays``; the dominant exponent is
-    picked by ``codes._dominant``, and a zero image gives None.  The
-    images are read packed, for k = 0..kmax: bit m of image k is the
-    exponent 8m + p*k mod 8.  An image has degree below k, so every exponent
-    is in the tables.
+    picked by ``codes._dominant`` from the slice table, and a zero image gives
+    None.  The images are read packed, for k = 0..kmax: bit m of image k is
+    the exponent 8m + p*k mod 8.  An image has degree below k, so every
+    exponent is in the tables.
     """
     _checked_kmax(kmax)
     a, b = code_arrays(kmax + 1)
@@ -156,8 +156,7 @@ def _image_codes(p: int, kmax: int):
     for k, packed in enumerate(_packed_stream(cached_charpoly(p), kmax)):
         dom = None
         if packed:
-            c = (p * k) % 8
-            e = _dominant([8 * m + c for m in bit_positions(packed)])[0]
+            e = _dominant(spread8(packed, p * k % 8))[0]
             dom = (n3s[e], n5s[e])
         yield k, (n3s[k], n5s[k]), dom
 
@@ -855,7 +854,7 @@ def run_suite(suite: str, cfg: VerifyConfig | None = None) -> VerificationReport
     for claim_id in SUITES[suite]:
         if not __debug__:
             detail = "python -O strips the assert statements, so the claim cannot be checked"
-            report.claims.append(ClaimResult(claim_id, "-", False, 0, detail))
+            report.claims.append(ClaimResult(claim_id, "-", False, 0.0, detail))
             continue
         fn = _REGISTRY[claim_id]
         start = time.perf_counter()
@@ -864,6 +863,6 @@ def run_suite(suite: str, cfg: VerifyConfig | None = None) -> VerificationReport
             ok, detail = True, ""
         except (AssertionError, Hecke2Error) as exc:
             range_str, ok, detail = "-", False, str(exc)
-        ms = int((time.perf_counter() - start) * 1000)
+        ms = (time.perf_counter() - start) * 1000
         report.claims.append(ClaimResult(claim_id, range_str, ok, ms, detail))
     return report

@@ -4,11 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hecke2 import codes
+from hecke2 import codes, verify
 from hecke2.codes import (
     NEG_INF,
     Code,
@@ -26,6 +27,7 @@ from hecke2.codes import (
 )
 from hecke2.deltapoly import DeltaPoly
 from hecke2.errors import MixedParity, ParityMismatch, ZeroPolynomial
+from hecke2.hecke import cached_charpoly, hecke_fast_range
 from helpers import poly
 
 
@@ -174,7 +176,7 @@ def test_domination_key_orders_codes():
 
 
 def _old_dominant(f):
-    # the per-exponent digit walk the key table replaced
+    # the per-exponent digit walk the slice table replaced
     return max(f.exponents(), key=lambda k: (h(k), n5(k)))
 
 
@@ -182,40 +184,53 @@ def _old_h_poly(f):
     return max(h(e) for e in f.exponents())
 
 
+def _slice_values(slices, size):
+    # read the table back: entry k is the integer whose bits the slices hold at k
+    values = np.zeros(size, dtype=np.int64)
+    for s in slices:
+        row = np.frombuffer(s.to_bytes(size // 8, "little"), np.uint8)
+        values = values << 1 | np.unpackbits(row, bitorder="little")
+    return values.tolist()
+
+
 def test_key_table_matches_gather():
-    # the vector unshuffle against the scalar digit walk, on every k <= 2^16
-    keys = codes._key_table((1 << 16) - 1)
-    assert len(keys) == 1 << 16
+    # the vector unshuffle, and the slices built from it, against the scalar
+    # digit walk on every k <= 2^16
+    table = codes._slice_table((1 << 16) - 1)
+    assert table.size == 1 << 16
+    assert [w for w, _ in table.h] == [1 << b for b in reversed(range(len(table.h)))]
+    hs = _slice_values([s for _, s in table.h], table.size)
+    n5s = _slice_values(table.n5, table.size)
     a, b = (x.tolist() for x in codes.code_arrays((1 << 16) + 1))
     assert len(a) == len(b) == (1 << 16) + 1
     for k in range(len(a)):
         c = code(k)
         assert (a[k], b[k]) == c, k
-        if k < len(keys):
-            assert keys[k] == (c.n3 + c.n5) << 32 | c.n5, k
+        if k < table.size:
+            assert (hs[k], n5s[k]) == (c.n3 + c.n5, c.n5), k
 
 
 def test_table_kernel_matches_digit_walk(monkeypatch):
     # start from no table, so each top below walks the table through a growth
-    monkeypatch.setattr(codes, "_keys", [])
+    monkeypatch.setattr(codes, "_table", codes._Slices(0, (), ()))
     rng = random.Random(2024)
-    # just below, at and above each growth point; 2^16 - 1 is the last table entry
+    # just below, at and above each growth point; 2^16 - 1 is the last table exponent
     for top in [(1 << b) + d for b in range(12, 17) for d in (-1, 0, 1)]:
         for _ in range(20):
             exps = {top} | {rng.randrange(top) & ~1 | top & 1 for _ in range(rng.randint(1, 30))}
             f = poly(*exps)
             assert dominant_exponent(f) == _old_dominant(f), top
             assert h_poly(f) == _old_h_poly(f), top
-        assert len(codes._keys) <= 1 << 16
+        assert codes._table.size == min(1 << 16, 1 << top.bit_length())
     # above the cap the scalar path decides, whatever the table holds
     for f in (poly(999_999, 999_997, 65_535, 21), poly(10**6, 2**20 - 2, 4094)):
         assert dominant_exponent(f) == _old_dominant(f)
         assert h_poly(f) == _old_h_poly(f)
-    assert len(codes._keys) <= 1 << 16
+    assert codes._table.size == 1 << 16
 
 
 def test_table_kernel_single_terms(monkeypatch):
-    monkeypatch.setattr(codes, "_keys", [])
+    monkeypatch.setattr(codes, "_table", codes._Slices(0, (), ()))
     for k in (0, 1, 2, 3, 4095, 4096, 8191, 65_535, 65_536, 999_999, 10**6):
         assert dominant_exponent(poly(k)) == k
         assert h_poly(poly(k)) == h(k)
@@ -229,6 +244,55 @@ def test_table_kernel_single_terms(monkeypatch):
             h_poly(f)
 
 
+def _silent_flip(monkeypatch):
+    # install the first flip that makes a T_3 image k <= 4095 pick a wrong
+    # exponent rather than raise: one h bit cleared at the image's dominant
+    # exponent e, under which another term e2 wins over e; return e and e2
+    table = codes._slice_table(4095)
+    for img in hecke_fast_range(cached_charpoly(3), 4095):
+        if not img:
+            continue
+        e = dominant_exponent(img)
+        for i, (w, s) in enumerate(table.h):
+            if h(e) & w:
+                monkeypatch.setattr(codes, "_table", table._replace(
+                    h=table.h[:i] + ((w, s ^ 1 << e),) + table.h[i + 1:],
+                ))
+                for e2 in img.exponents():
+                    try:
+                        if e2 != e and codes._dominant(1 << e | 1 << e2)[0] == e2:
+                            return e, e2
+                    except AssertionError:  # the flip left both; look further
+                        pass
+                monkeypatch.setattr(codes, "_table", table)
+    raise AssertionError("no flip changes a dominant exponent")
+
+
+def test_flipped_h_slice_fails_the_sweep_and_a_two_term_form(monkeypatch):
+    e, e2 = _silent_flip(monkeypatch)
+    f = poly(e, e2)
+    with pytest.raises(AssertionError):
+        assert dominant_exponent(f) == _old_dominant(f)
+    with pytest.raises(AssertionError, match="fails at k="):
+        verify._REGISTRY["t3-image-structure"](verify.VerifyConfig(kmax=4095))
+
+
+def test_two_exponents_with_equal_slices_raise(monkeypatch):
+    # copy the column of 9 onto 7 in every slice: no slice separates them
+    table = codes._slice_table(4095)
+
+    def copied(s):
+        return s & ~(1 << 7) | (s >> 9 & 1) << 7
+
+    monkeypatch.setattr(codes, "_table", table._replace(
+        h=tuple((w, copied(s)) for w, s in table.h), n5=tuple(copied(s) for s in table.n5),
+    ))
+    with pytest.raises(AssertionError, match="more than one dominant exponent"):
+        codes._dominant(1 << 7 | 1 << 9)
+    with pytest.raises(AssertionError, match="more than one dominant exponent"):
+        dominant_exponent(poly(7, 9))
+
+
 def test_key_table_is_lazy_and_bounded():
     src = str(Path(codes.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -236,15 +300,18 @@ def test_key_table_is_lazy_and_bounded():
         "import hecke2\n"
         "from hecke2 import codes\n"
         "from hecke2.deltapoly import DeltaPoly\n"
-        "print(len(codes._keys))\n"
+        "print(codes._table.size)\n"
         "codes.dominant_exponent(DeltaPoly.from_exponents([5, 1 << 20 | 1]))\n"
-        "print(len(codes._keys))\n"
+        "print(codes._table.size)\n"
+        "codes.dominant_exponent(DeltaPoly.from_exponents([5, 65_535]))\n"
+        "print(codes._table.size)\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    at_import, after_call = map(int, run.stdout.split())
+    at_import, above_cap, at_cap = map(int, run.stdout.split())
     assert at_import == 0
-    assert after_call <= 1 << 16
+    assert above_cap == 0
+    assert at_cap == 1 << 16
