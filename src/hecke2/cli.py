@@ -35,10 +35,11 @@ from .verify import SUITES, VerifyConfig, run_suite
 
 USAGE_ERROR = 2
 # Largest exponent a form spec may hold, the domination key table's last:
-# `hecke` streams one image per odd power up to the largest odd part of an
-# exponent, and every command packs the form into a bit mask.
+# `hecke` runs its recurrence up to the largest odd part of an exponent (one
+# odd image per step to 8(p+1) - 1, then four per step), and every command
+# packs the form into a bit mask.
 MAX_FORM_DEGREE = _TABLE_CAP - 1
-FORM_HELP = f"comma-separated exponents, each at most {MAX_FORM_DEGREE}"
+FORM_HELP = f"comma-separated distinct exponents, each at most {MAX_FORM_DEGREE}"
 PRIME_HELP = f"odd prime, at most {MAX_PRIME}"
 PMAX_HELP = f"largest prime covered, 3 to {MAX_PRIME}"
 BENCH_PMAX_HELP = f"largest prime solved, 3 to {MAX_PRIME}"
@@ -50,7 +51,7 @@ KMAX_HELP = f"top power of the image-structure sweeps, 1 to {MAX_FORM_DEGREE}; n
 def parse_form(spec: str) -> DeltaPoly:
     """Comma-separated exponents; `0` is the constant term, `0x` the zero form.
 
-    Exponents above MAX_FORM_DEGREE are rejected.
+    Exponents above MAX_FORM_DEGREE, and a repeated exponent, are rejected.
     """
     spec = spec.strip()
     if spec in ("", "0x"):
@@ -63,6 +64,11 @@ def parse_form(spec: str) -> DeltaPoly:
         raise ValueError("exponents must be nonnegative")
     if max(exponents) > MAX_FORM_DEGREE:
         raise ValueError(f"exponents must be at most {MAX_FORM_DEGREE}")
+    seen = set()
+    for e in exponents:
+        if e in seen:  # over GF(2) the two terms would cancel
+            raise ValueError(f"exponent {e} is repeated")
+        seen.add(e)
     return DeltaPoly.from_exponents(exponents)
 
 

@@ -162,7 +162,7 @@ class FormDecomposition:
 
 def _odd_parts(mask: int) -> dict[int, list[int]]:
     """The odd parts m of the exponents 2^s m >= 1 of ``mask``, ascending, grouped by s:
-    the one 2-adic split, read by ``decompose`` and the T_p applier.  Group 0, the odd
+    the one 2-adic split, read by ``decompose`` and the T_p appliers.  Group 0, the odd
     exponents, is split off by one AND against the even mask and is always present."""
     even = mask & _even_mask(mask.bit_length())
     groups = {0: bit_positions(mask ^ even)}

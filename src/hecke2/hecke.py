@@ -13,19 +13,33 @@ Delta.  Every s_r lies on the exponent class p*r mod 8, so the image of
 Delta^k lies on the class p*k mod 8 and the recurrence runs on images packed
 on their classes.  In characteristic 2, T_p(g^2) = T_p(g)^2, and the odd
 images obey the same kind of recurrence with the coefficients squared, so
-``hecke_fast`` and ``ImageTable`` run that one at half the steps and share
-one applier, ``_apply_packed``, which squares the images of the odd parts
-of a form (``deltapoly._odd_parts``) into every even one;
-``shared_image_table`` keeps one table per relation across calls for the
-witness route.  The relation itself is computed by a packed GF(2) linear
-solve whose unknowns are the monomial bits allowed by the degree and mod-8
-congruence constraints; the classical power-sum (Newton) identities give a
-second derivation from naive data, used as an independent oracle.
+``ImageTable`` runs that one at half the steps, and its applier,
+``_apply_packed``, squares the images of the odd parts of a form
+(``deltapoly._odd_parts``) into every even one; ``shared_image_table`` keeps
+one table per relation across calls for the witness route.
+
+``hecke_fast`` goes one step further, to step 8.  With S(t) = 1 + s_1 t +
+... + s_(p+1) t^(p+1) and P(t) = sum_k N_k t^k, the power sums obey
+P S = t S'.  In characteristic 2 each Graeffe step of Bostan and Mori
+(SOSA 2021) is a Frobenius square, Q(t) Q(-t) = Q(t)^2, and three of them
+give S(t)^8 = sum_r s_r^8 t^(8r).  Multiplying P S = t S' by S^7 gives
+P S^8 = t S' S^7, whose right side has t-degree at most 8(p+1) and top
+coefficient (p+1) s_(p+1)^8 = 0.  So for n >= 8(p+1),
+N_n = sum_r s_r^8 N_(n-8r), for any monic relation: a step-8 recurrence
+whose shifts, 8e for each term X^e of s_r, do not depend on n.  Its octets
+hold the four odd images N_(8j+1), ..., N_(8j+7), which lie on four
+distinct odd classes, in one int (``_odd_octets``).
+
+The relation itself is computed by a packed GF(2) linear solve whose
+unknowns are the monomial bits allowed by the degree and mod-8 congruence
+constraints; the classical power-sum (Newton) identities give a second
+derivation from naive data, used as an independent oracle.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
@@ -570,8 +584,9 @@ def _packed_stream(cp: CharPoly, kmax: int, *, step: int = 1):
     Bit m of image k is the coefficient of Delta^(8m + p*k mod 8).  Step 1
     yields every image k = 0..kmax: the full stream of ``iter_hecke_fast``,
     the Newton oracle's closing pass and the ``verify`` sweeps.  Step 2
-    yields the odd images k = 1, 3, ..., <= kmax in half the steps, and
-    ``image_table`` and ``hecke_fast`` square them into every even one.
+    yields the odd images k = 1, 3, ..., <= kmax in half the steps:
+    ``image_table`` squares them into every even one, and ``hecke_fast``
+    folds those below 8(p+1) into the head of its octets (``_odd_octets``).
     The images are the power sums N_k, and mod 2 the Newton identities read
     N_k = s_1 N_(k-1) + ... + s_(p+1) N_(k-p-1) + [k odd, k <= p+1] s_k, so
     one loop runs the order-(p+1) recurrence of either plan
@@ -671,7 +686,7 @@ class ImageTable:
     """Images of Delta^0..Delta^kmax, from the odd ones only.
 
     ``odd[j]`` is the image of Delta^(2j+1), packed on its class p(2j+1) mod 8.
-    ``apply`` sums images through ``_apply_packed``, as ``hecke_fast`` does;
+    ``apply`` sums images through ``_apply_packed``;
     ``table[k]`` decodes image 2^s m, m odd, as image m squared s times.
     """
 
@@ -736,19 +751,63 @@ def shared_image_table(cp: CharPoly, kmax: int) -> ImageTable:
     return table
 
 
-def hecke_fast(f: DeltaPoly, cp: CharPoly) -> DeltaPoly:
-    """T_p of an arbitrary polynomial, over the odd packed stream.
+def _odd_octets(cp: CharPoly, top: int, keep: set[int]) -> dict[int, int]:
+    """The octets H_j, j in ``keep``, of the odd images up to ``top``.
 
-    f is split once (``_odd_parts``): the stream runs to the largest odd part,
-    keeps the images of the parts f uses, and ``_apply_packed`` sums them.
+    Octet H_j holds N_(8j+1), N_(8j+3), N_(8j+5) and N_(8j+7): bit u is the
+    coefficient of Delta^(2u+1).  Image m lies on the odd class p*m mod 8,
+    which is 2u+1 mod 8 on the nibble lane u mod 4 = (p*m mod 8) >> 1, and
+    the four classes of an octet are distinct.  The step-2 stream runs to
+    min(top, 8(p+1) - 1) and is folded into H_0..H_p.  Past it, for j > p
+    up to top >> 3, H_j is the xor of H_(j-r) << 4e over each term X^e of
+    each s_r (the step-8 recurrence in the ``hecke`` module docstring): a
+    shift by 4e moves every exponent by 8e and keeps each lane.
+    """
+    p = cp.p
+    head = min(top, 8 * p + 7)
+    window = [0] * ((head >> 3) + 1)
+    for i, packed in enumerate(_packed_stream(cp, head, step=2)):
+        m = 2 * i + 1
+        window[m >> 3] |= spread_bits(packed, 4) << ((p * m & 7) >> 1)
+    kept = {j: h for j, h in enumerate(window) if j in keep}
+    window = deque(window, maxlen=p + 1)  # window[-r] is H_(j-r)
+    terms = tuple((-r, 4 * e) for r, sr in enumerate(cp.s, 1) for e in sr.exponents())
+    for j in range(p + 1, (top >> 3) + 1):
+        acc = 0
+        for r, sh in terms:
+            acc ^= window[r] << sh
+        if j in keep:
+            kept[j] = acc
+        window.append(acc)
+    return kept
+
+
+def hecke_fast(f: DeltaPoly, cp: CharPoly) -> DeltaPoly:
+    """T_p of an arbitrary polynomial, over the octets of the odd images.
+
+    f is split once (``_odd_parts``).  ``_odd_octets`` runs to the largest odd
+    part, and only the octets that hold an image f uses are kept.  The odd
+    parts m of valuation s xor their lanes, H_(m >> 3) masked to the lane of
+    the class p*m mod 8, into one accumulator; bit u of it stands for
+    Delta^(2u+1), which squared s times is Delta^(2^(s+1) u + 2^s).
     """
     groups = _odd_parts(f.mask)
-    wanted = {m >> 1 for parts in groups.values() for m in parts}  # m >> 1 indexes the odd stream
+    wanted = {m >> 3 for parts in groups.values() for m in parts}
     if not wanted:
         return ZERO
-    stream = _packed_stream(cp, 2 * max(wanted) + 1, step=2)
-    odd = {j: packed for j, packed in enumerate(stream) if j in wanted}
-    return DeltaPoly(_apply_packed(cp.p, groups, odd))
+    top = max(parts[-1] for parts in groups.values() if parts)
+    octets = _odd_octets(cp, top, wanted)
+    # as wide as the octets, since a relation over its degree bounds has images past top
+    nibble = int.from_bytes(b"\x11" * (max(octets.values()).bit_length() // 8 + 1), "little")
+    lanes = [nibble << (c >> 1) for c in range(8)]
+    p = cp.p
+    out = 0
+    for s, parts in groups.items():
+        acc = 0
+        for m in parts:
+            acc ^= octets[m >> 3] & lanes[p * m & 7]
+        out ^= spread_bits(acc, 2 << s) << (1 << s)
+    return DeltaPoly(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Timings of the T_p applier shared by ``hecke_fast`` and ``ImageTable.apply``.
+"""Timings of T_p on forms: ``hecke_fast`` and ``ImageTable.apply``.
 
 The file name keeps it out of the tier-1 suite; run it with pytest-benchmark
 installed as
@@ -95,6 +95,17 @@ def test_hecke_fast_query_forms(benchmark):
     out = benchmark(queries)
     cp, f = calls[0]
     assert out[0].mask == image_table(cp, f.degree).apply(f.mask)
+
+
+@pytest.mark.parametrize("p", [127, 257])
+def test_hecke_fast_large_prime(benchmark, p):
+    # one 24-term form of degree 16383: past a head of 4(p+1) odd images, the
+    # octet tail runs (16383 >> 3) - p steps, each of one shift per term of F_p
+    cp = cached_charpoly(p)
+    f = DeltaPoly(sparse_mask(random.Random(p), 16383, 24))
+    out = benchmark(hecke_fast, f, cp)
+    # the step-2 route: every odd image streamed and summed by the table applier
+    assert out.mask == image_table(cp, f.degree).apply(f.mask)
 
 
 def test_image_table_lookups(benchmark):

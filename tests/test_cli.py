@@ -41,6 +41,30 @@ def test_hecke_command_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_repeated_exponent_is_a_usage_error(capsys, monkeypatch):
+    # over GF(2) a repeated exponent would cancel, so `3,3` would silently be
+    # the zero form; the spec is rejected and the exponent named
+    with pytest.raises(ValueError, match="^exponent 3 is repeated$"):
+        parse_form("1,3,5,3")
+
+    def never(*args):
+        raise AssertionError("a form with a repeated exponent reached the computation")
+
+    monkeypatch.setattr(cli, "hecke_fast", never)
+    monkeypatch.setattr(cli, "g_general", never)
+    assert main(["hecke", "--p", "3", "--form", "3,3"]) == 2
+    assert main(["g", "--form", "1,7,15,7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: exponent 3 is repeated",
+        "error: exponent 7 is repeated",
+    ]
+    with pytest.raises(SystemExit):
+        main(["g", "--help"])
+    assert "distinct exponents" in capsys.readouterr().out
+
+
 def test_hecke_route_flags(capsys):
     # the recurrence route is the default; --naive and --both exclude each other
     for flags in (["--fast"], ["--naive", "--both"]):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from hecke2.errors import (
 from hecke2.gf2series import (
     _BYTEWISE_STR_LIMIT,
     BitSeries,
+    bit_positions,
     clmul,
     delta,
     delta_powers,
@@ -511,6 +513,32 @@ def test_odd_stream_is_the_odd_part_of_the_full_stream(p):
             assert odd == full[1 : kmax + 1 : 2], (p, kmax)
 
 
+@pytest.mark.parametrize("p", [*hecke.odd_primes_up_to(61), 127, 257])
+def test_octet_tail_matches_the_full_stream_across_its_seam(p):
+    # hecke_fast streams the odd images to 8(p+1) - 1 and carries the rest in
+    # octets.  The step-8 recurrence holds for every monic relation on its
+    # classes, so an in-class corruption of F_p must agree with its step-1
+    # stream as well.  At each degree t, Delta^t and a 3-5 term form of mixed
+    # parity whose top odd part is t | 1: the odd parts straddle the seam
+    # before the first tail octet H_(p+1), and reach 4000 past it
+    seam = 8 * (p + 1)
+    rng = random.Random(p)
+    forms = []
+    for i, t in enumerate(seam + d for d in (-9, -1, 0, 1, 7, 8, 9, 4000)):
+        lower = rng.sample(range(1, t | 1), 2 + i % 3)
+        forms += [1 << t, sum(1 << e for e in lower) | 1 << (t | 1)]
+    degree = max(forms).bit_length() - 1
+    for cp in (cached_charpoly(p), flip_in_class_bit(cached_charpoly(p), p)):
+        full = [spread8(packed, p * k % 8) for k, packed in enumerate(hecke._packed_stream(cp, degree))]
+        for mask in forms:
+            want = 0
+            for k in bit_positions(mask):
+                want ^= full[k]
+            wrong = hecke_fast(DeltaPoly(mask), cp).mask ^ want
+            # named by the form's degree and the lowest wrong exponent
+            assert not wrong, (p, cp.s[p - 1], mask.bit_length() - 1, (wrong & -wrong).bit_length() - 1)
+
+
 def test_every_2adic_valuation():
     # the images of Delta^(2^s m) are squared from the odd stream; the oracle
     # runs the full-width recurrence through every power
@@ -602,49 +630,65 @@ def test_image_table_applies_to_the_zero_form_in_a_fresh_process():
 
 
 def test_hecke_fast_streams_odd_powers_only(monkeypatch):
-    # T_p(Delta^d) draws the images of Delta^1, Delta^3, ..., Delta^m, where m
-    # is the odd part of d, so (d+1)//2 of them at odd d: the even images are
-    # squares, never streamed
+    # T_p(Delta^d), with m the odd part of d, draws the images of Delta^1,
+    # Delta^3, ... from the step-2 stream only up to 8(p+1) - 1, so
+    # min((m+1)//2, 4(p+1)) of them, and the octet loop carries the rest four
+    # at a time, in one step per octet past H_p: max(0, (m >> 3) - p) steps.
+    # The even images are squares, never streamed
     clean = hecke._packed_stream
     drawn = []
+    steps = []
 
     def counting(cp, kmax, **kw):
+        assert kw == {"step": 2}
         for image in clean(cp, kmax, **kw):
             drawn.append(image)
             yield image
 
+    class CountingWindow(deque):
+        def append(self, octet):
+            steps.append(octet)
+            super().append(octet)
+
     monkeypatch.setattr(hecke, "_packed_stream", counting)
-    cp = cached_charpoly(7)
-    for d, m in ((1, 1), (3, 3), (99, 99), (1001, 1001), (1000, 125), (4096, 1)):
-        drawn.clear()
-        hecke_fast(DeltaPoly(1 << d), cp)
-        assert len(drawn) == (m + 1) // 2, d
+    monkeypatch.setattr(hecke, "deque", CountingWindow)
+    for p in (3, 7, 31):
+        cp = cached_charpoly(p)
+        seam = 8 * (p + 1)
+        for d in (1, 3, 99, 1001, 1000, 4096, seam - 9, seam - 1, seam + 1, seam + 7, seam + 9, 5 << 9):
+            m = d >> ((d & -d).bit_length() - 1)
+            drawn.clear()
+            steps.clear()
+            hecke_fast(DeltaPoly(1 << d), cp)
+            assert len(drawn) == min((m + 1) // 2, 4 * (p + 1)), (p, d)
+            assert len(steps) == max(0, (m >> 3) - p), (p, d)
     drawn.clear()
-    image_table(cp, 1000)
+    image_table(cached_charpoly(7), 1000)
     assert len(drawn) == 500
 
 
 def test_hecke_fast_keeps_only_the_images_its_form_uses(monkeypatch):
-    # the odd stream runs to the largest odd part m of an exponent 2^s m, but
-    # the applier receives just the images of the odd parts, keyed m >> 1
+    # the octets run to the largest odd part m of an exponent 2^s m, but only
+    # the octets that hold the image of an odd part are kept, keyed m >> 3
     rng = random.Random(15)
     exps = {0}
     for s in range(16):
         exps.add(((1 << (16 - s)) - 1) << s)
         exps.add(rng.randrange(1, 1 << (16 - s), 2) << s)
     f = DeltaPoly.from_exponents(exps)
-    clean = hecke._apply_packed
-    drawn = []
+    clean = hecke._odd_octets
+    kept = []
 
-    def capturing(p, groups, odd):
-        drawn.append(dict(odd))
-        return clean(p, groups, odd)
+    def capturing(cp, top, keep):
+        octets = clean(cp, top, keep)
+        kept.append(octets)
+        return octets
 
-    monkeypatch.setattr(hecke, "_apply_packed", capturing)
+    monkeypatch.setattr(hecke, "_odd_octets", capturing)
     got = hecke_fast(f, F3)
     parts = {k >> ((k & -k).bit_length() - 1) for k in exps if k}
-    assert f.degree == 65535 and len(drawn) == 1
-    assert set(drawn[0]) == {m >> 1 for m in parts}
+    assert f.degree == 65535 and len(kept) == 1
+    assert set(kept[0]) == {m >> 3 for m in parts}
     # the step-1 stream behind hecke_fast_range, unpacked at the exponents of f
     want = 0
     for k, packed in enumerate(hecke._packed_stream(F3, f.degree)):
