@@ -33,7 +33,10 @@ distinct odd classes, in one int (``_odd_octets``).
 The relation itself is computed by a packed GF(2) linear solve whose
 unknowns are the monomial bits allowed by the degree and mod-8 congruence
 constraints; the classical power-sum (Newton) identities give a second
-derivation from naive data, used as an independent oracle.
+derivation from naive data, used as an independent oracle.  It reads the
+naive images of the odd powers only, squares them into the even power sums,
+imposes the odd identities, which imply the even ones, and closes through
+the step-2 stream.
 """
 
 from __future__ import annotations
@@ -202,9 +205,11 @@ def hecke_naive(f: DeltaPoly, p: int) -> DeltaPoly:
         ) from exc
 
 
-def _naive_monomial_range(p: int, kmax: int) -> list[DeltaPoly]:
-    """Naive images of every power 0..kmax from one packed ladder.
+def _naive_monomial_range(p: int, kmax: int, *, step: int = 1) -> list[DeltaPoly]:
+    """Naive images of the powers up to kmax from one packed ladder.
 
+    As in ``_packed_stream``, item i is the image of Delta^(step*i + step - 1):
+    every power 0..kmax at step 1, the odd powers 1, 3, ..., <= kmax at step 2.
     The ladder ``delta_powers(p*kmax + 1, max(kmax, 7))`` gives both the
     expansion of each power and every power the peel of an image needs:
     the starting Delta^0..Delta^7 and the gaps, which stay below k/8.  So
@@ -212,8 +217,8 @@ def _naive_monomial_range(p: int, kmax: int) -> list[DeltaPoly]:
     """
     _require_odd_prime(p)
     ladder = delta_powers(p * kmax + 1, max(kmax, 7))
-    out = [ZERO]
-    for k in range(1, kmax + 1):
+    out = [ZERO] if step == 1 else []
+    for k in range(1, kmax + 1, step):
         # Delta^k at hecke_naive's precision p*k + 1: packed bits 8m + k mod 8 <= p*k
         low = ladder[k] & ((1 << ((p * k - k % 8) // 8 + 1)) - 1)
         image = hecke_naive_series(BitSeries(spread8(low, k % 8), p * k + 1), p)
@@ -468,59 +473,89 @@ def charpoly_via_newton(p: int) -> CharPoly:
 
     with s_i = 0 for i > p+1.  One elimination solves for the allowed
     monomial bits (degree and mod-8 class constraints) of every s_r at once,
-    with the identities m = 1..3(p+1) imposed coefficient by coefficient.
+    with the odd identities m = 1, 3, ..., 3(p+1) - 1 imposed coefficient by
+    coefficient.  Only the odd sums are naive images: T_p(g^2) = T_p(g)^2
+    mod 2, so N_2k = N_k^2, squared on the packed sums (bit a of class c goes
+    to bit 2a + (c >> 2) of class 2c mod 8).
+
+    The odd identities imply the even ones.  With S(t) = 1 + s_1 t + ... +
+    s_(p+1) t^(p+1) and P(t) = sum_k N_k t^k, identities 1..M say that
+    D = P S + S_o vanishes mod t^(M+1), where S_o is the odd part of S in t
+    (t S' = S_o in characteristic 2).  Split P, S and D into even and odd
+    parts: the odd part of D is O = P_e S_o + P_o S_e + S_o and the even
+    part E = P_e S_e + P_o S_o.  If O = 0, then S_o (1 + P_e) = P_o S_e, so
+    E (1 + P_e) = S_e (P_e + P_e^2 + P_o^2) = S_e (P_e + P^2) = 0, as the
+    sums double: P_e = P^2.  1 + P_e is a unit (N_0 = 0), so E = 0.  This
+    does not use s_0 = 1, so it holds for the homogeneous system too: the odd
+    rows have the same solutions and the same column kernel as all rows, and
+    the solve is unique, or raises on a dependent column or on an
+    inconsistency, exactly where a solve over every identity would.  Since
+    the even sums are squared packed, the doubling holds on the sums the
+    solve reads even when ``pack8`` folds an off-class bit of an odd one.
 
     Identity m lies on the class c_m = p*m mod 8, as N_m and every
-    s_i N_(m-i) do, so its row block holds it packed on that class: bit a
-    stands for X^(8a + c_m), and a block of (3(p+1) >> 3) + 1 bits covers
-    degree 3(p+1).  The entry of the unknown X^j of s_i in identity m is
-    N_t X^j with t = m - i, which is packed N_t shifted by
-    (j >> 3) + ((c_i + c_t) >> 3).  So one stream per class c, holding
-    packed N_t shifted by (c + c_t) >> 3 in block t-1, gives every column of
-    s_i as that stream for c = c_i moved up i blocks (and cut at identity
-    3(p+1)) and then j >> 3 bits, plus the lone s_i bit of identity i at odd
-    i.  The stream for c = 0 is the right-hand side.
+    s_i N_(m-i) do, so its row block (m-1)/2 holds it packed on that class:
+    bit a stands for X^(8a + c_m), and a block of (3(p+1) >> 3) + 1 bits
+    covers degree 3(p+1).  The entry of the unknown X^j of s_i in identity m
+    is N_t X^j with t = m - i, which is packed N_t shifted by
+    (j >> 3) + ((c_i + c_t) >> 3), in block (i >> 1) + (t >> 1); as m is
+    odd, t and i have opposite parities.  So two streams per class c, over
+    odd and over even t, each holding packed N_t shifted by (c + c_t) >> 3 in
+    block t >> 1, give every column of s_i as the stream of the other parity
+    for c = c_i moved up i >> 1 blocks (and cut at identity 3(p+1) - 1) and
+    then j >> 3 bits, plus the lone s_i bit of identity i, in block i >> 1,
+    at odd i.  The odd-t stream for c = 0 is the right-hand side.
 
-    A closing pass runs the solution through ``_packed_stream``, the fast
-    route's recurrence, which the packed solve does not use.  By induction on
-    m, identity m closes on the unpacked sums exactly when image m is packed
-    N_m and N_m has no bit off its class (``pack8`` folds one into its byte).
-    Every image is compared with the naive sums, so a faulty stream can only
-    raise.  Raises SingularSystem if the identities leave a bit undetermined,
-    are inconsistent, or one of them does not close.
+    A closing pass runs the solution through ``_packed_stream`` at step 2,
+    the fast route's recurrence for the odd images, which the packed solve
+    does not use.  By induction on odd m, each even sum below m being the
+    square of a smaller one, identity m closes on the unpacked sums exactly
+    when image m is packed N_m and N_m has no bit off its class (``pack8``
+    folds one into its byte).  Every image is compared with the naive sums,
+    so a faulty stream can only raise.  Raises SingularSystem if the
+    identities leave a bit undetermined, are inconsistent, or one of them
+    does not close.
     """
     _require_odd_prime(p)
     big = p + 1
     rmax = 3 * big
-    sums = [s.mask for s in _naive_monomial_range(p, rmax)]
-    cls = [(p * m) % 8 for m in range(rmax + 1)]
+    odd = [s.mask for s in _naive_monomial_range(p, rmax - 1, step=2)]  # odd[i] is N_(2i+1)
+    cls = [(p * m) % 8 for m in range(rmax)]
+    packed = [0] * rmax
+    for t in range(1, rmax):
+        if t & 1:
+            packed[t] = pack8(odd[t >> 1], cls[t])
+        else:
+            packed[t] = spread_bits(packed[t >> 1], 2) << (cls[t >> 1] >> 2)
     width = (rmax >> 3) + 1  # packed bits of one identity block
-    full = (1 << (rmax * width)) - 1
-    packed = [pack8(sums[t], cls[t]) for t in range(rmax + 1)]
-    streams = []
-    for c in range(8):
-        acc = 0
-        for t in range(rmax, 0, -1):
-            acc = (acc << width) ^ (packed[t] << ((c + cls[t]) >> 3))
-        streams.append(acc)
+    full = (1 << ((rmax >> 1) * width)) - 1
 
-    # heads[i]: the column of X^(c_i), the lowest allowed bit of s_i
+    def stream(c: int, parity: int) -> int:
+        acc = 0
+        for t in range(rmax - 2 + parity, -1, -2):
+            acc = (acc << width) ^ (packed[t] << ((c + cls[t]) >> 3))
+        return acc
+
+    streams = [[stream(c, parity) for c in range(8)] for parity in (0, 1)]
+    # heads[i]: the column of X^(c_i), the lowest allowed bit of s_i; at odd i
+    # its lone bit takes block 0 of the even-t stream, which holds N_0 = 0
     heads = {
-        i: ((streams[cls[i]] << (i * width)) & full) | (i & 1) << ((i - 1) * width)
+        i: ((streams[~i & 1][cls[i]] | (i & 1)) << ((i >> 1) * width)) & full
         for i in range(1, big + 1)
     }
     bits = [(i, j) for i in range(1, big + 1) for j in range(cls[i], i + 1, 8)]
     chosen = _gf2_solve(
         (heads[i] << (j >> 3) for i, j in bits),
-        streams[0],
+        streams[1][0],
         lambda idx: SingularSystem(
             f"power-sum identities leave s_{bits[idx][0]} underdetermined at p={p}"
         ),
         lambda: SingularSystem(f"power-sum identities are inconsistent at p={p}"),
     )
     cp = _chosen_relation(p, bits, chosen)
-    for m, image in enumerate(_packed_stream(cp, rmax)):
-        if m and not (image == packed[m] and spread8(packed[m], cls[m]) == sums[m]):
+    for i, image in enumerate(_packed_stream(cp, rmax, step=2)):
+        m = 2 * i + 1
+        if not (image == packed[m] and spread8(packed[m], cls[m]) == odd[i]):
             raise SingularSystem(f"power-sum identity {m} does not close at p={p}")
     return cp
 
@@ -582,11 +617,12 @@ def _packed_stream(cp: CharPoly, kmax: int, *, step: int = 1):
     """Images of Delta^k for k <= kmax, each packed on its class p*k mod 8.
 
     Bit m of image k is the coefficient of Delta^(8m + p*k mod 8).  Step 1
-    yields every image k = 0..kmax: the full stream of ``iter_hecke_fast``,
-    the Newton oracle's closing pass and the ``verify`` sweeps.  Step 2
-    yields the odd images k = 1, 3, ..., <= kmax in half the steps:
-    ``image_table`` squares them into every even one, and ``hecke_fast``
-    folds those below 8(p+1) into the head of its octets (``_odd_octets``).
+    yields every image k = 0..kmax: the full stream of ``iter_hecke_fast``
+    and the ``verify`` sweeps.  Step 2 yields the odd images k = 1, 3, ...,
+    <= kmax in half the steps: ``image_table`` squares them into every even
+    one, ``hecke_fast`` folds those below 8(p+1) into the head of its octets
+    (``_odd_octets``), and the Newton oracle's closing pass compares them
+    with the odd naive power sums.
     The images are the power sums N_k, and mod 2 the Newton identities read
     N_k = s_1 N_(k-1) + ... + s_(p+1) N_(k-p-1) + [k odd, k <= p+1] s_k, so
     one loop runs the order-(p+1) recurrence of either plan

@@ -247,8 +247,8 @@ def _naive_fast_agree(cfg: VerifyConfig) -> str:
 
 @_claim("newton-solve-agree", "tables")
 def _newton_solve_agree(cfg: VerifyConfig) -> str:
-    # --long takes the oracle to p=127 (about 1.2 s of Newton solves on 2 cores);
-    # p<=157 would cost about 4 s, most of it elimination
+    # --long takes the oracle to p=127 (about 0.7 s of Newton solves on 2 cores);
+    # p<=157 would cost about 2 to 2.5 s, most of it elimination
     pmax = min(cfg.pmax, 127 if cfg.long else 31)
     for p in _checked_primes(pmax):
         assert cached_charpoly(p) == charpoly_via_newton(p), f"methods split at p={p}"

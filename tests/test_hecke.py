@@ -26,10 +26,12 @@ from hecke2.gf2series import (
     one,
     pack8,
     spread8,
+    spread_bits,
 )
 from hecke2 import hecke
 from hecke2.hecke import (
     CharPoly,
+    _naive_monomial_range,
     cached_charpoly,
     charpoly_from_text,
     charpoly_to_text,
@@ -233,25 +235,55 @@ def test_newton_oracle_agrees():
         assert charpoly_via_newton(p) == compute_charpoly(p), p
 
 
+def test_newton_oracle_satisfies_every_identity():
+    # the oracle imposes the odd identities only, on odd naive sums and their
+    # squares; its relation must satisfy the even ones too, on the naive sums
+    for p in hecke.odd_primes_up_to(61):
+        cp = charpoly_via_newton(p)
+        rmax = 3 * (p + 1)
+        sums = [s.mask for s in hecke._naive_monomial_range(p, rmax)]
+        for m in range(1, rmax + 1):
+            acc = sums[m] ^ (cp.s[m - 1].mask if m & 1 and m <= p + 1 else 0)
+            for i in range(1, min(m - 1, p + 1) + 1):
+                acc ^= clmul(cp.s[i - 1].mask, sums[m - i])
+            assert not acc, (p, m)
+
+
 # p mod 8 runs over 3, 3, 5, 7, 1: every carry pattern of the packed rows
 NEWTON_MUTATION_PRIMES = [3, 11, 13, 31, 41]
 
 
 @pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES)
+def test_naive_monomial_range_doubles(p):
+    # T_p(g^2) = T_p(g)^2 mod 2: the oracle reads the odd naive images only
+    # and squares them into the even ones, so those are checked here
+    rmax = 3 * (p + 1)
+    sums = hecke._naive_monomial_range(p, rmax)
+    for k in range(rmax // 2 + 1):
+        assert sums[2 * k] == DeltaPoly(spread_bits(sums[k].mask, 2)), (p, k)
+    assert hecke._naive_monomial_range(p, rmax - 1, step=2) == sums[1::2]
+
+
+def corrupt_naive_sum(monkeypatch, m: int, mask: int) -> None:
+    """Make ``hecke._naive_monomial_range`` return ``mask`` as the image of Delta^m."""
+
+    def corrupted(q, kmax, *, step=1):
+        out = _naive_monomial_range(q, kmax, step=step)
+        out[m // step] = DeltaPoly(mask)  # item i is image step*i + step - 1
+        return out
+
+    monkeypatch.setattr(hecke, "_naive_monomial_range", corrupted)
+
+
+@pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES)
 def test_newton_oracle_rejects_corrupted_power_sum(p, monkeypatch):
-    # one flipped bit of one N_m must leave the identities unsatisfiable
-    clean = hecke._naive_monomial_range
-    for m in (1, p + 1, 3 * (p + 1)):
+    # one flipped bit of one odd N_m must leave the identities unsatisfiable
+    sums = hecke._naive_monomial_range(p, 3 * (p + 1))
+    for m in (1, p, p + 2, 3 * (p + 1) - 1):
         c = (p * m) % 8
         # on the class, at m - 1, and the first bit of the class above degree m
         for e in (c, m - 1, 8 * ((m - c) // 8 + 1) + c):
-
-            def corrupted(q, kmax, m=m, e=e):
-                sums = clean(q, kmax)
-                sums[m] = DeltaPoly(sums[m].mask ^ (1 << e))
-                return sums
-
-            monkeypatch.setattr(hecke, "_naive_monomial_range", corrupted)
+            corrupt_naive_sum(monkeypatch, m, sums[m].mask ^ (1 << e))
             with pytest.raises(SingularSystem):
                 charpoly_via_newton(p)
 
@@ -260,34 +292,28 @@ def test_newton_oracle_rejects_corrupted_power_sum(p, monkeypatch):
 def test_newton_oracle_sees_a_bit_that_packing_folds(p, monkeypatch):
     # pack8 folds an off-class bit into the packed bit of its byte, so the
     # elimination cannot see it: only the closing check on the unpacked sums can
-    clean = hecke._naive_monomial_range
-    sums = clean(p, 3 * (p + 1))
-    nonzero = [m for m, s in enumerate(sums) if s]
+    sums = hecke._naive_monomial_range(p, 3 * (p + 1))
+    nonzero = [m for m in range(1, 3 * (p + 1), 2) if sums[m]]
     for m in (nonzero[0], nonzero[len(nonzero) // 2], nonzero[-1]):
         c = (p * m) % 8
         flipped = sums[m].mask ^ (1 << (sums[m].degree + 1))
         assert pack8(flipped, c) == pack8(sums[m].mask, c)
-
-        def corrupted(q, kmax, m=m, flipped=flipped):
-            out = clean(q, kmax)
-            out[m] = DeltaPoly(flipped)
-            return out
-
-        monkeypatch.setattr(hecke, "_naive_monomial_range", corrupted)
+        corrupt_naive_sum(monkeypatch, m, flipped)
         with pytest.raises(SingularSystem, match=f"identity {m} does not close"):
             charpoly_via_newton(p)
 
 
 @pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES)
 def test_newton_oracle_rejects_corrupted_stream(p, monkeypatch):
-    # the closing pass runs the packed recurrence: a fault in it must make the
-    # oracle raise, since every image is compared with the naive power sums
+    # the closing pass runs the packed recurrence for the odd images: a fault
+    # in it must make the oracle raise, since every image it yields is
+    # compared with the naive power sums
     clean = hecke._packed_stream
-    for k in (1, p + 1, 3 * (p + 1)):
+    for k in (1, p + 2, 3 * (p + 1) - 1):
 
-        def corrupted(cp, kmax, k=k):
-            for j, image in enumerate(clean(cp, kmax)):
-                yield image ^ (j == k)
+        def corrupted(cp, kmax, *, step=1, k=k):
+            for j, image in enumerate(clean(cp, kmax, step=step)):
+                yield image ^ (step * j + step - 1 == k)
 
         monkeypatch.setattr(hecke, "_packed_stream", corrupted)
         with pytest.raises(SingularSystem, match=f"identity {k} does not close"):
@@ -311,30 +337,52 @@ def flipped_ladder(monkeypatch, j: int, e: int) -> None:
 
     def corrupted(n, kmax):
         out = clean(n, kmax)
-        out[j] ^= 1 << (e >> 3)  # e lies on the class j mod 8
+        if j <= kmax:  # an item past the ladder is never read
+            out[j] ^= 1 << (e >> 3)  # e lies on the class j mod 8
         return out
 
     monkeypatch.setattr(hecke, "delta_powers", corrupted)
 
 
+def check_ladder_flip(p: int, j: int, want: CharPoly, sums: list[DeltaPoly]) -> None:
+    """The oracle under a flipped ladder item j: an odd item must make it raise.
+
+    The oracle expands the odd powers only and peels images on the odd
+    classes, so an even item is read, if at all, as a gap power, through its
+    low terms.  Either way the relation it returns must be exact, and the flip
+    must reach the naive images at step 1, the ones ``naive-fast-agree``
+    compares with the fast route.
+    """
+    if j & 1:
+        with pytest.raises(SingularSystem):
+            charpoly_via_newton(p)
+        return
+    try:
+        assert charpoly_via_newton(p) == want
+    except SingularSystem:
+        pass
+    assert hecke._naive_monomial_range(p, 3 * (p + 1)) != sums
+
+
 @pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES)
 def test_newton_oracle_rejects_a_corrupted_shared_ladder(p, monkeypatch):
-    # the naive power sums expand each power from the ladder and peel the
+    # the naive power sums expand each odd power from the ladder and peel the
     # images against its low items, so a wrong item must not cancel out: a
     # flip at a q-exponent 0 < e <= p*j divisible by p changes the naive
     # image of Delta^j (T_p kills q^0), on every item the peel reads as a
-    # gap power and on p+1 and 3(p+1), at the lowest and highest such e
+    # gap power, on the odd p+2 and 3(p+1) - 1 and on the even p+1 and
+    # 3(p+1), at the lowest and highest such e
     rmax = 3 * (p + 1)
+    want, sums = cached_charpoly(p), hecke._naive_monomial_range(p, rmax)
     flips = []
-    for j in sorted({*range(1, rmax // 8 + 1), p + 1, rmax}):
+    for j in sorted({*range(1, rmax // 8 + 1), p + 1, p + 2, rmax - 1, rmax}):
         es = [p * t for t in range(1, j + 1) if (p * t - j) % 8 == 0]
         if es:
             flips += [(j, e) for e in {es[0], es[-1]}]
     assert len(flips) >= 3
     for j, e in flips:
         flipped_ladder(monkeypatch, j, e)
-        with pytest.raises(SingularSystem):
-            charpoly_via_newton(p)
+        check_ladder_flip(p, j, want, sums)
 
 
 @pytest.mark.parametrize("p", [11, 13, 31, 41])
@@ -342,19 +390,23 @@ def test_newton_oracle_rejects_a_corrupted_starting_power(p, monkeypatch):
     # Delta^1..Delta^7 start the peel of every class; a flip of their second
     # term q^(j+8) reaches the expansion only when p divides j + 8, so it is
     # the peel that must carry the fault into the power sums
+    want, sums = cached_charpoly(p), hecke._naive_monomial_range(p, 3 * (p + 1))
     for j in range(1, 8):
         flipped_ladder(monkeypatch, j, j + 8)
-        with pytest.raises(SingularSystem):
-            charpoly_via_newton(p)
+        check_ladder_flip(p, j, want, sums)
 
 
 def test_peel_rejects_a_ladder_item_off_its_leading_term(monkeypatch):
     # a power that does not start at its own q-exponent would stall the
-    # residual's valuation; the peel raises instead of looping
+    # residual's valuation; the peel raises instead of looping.  The power
+    # sums at step 1 read item 8 as a gap power, the oracle's odd ones do not
     for j, e in ((3, 3), (8, 0), (8, 8)):
         flipped_ladder(monkeypatch, j, e)
         with pytest.raises(ValueError, match=f"ladder item {j} does not start"):
-            charpoly_via_newton(41)
+            hecke._naive_monomial_range(41, 3 * 42)
+        if j & 1:
+            with pytest.raises(ValueError, match=f"ladder item {j} does not start"):
+                charpoly_via_newton(41)
 
 
 def newton_initial_sums(cp: CharPoly) -> list[DeltaPoly]:
