@@ -12,11 +12,8 @@ drive an order-(p+1) linear recurrence for the images of the powers of
 Delta.  Every s_r lies on the exponent class p*r mod 8, so the image of
 Delta^k lies on the class p*k mod 8 and the recurrence runs on images packed
 on their classes.  In characteristic 2, T_p(g^2) = T_p(g)^2, and the odd
-images obey the same kind of recurrence with the coefficients squared, so
-``ImageTable`` runs that one at half the steps, and its applier,
-``_apply_packed``, squares the images of the odd parts of a form
-(``deltapoly._odd_parts``) into every even one; ``shared_image_table`` keeps
-one table per relation across calls for the witness route.
+images obey the same kind of recurrence with the coefficients squared, at
+half the steps; every even image is an odd one squared.
 
 ``hecke_fast`` goes one step further, to step 8.  With S(t) = 1 + s_1 t +
 ... + s_(p+1) t^(p+1) and P(t) = sum_k N_k t^k, the power sums obey
@@ -28,7 +25,12 @@ coefficient (p+1) s_(p+1)^8 = 0.  So for n >= 8(p+1),
 N_n = sum_r s_r^8 N_(n-8r), for any monic relation: a step-8 recurrence
 whose shifts, 8e for each term X^e of s_r, do not depend on n.  Its octets
 hold the four odd images N_(8j+1), ..., N_(8j+7), which lie on four
-distinct odd classes, in one int (``_odd_octets``).
+distinct odd classes, in one int (``_odd_octets``), bit u for Delta^(2u+1).
+``ImageTable`` cuts each odd image from its octet by one AND and keeps it in
+that layout, as an odd-exponent mask: a T_p step on an odd form xors the
+images of its set bits into the next odd mask, so the witness chain never
+unpacks between steps.  ``shared_image_table`` keeps one table per relation
+across calls for the witness route.
 
 The relation itself is computed by a packed GF(2) linear solve whose
 unknowns are the monomial bits allowed by the degree and mod-8 congruence
@@ -377,7 +379,9 @@ def relation_residual(cp: CharPoly, precision: int) -> BitSeries:
     """
     max_j = max((sr.degree for sr in cp.s if sr), default=0)
     terms = _PackedTerms(cp.p, 8 * -(-precision // 8), max_j)
-    bits = _unpack_classes(terms.residual(cp), 0) & ((1 << precision) - 1)
+    # the eight classes are disjoint, so their sum is their union
+    bits = sum(spread8(packed, c) for c, packed in enumerate(terms.residual(cp)))
+    bits &= (1 << precision) - 1
     return BitSeries(bits, precision)
 
 
@@ -619,10 +623,9 @@ def _packed_stream(cp: CharPoly, kmax: int, *, step: int = 1):
     Bit m of image k is the coefficient of Delta^(8m + p*k mod 8).  Step 1
     yields every image k = 0..kmax: the full stream of ``iter_hecke_fast``
     and the ``verify`` sweeps.  Step 2 yields the odd images k = 1, 3, ...,
-    <= kmax in half the steps: ``image_table`` squares them into every even
-    one, ``hecke_fast`` folds those below 8(p+1) into the head of its octets
-    (``_odd_octets``), and the Newton oracle's closing pass compares them
-    with the odd naive power sums.
+    <= kmax in half the steps: ``_odd_octets`` folds those below 8(p+1) into
+    the head of the octets behind ``hecke_fast`` and ``image_table``, and the
+    Newton oracle's closing pass compares them with the odd naive power sums.
     The images are the power sums N_k, and mod 2 the Newton identities read
     N_k = s_1 N_(k-1) + ... + s_(p+1) N_(k-p-1) + [k odd, k <= p+1] s_k, so
     one loop runs the order-(p+1) recurrence of either plan
@@ -645,56 +648,10 @@ def _packed_stream(cp: CharPoly, kmax: int, *, step: int = 1):
         window[i % size] = acc
 
 
-@lru_cache(maxsize=None)
-def _squared_blocks(c: int, s: int) -> tuple[bytes, bytes]:
-    """The 2^s big-endian bytes that a clear and a set packed bit become.
-
-    Bit m of a mask packed on class c, squared s times, stands for
-    Delta^(2^s (8m + c)): bit 2^s c of the m-th block of 2^s bytes.
-    """
-    width = 1 << s
-    e = c << s
-    one = bytearray(width)
-    one[width - 1 - (e >> 3)] = 1 << (e & 7)
-    return bytes(width), bytes(one)
-
-
-def _unpack_squared(packed: int, c: int, s: int) -> int:
-    """Exponent mask of (unpacked ``packed`` on class c)^(2^s), in one bytes pass.
-
-    Each binary digit becomes 2^s bytes, as each becomes one byte in ``spread8``.
-    """
-    if not s:
-        return spread8(packed, c)
-    clear, set_ = _squared_blocks(c, s)
-    digits = format(packed, "b").encode()
-    return int.from_bytes(digits.replace(b"0", clear).replace(b"1", set_), "big")
-
-
-def _unpack_classes(acc: list[int], s: int) -> int:
-    """Exponent mask of eight per-class packed accumulators, squared s times."""
-    out = 0
-    for c, packed in enumerate(acc):
-        if packed:
-            out |= _unpack_squared(packed, c, s)
-    return out
-
-
-def _apply_packed(p: int, groups: dict[int, list[int]], odd) -> int:
-    """Exponent mask of T_p on the form with the 2-adic split ``groups`` (``_odd_parts``).
-
-    ``odd[m >> 1]`` is the image of Delta^m, m odd, packed on its class
-    p*m mod 8.  T_p(g^2) = T_p(g)^2 in characteristic 2, so group s xors the
-    images of its odd parts into eight class accumulators, each unpacked once
-    and squared s times.  The constant term maps to 0.
-    """
-    out = 0
-    for s, parts in groups.items():
-        acc = [0] * 8
-        for m in parts:
-            acc[p * m & 7] ^= odd[m >> 1]
-        out ^= _unpack_classes(acc, s)
-    return out
+def _from_odd(acc: int, s: int) -> int:
+    """Exponent mask of the odd mask ``acc`` squared s times: bit u, for
+    Delta^(2u+1), goes to Delta^(2^s (2u+1))."""
+    return spread_bits(acc, 2 << s) << (1 << s)
 
 
 def iter_hecke_fast(cp: CharPoly, kmax: int):
@@ -721,9 +678,13 @@ def hecke_fast_range(cp: CharPoly, kmax: int) -> list[DeltaPoly]:
 class ImageTable:
     """Images of Delta^0..Delta^kmax, from the odd ones only.
 
-    ``odd[j]`` is the image of Delta^(2j+1), packed on its class p(2j+1) mod 8.
-    ``apply`` sums images through ``_apply_packed``;
-    ``table[k]`` decodes image 2^s m, m odd, as image m squared s times.
+    ``odd[j]`` is the image of Delta^(2j+1) as an odd-exponent mask: bit v
+    stands for Delta^(2v+1), the layout of the octets it is cut from.
+    ``apply_odd`` maps an odd mask to the odd mask of its image, so a chain
+    of steps stays in that layout.  ``apply`` xors the images of the odd
+    parts m of a form's exponents 2^s m, group by group, and ``table[k]``
+    takes image m alone; both decode group s as the images squared s times
+    (``_from_odd``).
     """
 
     p: int
@@ -739,8 +700,7 @@ class ImageTable:
         if not k:
             return ZERO
         s = (k & -k).bit_length() - 1
-        m = k >> s
-        return DeltaPoly(_unpack_squared(self.odd[m >> 1], (self.p * m) % 8, s))
+        return DeltaPoly(_from_odd(self.odd[k >> s >> 1], s))
 
     def apply(self, mask: int) -> int:
         """Exponent mask of T_p applied to the form with exponent mask ``mask``."""
@@ -748,17 +708,39 @@ class ImageTable:
             raise ValueError("exponent mask must be nonnegative")
         if mask.bit_length() > self.kmax + 1:
             raise IndexError(f"degree {mask.bit_length() - 1} above {self.kmax}")
-        return _apply_packed(self.p, _odd_parts(mask), self.odd)
+        out = 0
+        for s, parts in _odd_parts(mask).items():
+            acc = 0
+            for m in parts:
+                acc ^= self.odd[m >> 1]
+            out ^= _from_odd(acc, s)
+        return out
+
+    def apply_odd(self, odd: int) -> int:
+        """T_p on the odd mask ``odd`` (bit v for Delta^(2v+1)), as an odd mask."""
+        if odd < 0:
+            raise ValueError("odd mask must be nonnegative")
+        if odd.bit_length() > len(self.odd):
+            raise IndexError(f"degree {2 * odd.bit_length() - 1} above {self.kmax}")
+        acc = 0
+        for v in bit_positions(odd):
+            acc ^= self.odd[v]
+        return acc
 
 
 def image_table(cp: CharPoly, kmax: int) -> ImageTable:
     """The images of Delta^0..Delta^kmax, for applying T_p repeatedly.
 
-    Only the odd images are streamed, at half the recurrence steps.
+    Only the odd images are computed: every octet up to kmax
+    (``_odd_octets``), and odd image m is cut from H_(m >> 3) by one AND
+    against the lane of its class p*m mod 8.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    return ImageTable(cp.p, kmax, tuple(_packed_stream(cp, kmax, step=2)))
+    octets = _odd_octets(cp, kmax, range((kmax >> 3) + 1))
+    lanes = _lanes(octets)
+    p = cp.p
+    return ImageTable(p, kmax, tuple(octets[m >> 3] & lanes[p * m & 7] for m in range(1, kmax + 1, 2)))
 
 
 # relations whose tables ``shared_image_table`` keeps, the least recently used dropped first
@@ -787,8 +769,9 @@ def shared_image_table(cp: CharPoly, kmax: int) -> ImageTable:
     return table
 
 
-def _odd_octets(cp: CharPoly, top: int, keep: set[int]) -> dict[int, int]:
-    """The octets H_j, j in ``keep``, of the odd images up to ``top``.
+def _odd_octets(cp: CharPoly, top: int, keep) -> dict[int, int]:
+    """The octets H_j, j in ``keep``, of the odd images up to ``top``:
+    every octet for ``image_table``, those its form uses for ``hecke_fast``.
 
     Octet H_j holds N_(8j+1), N_(8j+3), N_(8j+5) and N_(8j+7): bit u is the
     coefficient of Delta^(2u+1).  Image m lies on the odd class p*m mod 8,
@@ -818,6 +801,14 @@ def _odd_octets(cp: CharPoly, top: int, keep: set[int]) -> dict[int, int]:
     return kept
 
 
+def _lanes(octets: dict[int, int]) -> list[int]:
+    """Per odd class c, the nibble lane c >> 1 of an octet, which holds its image
+    on class c.  It is as wide as the octets, since a relation over its degree
+    bounds has images past the top odd power asked for."""
+    nibble = int.from_bytes(b"\x11" * (max(octets.values()).bit_length() // 8 + 1), "little")
+    return [nibble << (c >> 1) for c in range(8)]
+
+
 def hecke_fast(f: DeltaPoly, cp: CharPoly) -> DeltaPoly:
     """T_p of an arbitrary polynomial, over the octets of the odd images.
 
@@ -833,16 +824,14 @@ def hecke_fast(f: DeltaPoly, cp: CharPoly) -> DeltaPoly:
         return ZERO
     top = max(parts[-1] for parts in groups.values() if parts)
     octets = _odd_octets(cp, top, wanted)
-    # as wide as the octets, since a relation over its degree bounds has images past top
-    nibble = int.from_bytes(b"\x11" * (max(octets.values()).bit_length() // 8 + 1), "little")
-    lanes = [nibble << (c >> 1) for c in range(8)]
+    lanes = _lanes(octets)
     p = cp.p
     out = 0
     for s, parts in groups.items():
         acc = 0
         for m in parts:
             acc ^= octets[m >> 3] & lanes[p * m & 7]
-        out ^= spread_bits(acc, 2 << s) << (1 << s)
+        out ^= _from_odd(acc, s)
     return DeltaPoly(out)
 
 
@@ -871,11 +860,11 @@ def hecke_matrix(p: int, K: int) -> GF2Matrix:
     _require_odd_prime(p)
     if K < 1 or K % 2 == 0:
         raise ValueError("K must be a positive odd integer")
-    images = _naive_monomial_range(p, K)
+    images = _naive_monomial_range(p, K, step=2)
     rows = []
     for k in range(1, K + 1, 2):
         row = 0
-        for e in images[k].exponents():
+        for e in images[k >> 1].exponents():
             if e % 2 == 0 or e > K:
                 raise AssertionError(f"image of power {k} leaves the odd basis at p={p}")
             row |= 1 << ((e - 1) // 2)

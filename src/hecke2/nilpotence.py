@@ -17,7 +17,8 @@ from typing import Callable, NamedTuple
 from .codes import NEG_INF, Code, code, dominant_exponent
 from .deltapoly import DeltaPoly, Parity, decompose
 from .errors import NotOddForm, WitnessFailed, ZeroPolynomial
-from .hecke import cached_charpoly, is_odd_prime, shared_image_table
+from .gf2series import stride_bits
+from .hecke import _from_odd, cached_charpoly, is_odd_prime, shared_image_table
 
 __all__ = [
     "NilpotenceReport",
@@ -88,9 +89,12 @@ def apply_witness(f: DeltaPoly) -> DeltaPoly:
 
     The T_3 and T_5 tables come from ``hecke.shared_image_table``, the
     process-wide store keyed on the relation, so a call at or below the
-    degree of a held table reuses it.  T_p never raises the degree, so an
-    image above the form's degree raises WitnessFailed, however far the held
-    table reaches.
+    degree of a held table reuses it.  The chain runs on odd-exponent masks,
+    bit v for Delta^(2v+1), the layout of the tables' odd images: the form is
+    strided into one once, each step (``ImageTable.apply_odd``) returns the
+    next, and the result is spread back once.  T_p never raises the degree,
+    so an image above the form's degree raises WitnessFailed, however far the
+    held table reaches.
     """
     parity = f.parity_class()
     if parity is Parity.ZERO:
@@ -99,17 +103,17 @@ def apply_witness(f: DeltaPoly) -> DeltaPoly:
         raise NotOddForm("the form must be supported on odd powers")
     a, b = code(dominant_exponent(f))
     deg = f.degree
-    out = f.mask
+    out = stride_bits(f.mask, 2, 1)
     for p, times in ((3, a), (5, b)):
         if not times:
             continue
         table = shared_image_table(cached_charpoly(p), deg)
         for _ in range(times):
-            out = table.apply(out)
-            if out.bit_length() > deg + 1:  # T_p never raises the degree
+            out = table.apply_odd(out)
+            if 2 * out.bit_length() > deg + 1:  # T_p never raises the degree
                 raise WitnessFailed(f"T{p} took the form above degree {deg}")
-    result = DeltaPoly(out)
-    if out != 2:
+    result = DeltaPoly(_from_odd(out, 0))
+    if out != 1:
         raise WitnessFailed(
             f"witness T3^{a} T5^{b} left {result.render()} instead of x^1"
         )

@@ -681,7 +681,7 @@ def _t5_image_structure(cfg: VerifyConfig) -> str:
 def _frobenius_doubling(cfg: VerifyConfig) -> str:
     """N_(2k) = N_k^2 on the full stream, the identity behind the fast route.
 
-    ``image_table`` and ``hecke_fast`` stream the odd images only and square
+    ``image_table`` and ``hecke_fast`` compute the odd images only and square
     them into every even one; here every image comes from the step-1
     recurrence.  2k runs to 1000 >= 2(p+1) for every prime the CLI accepts,
     so the even images reach past the seeds and use every s_r.

@@ -27,6 +27,7 @@ from hecke2.gf2series import (
     pack8,
     spread8,
     spread_bits,
+    stride_bits,
 )
 from hecke2 import hecke
 from hecke2.hecke import (
@@ -591,6 +592,29 @@ def test_octet_tail_matches_the_full_stream_across_its_seam(p):
             assert not wrong, (p, cp.s[p - 1], mask.bit_length() - 1, (wrong & -wrong).bit_length() - 1)
 
 
+@pytest.mark.parametrize("p", [3, 7, 31, 61])
+def test_image_table_matches_the_unpacked_recurrence_across_the_octet_seam(p):
+    # image_table cuts its odd images from the octets: from the step-2 head
+    # below 8(p+1) - 1 and the step-8 tail past it.  Each odd image is an
+    # odd-exponent mask, bit v for Delta^(2v+1), and an off-class relation
+    # raises before any octet is built
+    seam = 8 * (p + 1)
+    cp = cached_charpoly(p)
+    rng = random.Random(p)
+    want = unpacked_recurrence(cp, seam + 7)
+    for kmax in (1, 7, seam - 9, seam - 1, seam + 1, seam + 7):
+        table = image_table(cp, kmax)
+        assert [table[k] for k in range(kmax + 1)] == want[: kmax + 1], (p, kmax)
+        assert table.odd == tuple(stride_bits(img.mask, 2, 1) for img in want[1 : kmax + 1 : 2])
+        assert all(spread_bits(odd, 2) << 1 == img.mask for odd, img in zip(table.odd, want[1::2]))
+        for _ in range(20):
+            odd = rng.getrandbits((kmax + 1) // 2)
+            image = table.apply(spread_bits(odd, 2) << 1)
+            assert table.apply_odd(odd) == stride_bits(image, 2, 1), (p, kmax)
+        with pytest.raises(BadResidue, match=f"^s1 of the relation at p={p} leaves its class mod 8$"):
+            image_table(flip_bit(cp, 1, (p + 1) % 8), kmax)
+
+
 def test_every_2adic_valuation():
     # the images of Delta^(2^s m) are squared from the odd stream; the oracle
     # runs the full-width recurrence through every power
@@ -659,6 +683,12 @@ def test_image_table_rejects_powers_outside_it():
     with pytest.raises(IndexError):
         table.apply(1 << 21)
     assert table.apply(1 << 20) == table[20].mask
+    # the odd step reads odd masks up to the table's top odd power, 19
+    assert table.apply_odd(1 << 9) == stride_bits(table[19].mask, 2, 1)
+    with pytest.raises(IndexError):
+        table.apply_odd(1 << 10)
+    with pytest.raises(ValueError):
+        table.apply_odd(-1)
     # the set bits of a negative int never run out
     for mask in (-1, -6, -(1 << 30)):
         with pytest.raises(ValueError):
@@ -686,7 +716,8 @@ def test_hecke_fast_streams_odd_powers_only(monkeypatch):
     # Delta^3, ... from the step-2 stream only up to 8(p+1) - 1, so
     # min((m+1)//2, 4(p+1)) of them, and the octet loop carries the rest four
     # at a time, in one step per octet past H_p: max(0, (m >> 3) - p) steps.
-    # The even images are squares, never streamed
+    # The even images are squares, never streamed.  image_table runs the same
+    # octets through every octet up to its kmax
     clean = hecke._packed_stream
     drawn = []
     steps = []
@@ -715,8 +746,10 @@ def test_hecke_fast_streams_odd_powers_only(monkeypatch):
             assert len(drawn) == min((m + 1) // 2, 4 * (p + 1)), (p, d)
             assert len(steps) == max(0, (m >> 3) - p), (p, d)
     drawn.clear()
+    steps.clear()
     image_table(cached_charpoly(7), 1000)
-    assert len(drawn) == 500
+    assert len(drawn) == min(500, 4 * (7 + 1))
+    assert len(steps) == (1000 >> 3) - 7
 
 
 def test_hecke_fast_keeps_only_the_images_its_form_uses(monkeypatch):

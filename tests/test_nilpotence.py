@@ -1,9 +1,10 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from hecke2 import hecke, nilpotence
-from hecke2.codes import NEG_INF, h
+from hecke2.codes import NEG_INF, code, h
 from hecke2.deltapoly import ZERO, DeltaPoly
 from hecke2.errors import NotOddForm, WitnessFailed, ZeroPolynomial
 from hecke2.hecke import CharPoly, cached_charpoly, hecke_fast
@@ -17,6 +18,7 @@ from hecke2.nilpotence import (
     g_odd,
     render_report,
 )
+from hecke2.verify import SUITES, VerifyConfig, run_suite
 from helpers import poly
 
 
@@ -116,6 +118,51 @@ def test_witness_is_never_served_the_table_of_another_relation(monkeypatch, empt
     with pytest.raises(WitnessFailed, match="T3 took the form above degree 1023"):
         apply_witness(f)
     assert flipped in empty_store and true3 in empty_store
+
+
+def stored_t5_with_flip(store, kmax: int, v: int, bit: int):
+    """Put into the store a T_5 table to ``kmax`` with bit ``bit`` of odd image v flipped."""
+    cp5 = cached_charpoly(5)
+    table = hecke.image_table(cp5, kmax)
+    odd = list(table.odd)
+    odd[v] ^= 1 << bit
+    store[cp5] = replace(table, odd=tuple(odd))
+
+
+def t5_input_of(k: int) -> int:
+    """The odd mask that the one T_5 step of the witness of Delta^k reads."""
+    a, b = code(k)
+    assert b == 1
+    table3 = hecke.image_table(cached_charpoly(3), k)
+    mask = 1 << (k >> 1)
+    for _ in range(a):
+        mask = table3.apply_odd(mask)
+    return mask
+
+
+K5 = 687  # code (31, 1): thirty-one T_3 steps, then one T_5 step
+
+
+def test_witness_fails_on_a_flipped_bit_of_a_stored_t5_image(monkeypatch, empty_store):
+    # the one T_5 step reads the image of each set bit of its input; a flipped
+    # bit 0 of one of them moves the result off Delta^1
+    v = t5_input_of(K5).bit_length() - 1
+    stored_t5_with_flip(empty_store, 1023, v, 0)
+    with pytest.raises(WitnessFailed, match=r"^witness T3\^31 T5\^1 left .* instead of x\^1$"):
+        apply_witness(poly(K5))
+    monkeypatch.setitem(SUITES, "witness", ("witness-chain",))
+    report = run_suite("witness", VerifyConfig())
+    status = {c.claim_id: c for c in report.claims}
+    assert not status["witness-chain"].ok
+    assert status["witness-chain"].detail.startswith("witness T3^")
+
+
+def test_witness_fails_on_an_image_bit_above_the_form(empty_store):
+    # a bit at Delta^(K5 + 2), inside the table but above the form's degree
+    v = t5_input_of(K5).bit_length() - 1
+    stored_t5_with_flip(empty_store, 1023, v, (K5 + 1) >> 1)
+    with pytest.raises(WitnessFailed, match=f"^T5 took the form above degree {K5}$"):
+        apply_witness(poly(K5))
 
 
 def test_witness_chain_against_operator_count():

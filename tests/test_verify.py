@@ -138,10 +138,11 @@ def test_triangular_nilpotent_fails_on_an_image_at_or_above_its_own_index(monkey
     # (k - 1) / 2 on or above the diagonal
     naive_range = hecke._naive_monomial_range
 
-    def corrupted(q, kmax):
-        images = naive_range(q, kmax)
+    def corrupted(q, kmax, *, step=1):
+        # item k // step is the image of Delta^k, k odd, at either step
+        images = naive_range(q, kmax, step=step)
         if q == p:
-            images[k] = images[k] + monomial(e)
+            images[k // step] = images[k // step] + monomial(e)
         return images
 
     monkeypatch.setattr(hecke, "_naive_monomial_range", corrupted)
