@@ -152,17 +152,26 @@ def stride_bits(mask: int, step: int, start: int = 0) -> int:
     return int(digits[(len(digits) - 1) % step :: step], 2)
 
 
-def spread8(packed: int, offset: int = 0) -> int:
-    """Move every set bit ``m`` to position ``8m + offset``, for 0 <= offset < 8.
+def spread8(packed: int, offset: int = 0, s: int = 0) -> int:
+    """Move every set bit ``m`` to position ``2^s (8m + offset)``, for 0 <= offset < 8.
 
-    This unpacks a mask stored on one residue class mod 8: bit ``m`` of the
-    packed mask stands for exponent ``8m + offset``.  ``pack8`` inverts it.
+    This unpacks a mask stored on one residue class mod 8, where bit ``m``
+    stands for exponent ``8m + offset``, and squares it s times.  ``pack8``
+    inverts it at s = 0.
     """
+    width, pos = 1 << s, offset << s
     if packed.bit_length() <= _BYTEWISE_STR_LIMIT:
-        digits = format(packed, "b").encode()
-        return int.from_bytes(digits.translate(_DIGIT_TO_BYTE[offset]), "big")
+        digits = format(packed, "b").encode().translate(_DIGIT_TO_BYTE[pos & 7])
+        if s:  # each digit becomes a block of 2^s bytes
+            out = bytearray(len(digits) << s)
+            out[width - 1 - (pos >> 3) :: width] = digits
+            digits = out
+        return int.from_bytes(digits, "big")
     src = np.frombuffer(packed.to_bytes((packed.bit_length() + 7) // 8, "little"), np.uint8)
-    return int.from_bytes(np.unpackbits(src, bitorder="little").tobytes(), "little") << offset
+    bits = np.unpackbits(src, bitorder="little")
+    if s:
+        bits = np.column_stack((bits, np.zeros((len(bits), width - 1), np.uint8)))
+    return int.from_bytes(bits.tobytes(), "little") << pos
 
 
 def pack8(mask: int, offset: int = 0) -> int:

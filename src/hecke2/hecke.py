@@ -38,7 +38,7 @@ constraints; the classical power-sum (Newton) identities give a second
 derivation from naive data, used as an independent oracle.  It reads the
 naive images of the odd powers only, squares them into the even power sums,
 imposes the odd identities, which imply the even ones, and closes through
-the step-2 stream.
+the odd stream.
 """
 
 from __future__ import annotations
@@ -210,8 +210,8 @@ def hecke_naive(f: DeltaPoly, p: int) -> DeltaPoly:
 def _naive_monomial_range(p: int, kmax: int, *, step: int = 1) -> list[DeltaPoly]:
     """Naive images of the powers up to kmax from one packed ladder.
 
-    As in ``_packed_stream``, item i is the image of Delta^(step*i + step - 1):
-    every power 0..kmax at step 1, the odd powers 1, 3, ..., <= kmax at step 2.
+    Item i is the image of Delta^(step*i + step - 1): every power 0..kmax at
+    step 1, the odd powers 1, 3, ..., <= kmax at step 2.
     The ladder ``delta_powers(p*kmax + 1, max(kmax, 7))`` gives both the
     expansion of each power and every power the peel of an image needs:
     the starting Delta^0..Delta^7 and the gaps, which stay below k/8.  So
@@ -510,8 +510,8 @@ def charpoly_via_newton(p: int) -> CharPoly:
     then j >> 3 bits, plus the lone s_i bit of identity i, in block i >> 1,
     at odd i.  The odd-t stream for c = 0 is the right-hand side.
 
-    A closing pass runs the solution through ``_packed_stream`` at step 2,
-    the fast route's recurrence for the odd images, which the packed solve
+    A closing pass runs the solution through ``_packed_stream``, the fast
+    route's recurrence for the odd images, which the packed solve
     does not use.  By induction on odd m, each even sum below m being the
     square of a smaller one, identity m closes on the unpacked sums exactly
     when image m is packed N_m and N_m has no bit off its class (``pack8``
@@ -557,9 +557,8 @@ def charpoly_via_newton(p: int) -> CharPoly:
         lambda: SingularSystem(f"power-sum identities are inconsistent at p={p}"),
     )
     cp = _chosen_relation(p, bits, chosen)
-    for i, image in enumerate(_packed_stream(cp, rmax, step=2)):
-        m = 2 * i + 1
-        if not (image == packed[m] and spread8(packed[m], cls[m]) == odd[i]):
+    for m, image in zip(range(1, rmax, 2), _packed_stream(cp, rmax)):
+        if not (image == packed[m] and spread8(packed[m], cls[m]) == odd[m >> 1]):
             raise SingularSystem(f"power-sum identity {m} does not close at p={p}")
     return cp
 
@@ -569,77 +568,62 @@ def charpoly_via_newton(p: int) -> CharPoly:
 
 
 @lru_cache(maxsize=64)
-def _recurrence_plan(cp: CharPoly, step: int) -> tuple[tuple, tuple[int, ...]]:
-    """Per index i mod 8, the terms (r, shifts) of the packed recurrence, and its seeds.
+def _recurrence_plan(cp: CharPoly) -> tuple[tuple, tuple[int, ...]]:
+    """Per index i mod 4, the terms (r, shifts) of the odd recurrence, and its seeds.
 
-    Value i of the stream is image k = step*i + step - 1: every image at
-    step 1, the odd images at step 2.  Coefficient s_r lies on the class p*r
-    mod 8, so image k lies on the class c_k = p*k mod 8.  The power sums obey
-    P(t) S(t) = t S'(t), with S(t) = 1 + s_1 t + ... + s_(p+1) t^(p+1),
-    P(t) = sum_k N_k t^k and t S'(t) = sum over odd r of s_r t^r.
-    Multiplied by S(t), the left side becomes P(t) S(t)^2, and S(t)^2 =
-    sum_r s_r^2 t^(2r) is even, so the odd part of P times S(t)^2 is the odd
-    part of t S'(t) S(t).  So the odd images obey the recurrence of the
-    squared coefficients at step 2, seeded by a_j = sum over odd r of
-    s_r s_(2j+1-r), with s_0 = 1, for j = 0..p.  Both hold for any monic
-    relation on these classes, not only for F_p.
+    Value i of the stream is image k = 2i + 1, on the class c_k = p*k mod 8
+    (s_r lies on p*r mod 8), which depends on i mod 4 only.  The power sums
+    obey P(t) S(t) = t S'(t), with S(t) = 1 + s_1 t + ... + s_(p+1) t^(p+1),
+    P(t) = sum_k N_k t^k and t S'(t) = sum over odd r of s_r t^r.  Multiplied
+    by S(t), the left side becomes P(t) S(t)^2, and S(t)^2 = sum_r s_r^2 t^(2r)
+    is even, so the odd part of P times S(t)^2 is the odd part of t S'(t) S(t):
+    the odd images obey the recurrence of the squared coefficients at step 2,
+    seeded by a_j = sum over odd r of s_r s_(2j+1-r), with s_0 = 1, for
+    j = 0..p.  This holds for any monic relation on these classes.
 
-    With images packed on their classes, the term s_r^step * N_(k-step*r) is
-    a xor of value i - r shifted by (step*e + c_(k-step*r) - c_k) >> 3 for
-    each exponent e of s_r: exact and never negative, since
-    step*e + c_(k-step*r) >= 0 is congruent to c_k mod 8.  Each seed is
-    packed on the class of its image.
+    With images packed on their classes, the term s_r^2 N_(k-2r) is a xor
+    of value i - r shifted by (2e + c_(k-2r) - c_k) >> 3 for each exponent e
+    of s_r: exact and never negative, since 2e + c_(k-2r) >= 0 is congruent
+    to c_k mod 8.  Each seed is packed on the class of its image.
     """
     p = cp.p
     off = _off_class(cp)
     if off:
         raise BadResidue(f"s{off[0]} of the relation at p={p} leaves its class mod 8")
     shifts = []
-    for i in range(8):
-        k = step * i + step - 1
+    for k in (1, 3, 5, 7):
         ck = (p * k) % 8
         shifts.append(tuple(
-            (r, tuple((step * e + (p * (k - step * r)) % 8 - ck) >> 3 for e in sr.exponents()))
+            (r, tuple((2 * e + (p * (k - 2 * r)) % 8 - ck) >> 3 for e in sr.exponents()))
             for r, sr in enumerate(cp.s, 1)
             if sr
         ))
     s = (ONE, *cp.s)
-    if step == 1:
-        numerator = [s[k].mask if k & 1 else 0 for k in range(p + 2)]
-    else:
-        # every product s_r s_(k-r) at once, by Kronecker substitution t = X^width
-        width = 2 * max(sr.mask.bit_length() for sr in s)
-        odd_part = sum(s[r].mask << (width * r) for r in range(1, p + 2, 2))
-        even_part = sum(s[r].mask << (width * r) for r in range(0, p + 2, 2))
-        prod = clmul(odd_part, even_part)
-        numerator = [(prod >> (width * k)) & ((1 << width) - 1) for k in range(1, 2 * p + 2, 2)]
-    seeds = tuple(pack8(m, (p * (step * i + step - 1)) % 8) for i, m in enumerate(numerator))
+    # every product s_r s_(k-r) at once, by Kronecker substitution t = X^width
+    width = 2 * max(sr.mask.bit_length() for sr in s)
+    odd_part = sum(s[r].mask << (width * r) for r in range(1, p + 2, 2))
+    even_part = sum(s[r].mask << (width * r) for r in range(0, p + 2, 2))
+    prod = clmul(odd_part, even_part)
+    numerator = [(prod >> (width * k)) & ((1 << width) - 1) for k in range(1, 2 * p + 2, 2)]
+    seeds = tuple(pack8(m, (p * (2 * i + 1)) % 8) for i, m in enumerate(numerator))
     return tuple(shifts), seeds
 
 
-def _packed_stream(cp: CharPoly, kmax: int, *, step: int = 1):
-    """Images of Delta^k for k <= kmax, each packed on its class p*k mod 8.
+def _packed_stream(cp: CharPoly, kmax: int):
+    """The odd images of Delta^k, k = 1, 3, ..., <= kmax, each packed on its class.
 
-    Bit m of image k is the coefficient of Delta^(8m + p*k mod 8).  Step 1
-    yields every image k = 0..kmax: the full stream of ``iter_hecke_fast``
-    and the ``verify`` sweeps.  Step 2 yields the odd images k = 1, 3, ...,
-    <= kmax in half the steps: ``_odd_octets`` folds those below 8(p+1) into
-    the head of the octets behind ``hecke_fast`` and ``image_table``, and the
-    Newton oracle's closing pass compares them with the odd naive power sums.
-    The images are the power sums N_k, and mod 2 the Newton identities read
-    N_k = s_1 N_(k-1) + ... + s_(p+1) N_(k-p-1) + [k odd, k <= p+1] s_k, so
-    one loop runs the order-(p+1) recurrence of either plan
-    (``_recurrence_plan``) over a ring window of the last p+2 packed values
-    and xors in the seeds.  N_0 counts the p+1 conjugate series, an even
-    number, so N_0 = 0; the window starts zeroed, and a slot not yet written
-    reads 0, which gives N_j = 0 for j <= 0.
+    Value i is image k = 2i + 1, with bit m for Delta^(8m + p*k mod 8).  All
+    fast images start here: ``iter_hecke_fast`` unpacks them, ``_odd_octets``
+    folds them into its head octets.  One loop runs ``_recurrence_plan`` over
+    a ring window of the last p+2 values and xors in the seeds; a slot not yet
+    written reads 0, which gives N_j = 0 for j <= 0.
     """
-    shifts, seeds = _recurrence_plan(cp, step)
+    shifts, seeds = _recurrence_plan(cp)
     size = cp.p + 2
     window = [0] * size
     # the seeds ride along the index, so values past them pay no seed lookup
-    for i, acc in zip(range((kmax + 1) // step), chain(seeds, repeat(0))):
-        for r, term_shifts in shifts[i % 8]:
+    for i, acc in zip(range((kmax + 1) // 2), chain(seeds, repeat(0))):
+        for r, term_shifts in shifts[i % 4]:
             m = window[(i - r) % size]
             if m:
                 for sh in term_shifts:
@@ -657,14 +641,22 @@ def _from_odd(acc: int, s: int) -> int:
 def iter_hecke_fast(cp: CharPoly, kmax: int):
     """Stream the images of Delta^k for k = 0..kmax.
 
-    Image k lies on the single exponent class p*k mod 8.  The recurrence
-    runs on images packed on their classes (bit m stands for Delta^(8m + c)),
-    so each shift and xor touches an eighth of the bits; this wrapper unpacks
-    every image.  Memory stays proportional to p times the current degree.
+    Only the odd images are computed (``_packed_stream``) and kept, packed on
+    their classes.  Image k = 2^s m is odd image m squared s times, so its
+    bit a goes to 2^s (8a + p*m mod 8), unpacked in one step by ``spread8``.
+    Memory is the packed odd images up to kmax.
     """
     p = cp.p
-    for k, packed in enumerate(_packed_stream(cp, kmax)):
-        yield DeltaPoly(spread8(packed, (p * k) % 8))
+    stream = _packed_stream(cp, kmax)
+    odd = []  # odd[m >> 1] is packed image m
+    if kmax >= 0:
+        yield ZERO
+    for k in range(1, kmax + 1):
+        s = (k & -k).bit_length() - 1
+        m = k >> s
+        if not s:
+            odd.append(next(stream))
+        yield DeltaPoly(spread8(odd[m >> 1], p * m & 7, s))
 
 
 def hecke_fast_range(cp: CharPoly, kmax: int) -> list[DeltaPoly]:
@@ -776,7 +768,7 @@ def _odd_octets(cp: CharPoly, top: int, keep) -> dict[int, int]:
     Octet H_j holds N_(8j+1), N_(8j+3), N_(8j+5) and N_(8j+7): bit u is the
     coefficient of Delta^(2u+1).  Image m lies on the odd class p*m mod 8,
     which is 2u+1 mod 8 on the nibble lane u mod 4 = (p*m mod 8) >> 1, and
-    the four classes of an octet are distinct.  The step-2 stream runs to
+    the four classes of an octet are distinct.  The odd stream runs to
     min(top, 8(p+1) - 1) and is folded into H_0..H_p.  Past it, for j > p
     up to top >> 3, H_j is the xor of H_(j-r) << 4e over each term X^e of
     each s_r (the step-8 recurrence in the ``hecke`` module docstring): a
@@ -785,8 +777,7 @@ def _odd_octets(cp: CharPoly, top: int, keep) -> dict[int, int]:
     p = cp.p
     head = min(top, 8 * p + 7)
     window = [0] * ((head >> 3) + 1)
-    for i, packed in enumerate(_packed_stream(cp, head, step=2)):
-        m = 2 * i + 1
+    for m, packed in zip(range(1, head + 1, 2), _packed_stream(cp, head)):
         window[m >> 3] |= spread_bits(packed, 4) << ((p * m & 7) >> 1)
     kept = {j: h for j, h in enumerate(window) if j in keep}
     window = deque(window, maxlen=p + 1)  # window[-r] is H_(j-r)

@@ -22,18 +22,18 @@ from . import structural
 from .codes import _dominant, _slice_table, cap_H, code, code_arrays, decode, dominant_exponent, dominates, h, h_poly
 from .deltapoly import DeltaPoly, Parity, _even_mask, decompose, from_series, monomial, to_series
 from .errors import Hecke2Error, ParityMismatch
-from .gf2series import clmul, spread8
+from .gf2series import clmul
 from .hecke import (
     MAX_PRIME,
     ImageTable,
     _naive_monomial_range,
-    _packed_stream,
     cached_charpoly,
     charpoly_via_newton,
     hecke_fast_range,
     hecke_matrix,
     hecke_naive,
     image_table,
+    iter_hecke_fast,
     odd_primes_up_to,
     prop1_closed_form,
     relation_residual,
@@ -146,17 +146,16 @@ def _image_codes(p: int, kmax: int):
 
     Codes are (n3, n5) pairs from ``code_arrays``; the dominant exponent is
     picked by ``codes._dominant`` from the slice table, and a zero image gives
-    None.  The images are read packed, for k = 0..kmax: bit m of image k is
-    the exponent 8m + p*k mod 8.  An image has degree below k, so every
-    exponent is in the tables.
+    None.  The images are those of ``iter_hecke_fast``, for k = 0..kmax.  An
+    image has degree below k, so every exponent is in the tables.
     """
     _checked_kmax(kmax)
     a, b = code_arrays(kmax + 1)
     n3s, n5s = a.tolist(), b.tolist()
-    for k, packed in enumerate(_packed_stream(cached_charpoly(p), kmax)):
+    for k, image in enumerate(iter_hecke_fast(cached_charpoly(p), kmax)):
         dom = None
-        if packed:
-            e = _dominant(spread8(packed, p * k % 8))[0]
+        if image:
+            e = _dominant(image.mask)[0]
             dom = (n3s[e], n5s[e])
         yield k, (n3s[k], n5s[k]), dom
 
@@ -273,9 +272,10 @@ def _relation_structure(cfg: VerifyConfig) -> str:
 def _recurrence_genfun(cfg: VerifyConfig) -> str:
     """Product form (sum_k P_k t^k)(1 + sum_r s_r t^r) = t S'(t) = sum_(r odd) s_r t^r.
 
-    Images come from the packed stream, products from clmul on unpacked masks.
-    Both sides read one F_p, so a corrupted F_p passes by construction and the
-    mutation target is the stream (``test_recurrence_genfun_covers_every_prime_to_pmax``).
+    Images come from the odd stream, the even ones squared, and products from
+    clmul on unpacked masks.  Both sides read one F_p, so a corrupted F_p
+    passes by construction and the mutation target is the stream, whose first
+    wrong image m fails the identity at m (``test_recurrence_genfun_covers_every_prime_to_pmax``).
     With ``naive-fast-agree`` it checks the stream the Newton oracle closes through.
     """
     pmax = max(cfg.pmax, 5)
@@ -679,18 +679,18 @@ def _t5_image_structure(cfg: VerifyConfig) -> str:
 
 @_claim("frobenius-doubling", "theorem")
 def _frobenius_doubling(cfg: VerifyConfig) -> str:
-    """N_(2k) = N_k^2 on the full stream, the identity behind the fast route.
+    """T_p(Delta^(2k)) = T_p(Delta^k)^2 on the naive route: a check of the operator.
 
-    ``image_table`` and ``hecke_fast`` compute the odd images only and square
-    them into every even one; here every image comes from the step-1
-    recurrence.  2k runs to 1000 >= 2(p+1) for every prime the CLI accepts,
-    so the even images reach past the seeds and use every s_r.
+    On the fast route every even image is an odd one squared, and N_(2k) =
+    N_k^2 holds for the power sums of any monic relation.  2k runs to
+    max(200, p + 34), the powers ``naive-fast-agree`` compares.
     """
     for p in _checked_primes(cfg.pmax):
-        table = hecke_fast_range(cached_charpoly(p), 1000)
-        for k in range(501):
-            assert table[2 * k] == table[k].square(), f"doubling fails at p={p}, k={k}"
-    return f"p<={cfg.pmax}, k<=500"
+        naive = _naive_monomial_range(p, max(200, p + 34))
+        for k in range((len(naive) + 1) // 2):
+            assert naive[2 * k] == naive[k].square(), f"doubling fails at p={p}, k={k}"
+    krange = "2k<=200" if cfg.pmax + 34 <= 200 else "2k<=max(200,p+34)"
+    return f"p<={cfg.pmax}, naive route, {krange}"
 
 
 @_claim("theta-vanishing", "theorem")

@@ -1,4 +1,5 @@
-"""Timings of q-series recognition, ``from_series`` and the peel it shares.
+"""Timings of q-series recognition, ``from_series`` and the peel it shares,
+and of the recurrence stream behind ``hecke_fast_range``.
 
 The file name keeps it out of the tier-1 suite; run it with pytest-benchmark
 installed as
@@ -11,10 +12,13 @@ timed region, and checks the batch's results once afterwards.
 
 import random
 
+import pytest
+
 from hecke2.deltapoly import DeltaPoly, from_series, to_series
 from hecke2.hecke import (
     _naive_monomial_range,
     cached_charpoly,
+    hecke_fast_range,
     hecke_naive,
     hecke_naive_series,
     image_table,
@@ -53,3 +57,13 @@ def test_from_series_dense_round_trip(benchmark):
     f = DeltaPoly(random.Random(2).getrandbits(10_000) | 1 << 10_000)
     series = to_series(f, 10_001)
     assert benchmark(from_series, series, 10_000) == f
+
+
+@pytest.mark.parametrize("p", [3, 127])
+def test_stream_every_image(benchmark, p):
+    # every image to k = 4095: the odd stream, with each even image unpacked
+    # from its odd part squared
+    cp = cached_charpoly(p)
+    out = benchmark(hecke_fast_range, cp, 4095)
+    table = image_table(cp, 4095)
+    assert out == [table[k] for k in range(4096)]

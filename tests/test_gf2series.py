@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hecke2.errors import PrecisionTooLow
 from hecke2.gf2series import (
+    _BYTEWISE_STR_LIMIT,
     _DOUBLING_LOOP_LIMIT,
     _SPREAD_LOOP_LIMIT,
     BitSeries,
@@ -13,6 +14,7 @@ from hecke2.gf2series import (
     clmul,
     delta,
     one,
+    spread8,
     spread_bits,
     stride_bits,
     zero,
@@ -239,3 +241,15 @@ def test_clmul_dense_operands_match_convolution():
     assert min(a.bit_count(), b.bit_count()) > 256  # the walked operand takes the numpy path
     x, y = BitSeries(a, 640), BitSeries(b, 640)
     assert x * y == conv_oracle(x, y)
+
+
+@pytest.mark.parametrize("nbits", [1, 9, _BYTEWISE_STR_LIMIT, _BYTEWISE_STR_LIMIT + 1, 3000])
+def test_spread8_frobenius_exponent_squares_the_unpacked_mask(nbits):
+    # bit m goes to 2^s (8m + c): the unpacked mask squared s times, on the
+    # string path up to _BYTEWISE_STR_LIMIT packed bits and on numpy above
+    rng = random.Random(nbits)
+    for packed in (rng.getrandbits(nbits) | 1 << (nbits - 1), 1 << (nbits - 1), (1 << nbits) - 1):
+        for s in range(5):
+            for c in range(8):
+                assert spread8(packed, c, s) == spread_bits(spread8(packed, c), 1 << s), (s, c)
+    assert spread8(0, 5, 3) == 0

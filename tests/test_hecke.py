@@ -312,9 +312,9 @@ def test_newton_oracle_rejects_corrupted_stream(p, monkeypatch):
     clean = hecke._packed_stream
     for k in (1, p + 2, 3 * (p + 1) - 1):
 
-        def corrupted(cp, kmax, *, step=1, k=k):
-            for j, image in enumerate(clean(cp, kmax, step=step)):
-                yield image ^ (step * j + step - 1 == k)
+        def corrupted(cp, kmax, k=k):
+            for j, image in enumerate(clean(cp, kmax)):
+                yield image ^ (2 * j + 1 == k)
 
         monkeypatch.setattr(hecke, "_packed_stream", corrupted)
         with pytest.raises(SingularSystem, match=f"identity {k} does not close"):
@@ -486,7 +486,6 @@ def test_packed_kernel_matches_unpacked_recurrence_and_naive():
     for p in (3, 5, 7, 31, 257):
         cp = cached_charpoly(p)
         fast = hecke_fast_range(cp, 600)
-        assert fast == unpacked_recurrence(cp, 600), p
         assert fast == hecke._naive_monomial_range(p, 600), p
         assert list(iter_hecke_fast(cp, 600)) == fast, p
         table = image_table(cp, 600)
@@ -505,6 +504,31 @@ def test_packed_kernel_seeds_only():
         # past the seeds only the recurrence runs
         kmax = 2 * p + 4
         assert hecke_fast_range(cp, kmax) == unpacked_recurrence(cp, kmax), p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31, 127, 257])
+def test_iter_hecke_fast_matches_the_unpacked_recurrence(p):
+    # every image, even ones unpacked from their odd part squared, equals the
+    # full-width recurrence, also for an in-class corruption of F_p
+    for cp in (cached_charpoly(p), flip_in_class_bit(cached_charpoly(p), p)):
+        assert list(iter_hecke_fast(cp, 600)) == unpacked_recurrence(cp, 600), cp.s[p - 1]
+
+
+def test_iter_hecke_fast_draws_each_odd_image_once(monkeypatch):
+    clean = hecke._packed_stream
+    drawn = []
+
+    def counting(cp, kmax):
+        for image in clean(cp, kmax):
+            drawn.append(image)
+            yield image
+
+    monkeypatch.setattr(hecke, "_packed_stream", counting)
+    for p in (3, 7, 31):
+        for kmax in (-1, 0, 1, 2, 3, 8, 2 * p + 1, 1000, 1001):
+            drawn.clear()
+            assert len(list(iter_hecke_fast(cached_charpoly(p), kmax))) == kmax + 1
+            assert len(drawn) == (kmax + 1) // 2, (p, kmax)
 
 
 def test_hecke_fast_on_every_exponent_class():
@@ -558,11 +582,12 @@ def flip_in_class_bit(cp: CharPoly, r: int) -> CharPoly:
 @pytest.mark.parametrize("p", [*hecke.odd_primes_up_to(61), 127, 257])
 def test_odd_stream_is_the_odd_part_of_the_full_stream(p):
     # the odd images obey the squared recurrence for every monic relation on
-    # its classes, so an in-class corruption of F_p keeps the two streams equal
+    # its classes, so an in-class corruption of F_p keeps the odd stream equal
+    # to the odd part of the full-width recurrence
     for cp in (cached_charpoly(p), flip_in_class_bit(cached_charpoly(p), p)):
-        full = list(hecke._packed_stream(cp, 700))
+        full = [pack8(img.mask, p * k % 8) for k, img in enumerate(unpacked_recurrence(cp, 700))]
         for kmax in (0, 1, 2, p, 2 * p + 1, 2 * p + 2, 2 * p + 3, 700):
-            odd = list(hecke._packed_stream(cp, kmax, step=2))
+            odd = list(hecke._packed_stream(cp, kmax))
             assert odd == full[1 : kmax + 1 : 2], (p, kmax)
 
 
@@ -570,10 +595,11 @@ def test_odd_stream_is_the_odd_part_of_the_full_stream(p):
 def test_octet_tail_matches_the_full_stream_across_its_seam(p):
     # hecke_fast streams the odd images to 8(p+1) - 1 and carries the rest in
     # octets.  The step-8 recurrence holds for every monic relation on its
-    # classes, so an in-class corruption of F_p must agree with its step-1
-    # stream as well.  At each degree t, Delta^t and a 3-5 term form of mixed
-    # parity whose top odd part is t | 1: the odd parts straddle the seam
-    # before the first tail octet H_(p+1), and reach 4000 past it
+    # classes, so an in-class corruption of F_p must agree with the images
+    # of its odd stream (iter_hecke_fast) as well.  At each degree t, Delta^t
+    # and a 3-5 term form of mixed parity whose top odd part is t | 1: the odd
+    # parts straddle the seam before the first tail octet H_(p+1), and reach
+    # 4000 past it
     seam = 8 * (p + 1)
     rng = random.Random(p)
     forms = []
@@ -582,7 +608,7 @@ def test_octet_tail_matches_the_full_stream_across_its_seam(p):
         forms += [1 << t, sum(1 << e for e in lower) | 1 << (t | 1)]
     degree = max(forms).bit_length() - 1
     for cp in (cached_charpoly(p), flip_in_class_bit(cached_charpoly(p), p)):
-        full = [spread8(packed, p * k % 8) for k, packed in enumerate(hecke._packed_stream(cp, degree))]
+        full = [img.mask for img in iter_hecke_fast(cp, degree)]
         for mask in forms:
             want = 0
             for k in bit_positions(mask):
@@ -722,9 +748,8 @@ def test_hecke_fast_streams_odd_powers_only(monkeypatch):
     drawn = []
     steps = []
 
-    def counting(cp, kmax, **kw):
-        assert kw == {"step": 2}
-        for image in clean(cp, kmax, **kw):
+    def counting(cp, kmax):
+        for image in clean(cp, kmax):
             drawn.append(image)
             yield image
 
@@ -774,11 +799,11 @@ def test_hecke_fast_keeps_only_the_images_its_form_uses(monkeypatch):
     parts = {k >> ((k & -k).bit_length() - 1) for k in exps if k}
     assert f.degree == 65535 and len(kept) == 1
     assert set(kept[0]) == {m >> 3 for m in parts}
-    # the step-1 stream behind hecke_fast_range, unpacked at the exponents of f
+    # the images of iter_hecke_fast, without octets, at the exponents of f
     want = 0
-    for k, packed in enumerate(hecke._packed_stream(F3, f.degree)):
+    for k, img in enumerate(iter_hecke_fast(F3, f.degree)):
         if k in exps:
-            want ^= spread8(packed, 3 * k % 8)
+            want ^= img.mask
     assert got == DeltaPoly(want)
 
 

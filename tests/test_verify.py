@@ -45,20 +45,21 @@ def test_recurrence_genfun_covers_every_prime_to_pmax(monkeypatch):
         claim(VerifyConfig(pmax=13))
 
 
-def test_frobenius_doubling_covers_every_prime_and_sees_one_flipped_image(monkeypatch):
+def test_frobenius_doubling_reads_the_naive_route_and_sees_one_flipped_image(monkeypatch):
     claim = verify._REGISTRY["frobenius-doubling"]
-    assert claim(VerifyConfig(pmax=13)) == "p<=13, k<=500"
+    assert claim(VerifyConfig(pmax=13)) == "p<=13, naive route, 2k<=200"
+    assert claim(VerifyConfig(pmax=211)) == "p<=211, naive route, 2k<=max(200,p+34)"
 
-    fast_range = verify.hecke_fast_range
+    naive_range = verify._naive_monomial_range
 
-    def corrupted(cp, kmax):
-        images = fast_range(cp, kmax)
-        if cp.p == 13:
-            images[300] = images[300] + DeltaPoly(1 << 4)
+    def corrupted(p, kmax):
+        images = naive_range(p, kmax)
+        if p == 13:
+            images[150] = images[150] + DeltaPoly(1 << 4)
         return images
 
-    monkeypatch.setattr(verify, "hecke_fast_range", corrupted)
-    with pytest.raises(AssertionError, match="doubling fails at p=13, k=150"):
+    monkeypatch.setattr(verify, "_naive_monomial_range", corrupted)
+    with pytest.raises(AssertionError, match="^doubling fails at p=13, k=75$"):
         claim(VerifyConfig(pmax=13))
 
 
@@ -115,14 +116,15 @@ def test_random_masks_reach_past_8191_and_keep_small_draws():
 @pytest.mark.parametrize("p, k, claim_id", [(3, 3, "t3-image-structure"), (5, 5, "t5-image-structure")])
 def test_structure_sweep_fails_on_one_flipped_image_bit(monkeypatch, p, k, claim_id):
     # T_p(Delta^p) = Delta, packed as bit 0 on the class p*p mod 8 = 1; with
-    # that bit flipped the image vanishes although n3(3) = 1 and n5(5) = 1
-    packed_stream = verify._packed_stream
+    # that bit flipped the image vanishes although n3(3) = 1 and n5(5) = 1.
+    # The sweeps read every image from the odd stream, where k is value (k-1)/2
+    packed_stream = hecke._packed_stream
 
     def flipped(cp, kmax):
         for j, packed in enumerate(packed_stream(cp, kmax)):
-            yield packed ^ 1 if (cp.p, j) == (p, k) else packed
+            yield packed ^ 1 if (cp.p, j) == (p, (k - 1) // 2) else packed
 
-    monkeypatch.setattr(verify, "_packed_stream", flipped)
+    monkeypatch.setattr(hecke, "_packed_stream", flipped)
     monkeypatch.setitem(verify.SUITES, "sweeps", ("t3-image-structure", "t5-image-structure"))
     report = run_suite("sweeps", VerifyConfig(kmax=200))
     status = {c.claim_id: c for c in report.claims}
