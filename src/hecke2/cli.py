@@ -36,8 +36,8 @@ from .verify import SUITES, VerifyConfig, run_suite
 USAGE_ERROR = 2
 # Largest exponent a form spec may hold, the domination key table's last:
 # `hecke` runs its recurrence up to the largest odd part of an exponent (one
-# odd image per step to 8(p+1) - 1, then four per step), and every command
-# packs the form into a bit mask.
+# odd image per step to 8(p+1) - 1, once per relation, then four per step),
+# and every command packs the form into a bit mask.
 MAX_FORM_DEGREE = _TABLE_CAP - 1
 FORM_HELP = f"comma-separated distinct exponents, each at most {MAX_FORM_DEGREE}"
 PRIME_HELP = f"odd prime, at most {MAX_PRIME}"
@@ -215,7 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     hk = sub.add_parser(
         "hecke",
         help="apply one operator to a form",
-        description="Apply T_p to a form by the recurrence route unless --naive or --both.",
+        description=(
+            "Apply T_p to a form by the recurrence route unless --naive or --both. "
+            "That route's cost is its tail octets times the terms of F_p: past the "
+            "odd images below 8(p+1), kept once per relation, it takes (m >> 3) - p "
+            "octet steps, m the largest odd part of an exponent, each of one shift "
+            "per term of F_p (1262 terms at p = 257, 5261 at p = 499).  --form 65535 "
+            "takes about 9 s at p = 257 and 40 s at p = 499 on a 2-core machine."
+        ),
     )
     hk.add_argument("--p", type=int, required=True, help=PRIME_HELP)
     hk.add_argument("--form", required=True, help=FORM_HELP)

@@ -169,8 +169,10 @@ def spread8(packed: int, offset: int = 0, s: int = 0) -> int:
         return int.from_bytes(digits, "big")
     src = np.frombuffer(packed.to_bytes((packed.bit_length() + 7) // 8, "little"), np.uint8)
     bits = np.unpackbits(src, bitorder="little")
-    if s:
-        bits = np.column_stack((bits, np.zeros((len(bits), width - 1), np.uint8)))
+    if s:  # each bit becomes a block of 2^s bytes
+        out = np.zeros(len(bits) << s, np.uint8)
+        out[::width] = bits
+        bits = out
     return int.from_bytes(bits.tobytes(), "little") << pos
 
 

@@ -26,6 +26,9 @@ N_n = sum_r s_r^8 N_(n-8r), for any monic relation: a step-8 recurrence
 whose shifts, 8e for each term X^e of s_r, do not depend on n.  Its octets
 hold the four odd images N_(8j+1), ..., N_(8j+7), which lie on four
 distinct odd classes, in one int (``_odd_octets``), bit u for Delta^(2u+1).
+The head octets H_0..H_p, below the seam 8(p+1), depend on the relation
+only and are kept per relation (``_head_octets``), so one call pays its
+tail octets times the terms of F_p.
 ``ImageTable`` cuts each odd image from its octet by one AND and keeps it in
 that layout, as an odd-exponent mask: a T_p step on an odd form xors the
 images of its set bits into the next odd mask, so the witness chain never
@@ -44,6 +47,7 @@ the odd stream.
 from __future__ import annotations
 
 import os
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,6 +74,7 @@ from .errors import (
     SingularSystem,
 )
 from .gf2series import (
+    _DOUBLING_LOOP_LIMIT,
     BitSeries,
     bit_positions,
     clmul,
@@ -613,10 +618,11 @@ def _packed_stream(cp: CharPoly, kmax: int):
     """The odd images of Delta^k, k = 1, 3, ..., <= kmax, each packed on its class.
 
     Value i is image k = 2i + 1, with bit m for Delta^(8m + p*k mod 8).  All
-    fast images start here: ``iter_hecke_fast`` unpacks them, ``_odd_octets``
-    folds them into its head octets.  One loop runs ``_recurrence_plan`` over
-    a ring window of the last p+2 values and xors in the seeds; a slot not yet
-    written reads 0, which gives N_j = 0 for j <= 0.
+    fast images start here: ``iter_hecke_fast`` unpacks them, and
+    ``_head_octets`` folds them into the head octets once per relation.  One
+    loop runs ``_recurrence_plan`` over a ring window of the last p+2 values
+    and xors in the seeds; a slot not yet written reads 0, which gives
+    N_j = 0 for j <= 0.
     """
     shifts, seeds = _recurrence_plan(cp)
     size = cp.p + 2
@@ -634,29 +640,44 @@ def _packed_stream(cp: CharPoly, kmax: int):
 
 def _from_odd(acc: int, s: int) -> int:
     """Exponent mask of the odd mask ``acc`` squared s times: bit u, for
-    Delta^(2u+1), goes to Delta^(2^s (2u+1))."""
+    Delta^(2u+1), goes to Delta^(2^s (2u+1)).
+
+    A sparse mask, or s = 0, takes ``spread_bits``' per-bit loop.  A denser
+    one takes a digit-string path: for s >= 2 the exponent is 2^(s-2) (8u + 4),
+    one unpack by ``spread8``, and for s = 1 two factor-2 spreads, which map
+    whole bytes.
+    """
+    if s and acc.bit_count() > _DOUBLING_LOOP_LIMIT:
+        if s >= 2:
+            return spread8(acc, 4, s - 2)
+        return spread_bits(spread_bits(acc, 2) << 1, 2)
     return spread_bits(acc, 2 << s) << (1 << s)
 
 
 def iter_hecke_fast(cp: CharPoly, kmax: int):
     """Stream the images of Delta^k for k = 0..kmax.
 
-    Only the odd images are computed (``_packed_stream``) and kept, packed on
-    their classes.  Image k = 2^s m is odd image m squared s times, so its
-    bit a goes to 2^s (8a + p*m mod 8), unpacked in one step by ``spread8``.
-    Memory is the packed odd images up to kmax.
+    Only the odd images are computed (``_packed_stream``), packed on their
+    classes.  Image k = 2^s m is odd image m squared s times, so its bit a
+    goes to 2^s (8a + p*m mod 8), unpacked in one step by ``spread8``.  Only
+    the odd images m with 2m <= kmax are read again, so only those are kept:
+    memory is the packed odd images up to kmax / 2.
     """
     p = cp.p
     stream = _packed_stream(cp, kmax)
-    odd = []  # odd[m >> 1] is packed image m
+    odd = []  # odd[m >> 1] is packed image m, for the m with 2m <= kmax
     if kmax >= 0:
         yield ZERO
     for k in range(1, kmax + 1):
         s = (k & -k).bit_length() - 1
         m = k >> s
-        if not s:
-            odd.append(next(stream))
-        yield DeltaPoly(spread8(odd[m >> 1], p * m & 7, s))
+        if s:
+            packed = odd[m >> 1]
+        else:
+            packed = next(stream)
+            if 2 * k <= kmax:
+                odd.append(packed)
+        yield DeltaPoly(spread8(packed, p * m & 7, s))
 
 
 def hecke_fast_range(cp: CharPoly, kmax: int) -> list[DeltaPoly]:
@@ -735,9 +756,16 @@ def image_table(cp: CharPoly, kmax: int) -> ImageTable:
     return ImageTable(p, kmax, tuple(octets[m >> 3] & lanes[p * m & 7] for m in range(1, kmax + 1, 2)))
 
 
-# relations whose tables ``shared_image_table`` keeps, the least recently used dropped first
-_SHARED_RELATIONS = 8
+# bytes of the tables ``shared_image_table`` keeps besides the one just asked
+# for, the least recently used dropped first: the T_3 and T_5 tables to degree
+# 16383 take about 4.5 MiB each
+_SHARED_BYTES = 16 << 20
 _shared_tables: dict[CharPoly, ImageTable] = {}
+
+
+def _table_bytes(table: ImageTable) -> int:
+    """Bytes held by the odd images of ``table``, with their int and tuple headers."""
+    return sys.getsizeof(table.odd) + sum(map(sys.getsizeof, table.odd))
 
 
 def shared_image_table(cp: CharPoly, kmax: int) -> ImageTable:
@@ -745,20 +773,58 @@ def shared_image_table(cp: CharPoly, kmax: int) -> ImageTable:
 
     The process-wide store is keyed on the relation itself, so a relation that
     differs from F_p in one bit gets its own table.  It holds one table per
-    relation, for at most ``_SHARED_RELATIONS`` relations.  A request at or
-    below the held table's kmax reuses it; a larger one replaces it with a
-    table to the next 2^j - 1, so a run of growing requests streams each odd
-    image about twice.  ``len`` of the result may exceed kmax + 1.
+    relation.  A request at or below the held table's kmax reuses it; a
+    larger one replaces it with a table to the next 2^j - 1, so a run of
+    growing requests runs each tail octet about twice (``_head_octets`` keeps
+    the head).  ``len`` of the result may exceed kmax + 1.  After a build,
+    the least recently used tables are dropped until the store holds at most
+    ``_SHARED_BYTES`` (``_table_bytes``); the table just asked for is never
+    dropped.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     table = _shared_tables.pop(cp, None)
     if table is None or table.kmax < kmax:
         table = image_table(cp, (1 << kmax.bit_length()) - 1)
+        held = _table_bytes(table) + sum(map(_table_bytes, _shared_tables.values()))
+        while held > _SHARED_BYTES and _shared_tables:
+            held -= _table_bytes(_shared_tables.pop(next(iter(_shared_tables))))
     _shared_tables[cp] = table  # reinserted: dict order is recency order
-    if len(_shared_tables) > _SHARED_RELATIONS:
-        del _shared_tables[next(iter(_shared_tables))]
     return table
+
+
+class _HeadOctets:
+    """The head octets H_0..H_p of one relation, streamed as far as asked.
+
+    H_j folds the odd images 8j+1, ..., 8j+7 of the step-2 stream, which runs
+    to 8p + 7 at most.  Each image is drawn once per relation: a call that
+    reaches past the octets held resumes the stream where the last one left
+    it, and a call at or below them draws nothing.
+    """
+
+    def __init__(self, cp: CharPoly) -> None:
+        _recurrence_plan(cp)  # an off-class relation raises here, before it is kept
+        self.p = cp.p
+        self.octets: list[int] = []
+        self._stream = _packed_stream(cp, 8 * cp.p + 7)
+
+    def first(self, n: int) -> list[int]:
+        """H_0..H_(n-1), for n <= p + 1."""
+        p = self.p
+        while len(self.octets) < n:
+            j = len(self.octets)
+            octet = 0
+            for m, packed in zip(range(8 * j + 1, 8 * j + 8, 2), self._stream):
+                octet |= spread_bits(packed, 4) << ((p * m & 7) >> 1)
+            self.octets.append(octet)
+        return self.octets[:n]
+
+
+@lru_cache(maxsize=64)
+def _head_octets(cp: CharPoly) -> _HeadOctets:
+    """The head octets of ``cp``, kept across calls and keyed on the relation
+    itself, like ``_recurrence_plan``, so a corrupted relation has its own."""
+    return _HeadOctets(cp)
 
 
 def _odd_octets(cp: CharPoly, top: int, keep) -> dict[int, int]:
@@ -768,17 +834,17 @@ def _odd_octets(cp: CharPoly, top: int, keep) -> dict[int, int]:
     Octet H_j holds N_(8j+1), N_(8j+3), N_(8j+5) and N_(8j+7): bit u is the
     coefficient of Delta^(2u+1).  Image m lies on the odd class p*m mod 8,
     which is 2u+1 mod 8 on the nibble lane u mod 4 = (p*m mod 8) >> 1, and
-    the four classes of an octet are distinct.  The odd stream runs to
-    min(top, 8(p+1) - 1) and is folded into H_0..H_p.  Past it, for j > p
-    up to top >> 3, H_j is the xor of H_(j-r) << 4e over each term X^e of
-    each s_r (the step-8 recurrence in the ``hecke`` module docstring): a
-    shift by 4e moves every exponent by 8e and keeps each lane.
+    the four classes of an octet are distinct.  H_0..H_p, which hold the odd
+    images to 8(p+1) - 1, come from the relation's cached head
+    (``_head_octets``), of which the window takes the first
+    (min(top, 8p + 7) >> 3) + 1.  Past it, for j > p up to top >> 3, H_j is
+    the xor of H_(j-r) << 4e over each term X^e of each s_r (the step-8
+    recurrence in the ``hecke`` module docstring): a shift by 4e moves every
+    exponent by 8e and keeps each lane.  So a call pays its tail octets
+    times the terms of F_p, and the head once per relation.
     """
     p = cp.p
-    head = min(top, 8 * p + 7)
-    window = [0] * ((head >> 3) + 1)
-    for m, packed in zip(range(1, head + 1, 2), _packed_stream(cp, head)):
-        window[m >> 3] |= spread_bits(packed, 4) << ((p * m & 7) >> 1)
+    window = _head_octets(cp).first((min(top, 8 * p + 7) >> 3) + 1)
     kept = {j: h for j, h in enumerate(window) if j in keep}
     window = deque(window, maxlen=p + 1)  # window[-r] is H_(j-r)
     terms = tuple((-r, 4 * e) for r, sr in enumerate(cp.s, 1) for e in sr.exponents())

@@ -15,7 +15,13 @@ import random
 import pytest
 
 from hecke2.deltapoly import DeltaPoly, decompose, monomial
-from hecke2.hecke import cached_charpoly, hecke_fast, image_table, odd_primes_up_to
+from hecke2.hecke import (
+    cached_charpoly,
+    hecke_fast,
+    image_table,
+    iter_hecke_fast,
+    odd_primes_up_to,
+)
 from hecke2.nilpotence import apply_witness, g_general
 
 PRIMES = odd_primes_up_to(31)
@@ -106,6 +112,35 @@ def test_hecke_fast_large_prime(benchmark, p):
     out = benchmark(hecke_fast, f, cp)
     # the step-2 route: every odd image streamed and summed by the table applier
     assert out.mask == image_table(cp, f.degree).apply(f.mask)
+
+
+@pytest.mark.parametrize("p", [127, 257])
+@pytest.mark.parametrize("past_seam", [0, 4002], ids=["top_at_seam", "top_past_seam"])
+def test_hecke_fast_head_warmed(benchmark, p, past_seam):
+    # a 4-term form whose top odd part is 8(p+1) - 1, the last head image, or
+    # 8(p+1) + 4001; one untimed call holds the head, so a timed call pays
+    # only the tail octets, (top >> 3) - p of them
+    top = 8 * (p + 1) - 1 + past_seam
+    rng = random.Random(p + past_seam)
+    f = DeltaPoly(sum(1 << e for e in rng.sample(range(top), 3)) | 1 << top)
+    cp = cached_charpoly(p)
+    hecke_fast(f, cp)
+    out = benchmark(hecke_fast, f, cp)
+    assert out.mask == image_table(cp, top).apply(f.mask)
+
+
+def test_image_lookups_every_power(benchmark):
+    # table[k] for every k <= 4095 at p = 3, each image decoded on its own
+    table = image_table(cached_charpoly(3), 4095)
+    out = benchmark(lambda: [table[k] for k in range(len(table))])
+    assert out[4094].mask == table.apply(1 << 4094)
+
+
+def test_stream_every_power(benchmark):
+    # the same images from the stream, iter_hecke_fast to 4095 at p = 3
+    cp = cached_charpoly(3)
+    out = benchmark(lambda: list(iter_hecke_fast(cp, 4095)))
+    assert out == [image_table(cp, 4095)[k] for k in range(4096)]
 
 
 def test_image_table_lookups(benchmark):

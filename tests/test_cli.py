@@ -73,7 +73,10 @@ def test_hecke_route_flags(capsys):
         assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["hecke", "--help"])
-    assert "--fast" not in capsys.readouterr().out
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--fast" not in out
+    # the help states what one call of the recurrence route costs
+    assert "tail octets times the terms of F_p" in out
 
 
 def test_form_degree_cap(capsys, monkeypatch):

@@ -641,6 +641,17 @@ def test_image_table_matches_the_unpacked_recurrence_across_the_octet_seam(p):
             image_table(flip_bit(cp, 1, (p + 1) % 8), kmax)
 
 
+def test_from_odd_matches_the_per_bit_spread_at_every_valuation():
+    # bit u of an odd mask goes to 2^s (2u + 1).  Masks above 32 set bits take
+    # the digit-string paths, on both sides of spread8's string limit
+    rng = random.Random(26)
+    for s in range(7):
+        for nbits in (1, 30, 33, 200, _BYTEWISE_STR_LIMIT + 1, 3000):
+            for acc in (0, rng.getrandbits(nbits), (1 << nbits) - 1, 1 << (nbits - 1)):
+                want = sum(1 << ((2 * u + 1) << s) for u in bit_positions(acc))
+                assert hecke._from_odd(acc, s) == want, (s, nbits, acc.bit_count())
+
+
 def test_every_2adic_valuation():
     # the images of Delta^(2^s m) are squared from the odd stream; the oracle
     # runs the full-width recurrence through every power
@@ -685,19 +696,42 @@ def test_shared_table_rounds_up_and_serves_smaller_requests(monkeypatch):
 
 
 def test_shared_store_holds_at_most_its_bound(monkeypatch):
+    # after a build the store holds at most _SHARED_BYTES, dropping the least
+    # recently used tables first, and never the table just asked for
+    default = hecke._SHARED_BYTES
     store = {}
     monkeypatch.setattr(hecke, "_shared_tables", store)
-    bound = hecke._SHARED_RELATIONS
     primes = hecke.odd_primes_up_to(61)
-    assert len(primes) > bound
-    for p in primes:
+    size = {p: hecke._table_bytes(image_table(cached_charpoly(p), 63)) for p in primes}
+    budget = 3 * max(size.values())
+    monkeypatch.setattr(hecke, "_SHARED_BYTES", budget)
+
+    def held():
+        return [cp.p for cp in store]
+
+    for i, p in enumerate(primes):
         shared_image_table(cached_charpoly(p), 50)
-        assert len(store) <= bound
-    assert [cp.p for cp in store] == primes[-bound:]
-    # a hit makes its relation the most recent, so the next one in line goes
-    shared_image_table(cached_charpoly(primes[-bound]), 10)
-    shared_image_table(F3, 10)
-    assert [cp.p for cp in store] == [*primes[-bound + 2 :], primes[-bound], 3]
+        # the longest run of the latest requests that fits the budget
+        n = len(store)
+        assert held() == primes[i + 1 - n : i + 1], p
+        assert sum(map(hecke._table_bytes, store.values())) <= budget
+        assert n == i + 1 or sum(size[q] for q in primes[i - n : i + 1]) > budget
+    assert 3 <= len(store) < len(primes)
+    # a hit makes its relation the most recent, so it outlives the next build
+    oldest = held()[0]
+    shared_image_table(cached_charpoly(oldest), 10)
+    assert held()[-1] == oldest
+    shared_image_table(cached_charpoly(67), 10)
+    assert held()[-2:] == [oldest, 67]
+    # a table over the budget is kept alone, and a hit drops nothing
+    big = shared_image_table(F3, 4095)
+    assert hecke._table_bytes(big) > budget and held() == [3]
+    assert shared_image_table(F3, 100) is big and held() == [3]
+    # the default budget keeps the T_3 and T_5 tables to degree 16383 together
+    monkeypatch.setattr(hecke, "_SHARED_BYTES", default)
+    store.clear()
+    t3, t5, again3, again5 = (shared_image_table(cached_charpoly(p), 16383) for p in (3, 5, 3, 5))
+    assert held() == [3, 5] and again3 is t3 and again5 is t5
 
 
 def test_image_table_rejects_powers_outside_it():
@@ -737,13 +771,24 @@ def test_image_table_applies_to_the_zero_form_in_a_fresh_process():
     assert (run.returncode, run.stdout) == (0, "0\n"), run.stderr
 
 
-def test_hecke_fast_streams_odd_powers_only(monkeypatch):
-    # T_p(Delta^d), with m the odd part of d, draws the images of Delta^1,
-    # Delta^3, ... from the step-2 stream only up to 8(p+1) - 1, so
-    # min((m+1)//2, 4(p+1)) of them, and the octet loop carries the rest four
-    # at a time, in one step per octet past H_p: max(0, (m >> 3) - p) steps.
-    # The even images are squares, never streamed.  image_table runs the same
-    # octets through every octet up to its kmax
+@pytest.fixture
+def fresh_heads():
+    # the cached head octets start empty and are dropped after the test, so a
+    # patched stream neither meets a head built before it nor leaves one behind
+    hecke._head_octets.cache_clear()
+    yield
+    hecke._head_octets.cache_clear()
+
+
+def test_hecke_fast_streams_odd_powers_only(monkeypatch, fresh_heads):
+    # T_p(Delta^d), with m the odd part of d, reads the head octets H_0..H_p
+    # (the odd images to 8(p+1) - 1, from the step-2 stream) up to the one
+    # holding m, and the octet loop carries the rest four at a time, in one
+    # step per octet past H_p: max(0, (m >> 3) - p) steps.  The head is kept
+    # per relation, so a call draws only the head octets past those an
+    # earlier call drew, four images each, and 4(p+1) in all.  The even
+    # images are squares, never streamed.  image_table runs the same octets
+    # through every octet up to its kmax
     clean = hecke._packed_stream
     drawn = []
     steps = []
@@ -763,18 +808,75 @@ def test_hecke_fast_streams_odd_powers_only(monkeypatch):
     for p in (3, 7, 31):
         cp = cached_charpoly(p)
         seam = 8 * (p + 1)
+        held = 0  # head octets drawn so far
         for d in (1, 3, 99, 1001, 1000, 4096, seam - 9, seam - 1, seam + 1, seam + 7, seam + 9, 5 << 9):
             m = d >> ((d & -d).bit_length() - 1)
+            reach = min(m >> 3, p) + 1
             drawn.clear()
             steps.clear()
             hecke_fast(DeltaPoly(1 << d), cp)
-            assert len(drawn) == min((m + 1) // 2, 4 * (p + 1)), (p, d)
+            assert len(drawn) == 4 * max(0, reach - held), (p, d)
             assert len(steps) == max(0, (m >> 3) - p), (p, d)
-    drawn.clear()
-    steps.clear()
-    image_table(cached_charpoly(7), 1000)
-    assert len(drawn) == min(500, 4 * (7 + 1))
-    assert len(steps) == (1000 >> 3) - 7
+            held = max(held, reach)
+        assert held == p + 1
+    # the first call past the seam draws the whole head, and no call after it
+    for p in (5, 13):
+        for d in (8 * (p + 1) + 1, 1, 4001, 8 * (p + 1) - 1):
+            drawn.clear()
+            hecke_fast(DeltaPoly(1 << d), cached_charpoly(p))
+            assert len(drawn) == (4 * (p + 1) if d == 8 * (p + 1) + 1 else 0), (p, d)
+    # a table draws the head of a relation once, and each build runs its tail
+    for draws in (4 * (11 + 1), 0):
+        drawn.clear()
+        steps.clear()
+        image_table(cached_charpoly(11), 1000)
+        assert len(drawn) == draws
+        assert len(steps) == (1000 >> 3) - 11
+
+
+@pytest.mark.parametrize("p", [7, 31])
+def test_head_octets_are_keyed_on_the_relation(p, fresh_heads):
+    # with F_p's head already held, a relation one in-class bit away gets a
+    # head of its own: hecke_fast and image_table follow the flipped relation
+    # on both sides of the seam
+    cp = cached_charpoly(p)
+    seam = 8 * (p + 1)
+    top = seam + 40
+    hecke_fast(monomial(seam + 1), cp)
+    flipped = flip_in_class_bit(cp, p)
+    want = unpacked_recurrence(flipped, top)
+    assert want != unpacked_recurrence(cp, top)
+    table = image_table(flipped, top)
+    assert [table[k] for k in range(top + 1)] == want
+    for k in range(seam - 16, top + 1):
+        assert hecke_fast(monomial(k), flipped) == want[k], (p, k)
+    assert hecke._head_octets.cache_info().currsize == 2
+
+
+def test_octet_consumers_see_a_fault_in_the_head_stream(monkeypatch, fresh_heads):
+    # one bit of the streamed image m, in the last head octet H_p, flipped
+    # after the head cache is cleared: hecke_fast and image_table read it at
+    # m, and the step-8 recurrence carries it past the seam
+    p = 7
+    cp = cached_charpoly(p)
+    seam = 8 * (p + 1)
+    m = seam - 3
+    top = seam + 200
+    want = [img.mask for img in iter_hecke_fast(cp, top)]
+    clean = hecke._packed_stream
+
+    def flipped(cp, kmax):
+        for j, packed in enumerate(clean(cp, kmax)):
+            yield packed ^ (2 * j + 1 == m)
+
+    monkeypatch.setattr(hecke, "_packed_stream", flipped)
+    hecke._head_octets.cache_clear()
+    fault = 1 << (p * m % 8)  # packed bit 0 is Delta^(p*m mod 8)
+    assert hecke_fast(monomial(m), cp).mask == want[m] ^ fault
+    table = image_table(cp, top)
+    assert table[m].mask == want[m] ^ fault
+    tail = [k for k in range(seam + 1, top + 1, 2) if table[k].mask != want[k]]
+    assert tail and all(hecke_fast(monomial(k), cp).mask != want[k] for k in tail)
 
 
 def test_hecke_fast_keeps_only_the_images_its_form_uses(monkeypatch):

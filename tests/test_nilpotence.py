@@ -86,19 +86,30 @@ def empty_store(monkeypatch):
     return store
 
 
-def test_witnesses_stream_each_relation_twice(monkeypatch, empty_store):
-    # 1023 builds both tables, 4095 regrows them, 2047 and 4095 reuse them
+def test_witnesses_stream_each_head_once(monkeypatch, empty_store):
+    # 1023 builds both tables, 4095 regrows them, 2047 and 4095 reuse them.
+    # Each relation streams its head once, to 8p + 7, and each build runs
+    # its own tail octets, (kmax >> 3) - p of them
+    hecke._head_octets.cache_clear()
     built = []
+    steps = []
     stream = hecke._packed_stream
 
     def counted(cp, kmax):
-        built.append(cp.p)
+        built.append((cp.p, kmax))
         return stream(cp, kmax)
 
+    class CountingWindow(hecke.deque):
+        def append(self, octet):
+            steps.append(octet)
+            super().append(octet)
+
     monkeypatch.setattr(hecke, "_packed_stream", counted)
+    monkeypatch.setattr(hecke, "deque", CountingWindow)
     for k in (1023, 4095, 2047, 4095):
         assert apply_witness(poly(k, 5, 3)) == poly(1), k
-    assert sorted(built) == [3, 3, 5, 5]
+    assert sorted(built) == [(3, 31), (5, 47)]
+    assert len(steps) == sum((kmax >> 3) - p for kmax in (1023, 4095) for p in (3, 5))
     assert {cp.p: table.kmax for cp, table in empty_store.items()} == {3: 4095, 5: 4095}
 
 
