@@ -15,22 +15,20 @@ import time
 from .codes import _TABLE_CAP
 from .deltapoly import DeltaPoly
 from .errors import CacheFormatError, Hecke2Error
-from .hecke import (
-    MAX_PRIME,
+from .fast import hecke_fast
+from .naive import hecke_naive
+from .nilpotence import g_general, render_report
+from .primes import MAX_PRIME, is_odd_prime, odd_primes_up_to
+from .relation import (
     cache_path,
     cached_charpoly,
     charpoly_to_text,
     compute_charpoly,
-    hecke_fast,
-    hecke_naive,
-    is_odd_prime,
-    odd_primes_up_to,
     read_charpoly,
     relation_residual,
     structure_violations,
     write_charpoly,
 )
-from .nilpotence import g_general, render_report
 from .verify import SUITES, VerifyConfig, run_suite
 
 USAGE_ERROR = 2

@@ -17,8 +17,10 @@ from typing import Callable, NamedTuple
 from .codes import NEG_INF, Code, code, dominant_exponent
 from .deltapoly import DeltaPoly, Parity, decompose
 from .errors import NotOddForm, WitnessFailed, ZeroPolynomial
+from .fast import _from_odd, shared_image_table
 from .gf2series import stride_bits
-from .hecke import _from_odd, cached_charpoly, is_odd_prime, shared_image_table
+from .primes import is_odd_prime
+from .relation import cached_charpoly
 
 __all__ = [
     "NilpotenceReport",
@@ -87,7 +89,7 @@ def g_general(f: DeltaPoly) -> NilpotenceReport:
 def apply_witness(f: DeltaPoly) -> DeltaPoly:
     """Apply T_3^(n3) T_5^(n5) for the dominant-exponent code; must yield Delta.
 
-    The T_3 and T_5 tables come from ``hecke.shared_image_table``, the
+    The T_3 and T_5 tables come from ``fast.shared_image_table``, the
     process-wide store keyed on the relation, so a call at or below the
     degree of a held table reuses it.  The chain runs on odd-exponent masks,
     bit v for Delta^(2v+1), the layout of the tables' odd images: the form is
@@ -130,7 +132,7 @@ def g_bruteforce(f: DeltaPoly, primes) -> int | float:
 
     The value is at most the true order of nilpotence, with equality whenever
     3 and 5 are both available.  The tables come from
-    ``hecke.shared_image_table``, as ``apply_witness``'s do.
+    ``fast.shared_image_table``, as ``apply_witness``'s do.
     """
     plist = sorted(set(primes))
     if not plist:

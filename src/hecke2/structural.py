@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 
 from .deltapoly import ONE, ZERO, DeltaPoly, monomial
-from .hecke import CharPoly
+from .relation import CharPoly
 
 __all__ = [
     "a_seq",

@@ -22,24 +22,10 @@ from . import structural
 from .codes import _dominant, _slice_table, cap_H, code, code_arrays, decode, dominant_exponent, dominates, h, h_poly
 from .deltapoly import DeltaPoly, Parity, _even_mask, decompose, from_series, monomial, to_series
 from .errors import Hecke2Error, ParityMismatch
+from .fast import ImageTable, hecke_fast_range, image_table, iter_hecke_fast, shared_image_table
 from .gf2series import clmul
-from .hecke import (
-    MAX_PRIME,
-    ImageTable,
-    _naive_monomial_range,
-    cached_charpoly,
-    charpoly_via_newton,
-    hecke_fast_range,
-    hecke_matrix,
-    hecke_naive,
-    image_table,
-    iter_hecke_fast,
-    odd_primes_up_to,
-    prop1_closed_form,
-    relation_residual,
-    shared_image_table,
-    structure_violations,
-)
+from .naive import _naive_monomial_range, hecke_matrix, hecke_naive, prop1_closed_form
+from .newton import charpoly_via_newton
 from .nilpotence import (
     _BOUNDS,
     apply_witness,
@@ -49,6 +35,8 @@ from .nilpotence import (
     g_bruteforce,
     g_general,
 )
+from .primes import MAX_PRIME, odd_primes_up_to
+from .relation import cached_charpoly, relation_residual, structure_violations
 
 __all__ = ["VerifyConfig", "ClaimResult", "VerificationReport", "SUITES", "run_suite"]
 

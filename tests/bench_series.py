@@ -16,7 +16,6 @@ import pytest
 
 from hecke2.deltapoly import DeltaPoly, from_series, to_series
 from hecke2.hecke import (
-    _naive_monomial_range,
     cached_charpoly,
     hecke_fast_range,
     hecke_naive,
@@ -24,6 +23,7 @@ from hecke2.hecke import (
     image_table,
     odd_primes_up_to,
 )
+from hecke2.naive import _naive_monomial_range
 
 
 def test_from_series_oracle_images(benchmark):

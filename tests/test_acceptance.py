@@ -18,7 +18,6 @@ from hecke2.deltapoly import ZERO, DeltaPoly, decompose, from_series, to_series
 from hecke2.gf2series import bit_positions
 from hecke2.hecke import (
     CharPoly,
-    _naive_monomial_range,
     cached_charpoly,
     charpoly_via_newton,
     compute_charpoly,
@@ -31,6 +30,7 @@ from hecke2.hecke import (
     relation_residual,
     structure_violations,
 )
+from hecke2.naive import _naive_monomial_range
 from hecke2.nilpotence import apply_witness, g_bruteforce, g_general
 from hecke2.structural import check_corollary_values, check_shift3, check_shift5
 from hecke2.verify import _REGISTRY, VerifyConfig

@@ -29,10 +29,9 @@ from hecke2.gf2series import (
     spread_bits,
     stride_bits,
 )
-from hecke2 import hecke
+from hecke2 import fast, hecke, naive, relation
 from hecke2.hecke import (
     CharPoly,
-    _naive_monomial_range,
     cached_charpoly,
     charpoly_from_text,
     charpoly_to_text,
@@ -50,6 +49,7 @@ from hecke2.hecke import (
     shared_image_table,
     structure_violations,
 )
+from hecke2.naive import _naive_monomial_range
 from helpers import delta_qpow, poly, sigma1
 
 
@@ -128,25 +128,25 @@ def test_charpoly_rejects_composite():
 
 def test_tiny_window_is_rank_deficient():
     with pytest.raises(RankDeficient):
-        hecke._solve_relation(3, 8)
+        relation._solve_relation(3, 8)
 
 
 def _count_solves(monkeypatch):
     """Record the (p, window) of every ``_solve_relation`` call, raising or not."""
     calls = []
-    solve = hecke._solve_relation
+    solve = relation._solve_relation
 
     def counted(p, window):
         calls.append((p, window))
         return solve(p, window)
 
-    monkeypatch.setattr(hecke, "_solve_relation", counted)
+    monkeypatch.setattr(relation, "_solve_relation", counted)
     return calls
 
 
 def test_default_window_matches_wide_window():
     for p in hecke.odd_primes_up_to(61):
-        assert compute_charpoly(p) == hecke._solve_relation(p, 4 * (p + 1) ** 2), p
+        assert compute_charpoly(p) == relation._solve_relation(p, 4 * (p + 1) ** 2), p
 
 
 @pytest.mark.parametrize("p", [3, 31, 181])
@@ -164,7 +164,7 @@ def test_rank_deficient_solve_is_not_retried(p, monkeypatch):
         calls.append((q, window))
         raise RankDeficient(f"window {window}")
 
-    monkeypatch.setattr(hecke, "_solve_relation", deficient)
+    monkeypatch.setattr(relation, "_solve_relation", deficient)
     with pytest.raises(RankDeficient, match=f"window {(p + 1) ** 2 + 1}"):
         compute_charpoly(p)
     assert calls == [(p, (p + 1) ** 2 + 1)]
@@ -221,13 +221,13 @@ def test_gf2_solve_pivot_elimination():
         return SingularSystem("rhs")
 
     # columns 0b011, 0b110 span {0, 0b011, 0b101, 0b110}
-    assert hecke._gf2_solve([0b011, 0b110], 0b101, dependent, inconsistent) == 0b11
-    assert hecke._gf2_solve([0b011, 0b110], 0b110, dependent, inconsistent) == 0b10
-    assert hecke._gf2_solve([0b011, 0b110], 0, dependent, inconsistent) == 0
+    assert relation._gf2_solve([0b011, 0b110], 0b101, dependent, inconsistent) == 0b11
+    assert relation._gf2_solve([0b011, 0b110], 0b110, dependent, inconsistent) == 0b10
+    assert relation._gf2_solve([0b011, 0b110], 0, dependent, inconsistent) == 0
     with pytest.raises(RankDeficient, match="column 2"):
-        hecke._gf2_solve([0b011, 0b110, 0b101], 0b011, dependent, inconsistent)
+        relation._gf2_solve([0b011, 0b110, 0b101], 0b011, dependent, inconsistent)
     with pytest.raises(SingularSystem, match="rhs"):
-        hecke._gf2_solve([0b011, 0b110], 0b100, dependent, inconsistent)
+        relation._gf2_solve([0b011, 0b110], 0b100, dependent, inconsistent)
 
 
 def test_newton_oracle_agrees():
@@ -242,7 +242,7 @@ def test_newton_oracle_satisfies_every_identity():
     for p in hecke.odd_primes_up_to(61):
         cp = charpoly_via_newton(p)
         rmax = 3 * (p + 1)
-        sums = [s.mask for s in hecke._naive_monomial_range(p, rmax)]
+        sums = [s.mask for s in naive._naive_monomial_range(p, rmax)]
         for m in range(1, rmax + 1):
             acc = sums[m] ^ (cp.s[m - 1].mask if m & 1 and m <= p + 1 else 0)
             for i in range(1, min(m - 1, p + 1) + 1):
@@ -259,27 +259,27 @@ def test_naive_monomial_range_doubles(p):
     # T_p(g^2) = T_p(g)^2 mod 2: the oracle reads the odd naive images only
     # and squares them into the even ones, so those are checked here
     rmax = 3 * (p + 1)
-    sums = hecke._naive_monomial_range(p, rmax)
+    sums = naive._naive_monomial_range(p, rmax)
     for k in range(rmax // 2 + 1):
         assert sums[2 * k] == DeltaPoly(spread_bits(sums[k].mask, 2)), (p, k)
-    assert hecke._naive_monomial_range(p, rmax - 1, step=2) == sums[1::2]
+    assert naive._naive_monomial_range(p, rmax - 1, step=2) == sums[1::2]
 
 
 def corrupt_naive_sum(monkeypatch, m: int, mask: int) -> None:
-    """Make ``hecke._naive_monomial_range`` return ``mask`` as the image of Delta^m."""
+    """Make ``naive._naive_monomial_range`` return ``mask`` as the image of Delta^m."""
 
     def corrupted(q, kmax, *, step=1):
         out = _naive_monomial_range(q, kmax, step=step)
         out[m // step] = DeltaPoly(mask)  # item i is image step*i + step - 1
         return out
 
-    monkeypatch.setattr(hecke, "_naive_monomial_range", corrupted)
+    monkeypatch.setattr(naive, "_naive_monomial_range", corrupted)
 
 
 @pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES)
 def test_newton_oracle_rejects_corrupted_power_sum(p, monkeypatch):
     # one flipped bit of one odd N_m must leave the identities unsatisfiable
-    sums = hecke._naive_monomial_range(p, 3 * (p + 1))
+    sums = naive._naive_monomial_range(p, 3 * (p + 1))
     for m in (1, p, p + 2, 3 * (p + 1) - 1):
         c = (p * m) % 8
         # on the class, at m - 1, and the first bit of the class above degree m
@@ -293,7 +293,7 @@ def test_newton_oracle_rejects_corrupted_power_sum(p, monkeypatch):
 def test_newton_oracle_sees_a_bit_that_packing_folds(p, monkeypatch):
     # pack8 folds an off-class bit into the packed bit of its byte, so the
     # elimination cannot see it: only the closing check on the unpacked sums can
-    sums = hecke._naive_monomial_range(p, 3 * (p + 1))
+    sums = naive._naive_monomial_range(p, 3 * (p + 1))
     nonzero = [m for m in range(1, 3 * (p + 1), 2) if sums[m]]
     for m in (nonzero[0], nonzero[len(nonzero) // 2], nonzero[-1]):
         c = (p * m) % 8
@@ -309,14 +309,14 @@ def test_newton_oracle_rejects_corrupted_stream(p, monkeypatch):
     # the closing pass runs the packed recurrence for the odd images: a fault
     # in it must make the oracle raise, since every image it yields is
     # compared with the naive power sums
-    clean = hecke._packed_stream
+    clean = fast._packed_stream
     for k in (1, p + 2, 3 * (p + 1) - 1):
 
         def corrupted(cp, kmax, k=k):
             for j, image in enumerate(clean(cp, kmax)):
                 yield image ^ (2 * j + 1 == k)
 
-        monkeypatch.setattr(hecke, "_packed_stream", corrupted)
+        monkeypatch.setattr(fast, "_packed_stream", corrupted)
         with pytest.raises(SingularSystem, match=f"identity {k} does not close"):
             charpoly_via_newton(p)
 
@@ -329,11 +329,11 @@ def test_naive_monomial_range_matches_from_series(p):
         from_series(hecke_naive_series(to_series(monomial(k), p * k + 1), p), k)
         for k in range(kmax + 1)
     ]
-    assert hecke._naive_monomial_range(p, kmax) == want
+    assert naive._naive_monomial_range(p, kmax) == want
 
 
 def flipped_ladder(monkeypatch, j: int, e: int) -> None:
-    """Make ``hecke.delta_powers`` return item j with the coefficient of q^e flipped."""
+    """Make ``naive.delta_powers`` return item j with the coefficient of q^e flipped."""
     clean = delta_powers
 
     def corrupted(n, kmax):
@@ -342,7 +342,7 @@ def flipped_ladder(monkeypatch, j: int, e: int) -> None:
             out[j] ^= 1 << (e >> 3)  # e lies on the class j mod 8
         return out
 
-    monkeypatch.setattr(hecke, "delta_powers", corrupted)
+    monkeypatch.setattr(naive, "delta_powers", corrupted)
 
 
 def check_ladder_flip(p: int, j: int, want: CharPoly, sums: list[DeltaPoly]) -> None:
@@ -362,7 +362,7 @@ def check_ladder_flip(p: int, j: int, want: CharPoly, sums: list[DeltaPoly]) -> 
         assert charpoly_via_newton(p) == want
     except SingularSystem:
         pass
-    assert hecke._naive_monomial_range(p, 3 * (p + 1)) != sums
+    assert naive._naive_monomial_range(p, 3 * (p + 1)) != sums
 
 
 @pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES)
@@ -374,7 +374,7 @@ def test_newton_oracle_rejects_a_corrupted_shared_ladder(p, monkeypatch):
     # gap power, on the odd p+2 and 3(p+1) - 1 and on the even p+1 and
     # 3(p+1), at the lowest and highest such e
     rmax = 3 * (p + 1)
-    want, sums = cached_charpoly(p), hecke._naive_monomial_range(p, rmax)
+    want, sums = cached_charpoly(p), naive._naive_monomial_range(p, rmax)
     flips = []
     for j in sorted({*range(1, rmax // 8 + 1), p + 1, p + 2, rmax - 1, rmax}):
         es = [p * t for t in range(1, j + 1) if (p * t - j) % 8 == 0]
@@ -391,7 +391,7 @@ def test_newton_oracle_rejects_a_corrupted_starting_power(p, monkeypatch):
     # Delta^1..Delta^7 start the peel of every class; a flip of their second
     # term q^(j+8) reaches the expansion only when p divides j + 8, so it is
     # the peel that must carry the fault into the power sums
-    want, sums = cached_charpoly(p), hecke._naive_monomial_range(p, 3 * (p + 1))
+    want, sums = cached_charpoly(p), naive._naive_monomial_range(p, 3 * (p + 1))
     for j in range(1, 8):
         flipped_ladder(monkeypatch, j, j + 8)
         check_ladder_flip(p, j, want, sums)
@@ -404,7 +404,7 @@ def test_peel_rejects_a_ladder_item_off_its_leading_term(monkeypatch):
     for j, e in ((3, 3), (8, 0), (8, 8)):
         flipped_ladder(monkeypatch, j, e)
         with pytest.raises(ValueError, match=f"ladder item {j} does not start"):
-            hecke._naive_monomial_range(41, 3 * 42)
+            naive._naive_monomial_range(41, 3 * 42)
         if j & 1:
             with pytest.raises(ValueError, match=f"ladder item {j} does not start"):
                 charpoly_via_newton(41)
@@ -486,7 +486,7 @@ def test_packed_kernel_matches_unpacked_recurrence_and_naive():
     for p in (3, 5, 7, 31, 257):
         cp = cached_charpoly(p)
         fast = hecke_fast_range(cp, 600)
-        assert fast == hecke._naive_monomial_range(p, 600), p
+        assert fast == _naive_monomial_range(p, 600), p
         assert list(iter_hecke_fast(cp, 600)) == fast, p
         table = image_table(cp, 600)
         assert [table[k] for k in range(len(table))] == fast, p
@@ -515,7 +515,7 @@ def test_iter_hecke_fast_matches_the_unpacked_recurrence(p):
 
 
 def test_iter_hecke_fast_draws_each_odd_image_once(monkeypatch):
-    clean = hecke._packed_stream
+    clean = fast._packed_stream
     drawn = []
 
     def counting(cp, kmax):
@@ -523,7 +523,7 @@ def test_iter_hecke_fast_draws_each_odd_image_once(monkeypatch):
             drawn.append(image)
             yield image
 
-    monkeypatch.setattr(hecke, "_packed_stream", counting)
+    monkeypatch.setattr(fast, "_packed_stream", counting)
     for p in (3, 7, 31):
         for kmax in (-1, 0, 1, 2, 3, 8, 2 * p + 1, 1000, 1001):
             drawn.clear()
@@ -587,7 +587,7 @@ def test_odd_stream_is_the_odd_part_of_the_full_stream(p):
     for cp in (cached_charpoly(p), flip_in_class_bit(cached_charpoly(p), p)):
         full = [pack8(img.mask, p * k % 8) for k, img in enumerate(unpacked_recurrence(cp, 700))]
         for kmax in (0, 1, 2, p, 2 * p + 1, 2 * p + 2, 2 * p + 3, 700):
-            odd = list(hecke._packed_stream(cp, kmax))
+            odd = list(fast._packed_stream(cp, kmax))
             assert odd == full[1 : kmax + 1 : 2], (p, kmax)
 
 
@@ -649,7 +649,7 @@ def test_from_odd_matches_the_per_bit_spread_at_every_valuation():
         for nbits in (1, 30, 33, 200, _BYTEWISE_STR_LIMIT + 1, 3000):
             for acc in (0, rng.getrandbits(nbits), (1 << nbits) - 1, 1 << (nbits - 1)):
                 want = sum(1 << ((2 * u + 1) << s) for u in bit_positions(acc))
-                assert hecke._from_odd(acc, s) == want, (s, nbits, acc.bit_count())
+                assert fast._from_odd(acc, s) == want, (s, nbits, acc.bit_count())
 
 
 def test_every_2adic_valuation():
@@ -675,7 +675,7 @@ def test_every_2adic_valuation():
 
 
 def test_shared_table_rounds_up_and_serves_smaller_requests(monkeypatch):
-    monkeypatch.setattr(hecke, "_shared_tables", {})
+    monkeypatch.setattr(fast, "_shared_tables", {})
     with pytest.raises(ValueError):
         shared_image_table(F3, -1)
     rng = random.Random(16)
@@ -698,13 +698,13 @@ def test_shared_table_rounds_up_and_serves_smaller_requests(monkeypatch):
 def test_shared_store_holds_at_most_its_bound(monkeypatch):
     # after a build the store holds at most _SHARED_BYTES, dropping the least
     # recently used tables first, and never the table just asked for
-    default = hecke._SHARED_BYTES
+    default = fast._SHARED_BYTES
     store = {}
-    monkeypatch.setattr(hecke, "_shared_tables", store)
+    monkeypatch.setattr(fast, "_shared_tables", store)
     primes = hecke.odd_primes_up_to(61)
-    size = {p: hecke._table_bytes(image_table(cached_charpoly(p), 63)) for p in primes}
+    size = {p: fast._table_bytes(image_table(cached_charpoly(p), 63)) for p in primes}
     budget = 3 * max(size.values())
-    monkeypatch.setattr(hecke, "_SHARED_BYTES", budget)
+    monkeypatch.setattr(fast, "_SHARED_BYTES", budget)
 
     def held():
         return [cp.p for cp in store]
@@ -714,7 +714,7 @@ def test_shared_store_holds_at_most_its_bound(monkeypatch):
         # the longest run of the latest requests that fits the budget
         n = len(store)
         assert held() == primes[i + 1 - n : i + 1], p
-        assert sum(map(hecke._table_bytes, store.values())) <= budget
+        assert sum(map(fast._table_bytes, store.values())) <= budget
         assert n == i + 1 or sum(size[q] for q in primes[i - n : i + 1]) > budget
     assert 3 <= len(store) < len(primes)
     # a hit makes its relation the most recent, so it outlives the next build
@@ -725,10 +725,10 @@ def test_shared_store_holds_at_most_its_bound(monkeypatch):
     assert held()[-2:] == [oldest, 67]
     # a table over the budget is kept alone, and a hit drops nothing
     big = shared_image_table(F3, 4095)
-    assert hecke._table_bytes(big) > budget and held() == [3]
+    assert fast._table_bytes(big) > budget and held() == [3]
     assert shared_image_table(F3, 100) is big and held() == [3]
     # the default budget keeps the T_3 and T_5 tables to degree 16383 together
-    monkeypatch.setattr(hecke, "_SHARED_BYTES", default)
+    monkeypatch.setattr(fast, "_SHARED_BYTES", default)
     store.clear()
     t3, t5, again3, again5 = (shared_image_table(cached_charpoly(p), 16383) for p in (3, 5, 3, 5))
     assert held() == [3, 5] and again3 is t3 and again5 is t5
@@ -775,9 +775,9 @@ def test_image_table_applies_to_the_zero_form_in_a_fresh_process():
 def fresh_heads():
     # the cached head octets start empty and are dropped after the test, so a
     # patched stream neither meets a head built before it nor leaves one behind
-    hecke._head_octets.cache_clear()
+    fast._head_octets.cache_clear()
     yield
-    hecke._head_octets.cache_clear()
+    fast._head_octets.cache_clear()
 
 
 def test_hecke_fast_streams_odd_powers_only(monkeypatch, fresh_heads):
@@ -789,7 +789,7 @@ def test_hecke_fast_streams_odd_powers_only(monkeypatch, fresh_heads):
     # earlier call drew, four images each, and 4(p+1) in all.  The even
     # images are squares, never streamed.  image_table runs the same octets
     # through every octet up to its kmax
-    clean = hecke._packed_stream
+    clean = fast._packed_stream
     drawn = []
     steps = []
 
@@ -803,8 +803,8 @@ def test_hecke_fast_streams_odd_powers_only(monkeypatch, fresh_heads):
             steps.append(octet)
             super().append(octet)
 
-    monkeypatch.setattr(hecke, "_packed_stream", counting)
-    monkeypatch.setattr(hecke, "deque", CountingWindow)
+    monkeypatch.setattr(fast, "_packed_stream", counting)
+    monkeypatch.setattr(fast, "deque", CountingWindow)
     for p in (3, 7, 31):
         cp = cached_charpoly(p)
         seam = 8 * (p + 1)
@@ -850,7 +850,7 @@ def test_head_octets_are_keyed_on_the_relation(p, fresh_heads):
     assert [table[k] for k in range(top + 1)] == want
     for k in range(seam - 16, top + 1):
         assert hecke_fast(monomial(k), flipped) == want[k], (p, k)
-    assert hecke._head_octets.cache_info().currsize == 2
+    assert fast._head_octets.cache_info().currsize == 2
 
 
 def test_octet_consumers_see_a_fault_in_the_head_stream(monkeypatch, fresh_heads):
@@ -863,14 +863,14 @@ def test_octet_consumers_see_a_fault_in_the_head_stream(monkeypatch, fresh_heads
     m = seam - 3
     top = seam + 200
     want = [img.mask for img in iter_hecke_fast(cp, top)]
-    clean = hecke._packed_stream
+    clean = fast._packed_stream
 
     def flipped(cp, kmax):
         for j, packed in enumerate(clean(cp, kmax)):
             yield packed ^ (2 * j + 1 == m)
 
-    monkeypatch.setattr(hecke, "_packed_stream", flipped)
-    hecke._head_octets.cache_clear()
+    monkeypatch.setattr(fast, "_packed_stream", flipped)
+    fast._head_octets.cache_clear()
     fault = 1 << (p * m % 8)  # packed bit 0 is Delta^(p*m mod 8)
     assert hecke_fast(monomial(m), cp).mask == want[m] ^ fault
     table = image_table(cp, top)
@@ -888,7 +888,7 @@ def test_hecke_fast_keeps_only_the_images_its_form_uses(monkeypatch):
         exps.add(((1 << (16 - s)) - 1) << s)
         exps.add(rng.randrange(1, 1 << (16 - s), 2) << s)
     f = DeltaPoly.from_exponents(exps)
-    clean = hecke._odd_octets
+    clean = fast._odd_octets
     kept = []
 
     def capturing(cp, top, keep):
@@ -896,7 +896,7 @@ def test_hecke_fast_keeps_only_the_images_its_form_uses(monkeypatch):
         kept.append(octets)
         return octets
 
-    monkeypatch.setattr(hecke, "_odd_octets", capturing)
+    monkeypatch.setattr(fast, "_odd_octets", capturing)
     got = hecke_fast(f, F3)
     parts = {k >> ((k & -k).bit_length() - 1) for k in exps if k}
     assert f.degree == 65535 and len(kept) == 1
@@ -1098,7 +1098,7 @@ def flip_bit(cp: CharPoly, r: int, j: int) -> CharPoly:
 def test_solve_columns_match_full_width(monkeypatch):
     # every column the packed solve hands the elimination, and its right-hand
     # side, is packed Delta^j * Delta(q^p)^(p+1-r) on the class p(p+1) mod 8
-    solve = hecke._gf2_solve
+    solve = relation._gf2_solve
     fed = []
 
     def recording(columns, rhs, dependent, inconsistent):
@@ -1106,7 +1106,7 @@ def test_solve_columns_match_full_width(monkeypatch):
         fed.append((columns, rhs))
         return solve(columns, rhs, dependent, inconsistent)
 
-    monkeypatch.setattr(hecke, "_gf2_solve", recording)
+    monkeypatch.setattr(relation, "_gf2_solve", recording)
     for p in hecke.odd_primes_up_to(31):
         big = p + 1
         fed.clear()

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from hecke2 import hecke, nilpotence
+from hecke2 import fast, hecke, nilpotence
 from hecke2.codes import NEG_INF, code, h
 from hecke2.deltapoly import ZERO, DeltaPoly
 from hecke2.errors import NotOddForm, WitnessFailed, ZeroPolynomial
@@ -82,7 +82,7 @@ def test_apply_witness():
 def empty_store(monkeypatch):
     # the shared image tables start empty, so a test sees only what it builds
     store = {}
-    monkeypatch.setattr(hecke, "_shared_tables", store)
+    monkeypatch.setattr(fast, "_shared_tables", store)
     return store
 
 
@@ -90,22 +90,22 @@ def test_witnesses_stream_each_head_once(monkeypatch, empty_store):
     # 1023 builds both tables, 4095 regrows them, 2047 and 4095 reuse them.
     # Each relation streams its head once, to 8p + 7, and each build runs
     # its own tail octets, (kmax >> 3) - p of them
-    hecke._head_octets.cache_clear()
+    fast._head_octets.cache_clear()
     built = []
     steps = []
-    stream = hecke._packed_stream
+    stream = fast._packed_stream
 
     def counted(cp, kmax):
         built.append((cp.p, kmax))
         return stream(cp, kmax)
 
-    class CountingWindow(hecke.deque):
+    class CountingWindow(fast.deque):
         def append(self, octet):
             steps.append(octet)
             super().append(octet)
 
-    monkeypatch.setattr(hecke, "_packed_stream", counted)
-    monkeypatch.setattr(hecke, "deque", CountingWindow)
+    monkeypatch.setattr(fast, "_packed_stream", counted)
+    monkeypatch.setattr(fast, "deque", CountingWindow)
     for k in (1023, 4095, 2047, 4095):
         assert apply_witness(poly(k, 5, 3)) == poly(1), k
     assert sorted(built) == [(3, 31), (5, 47)]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hecke2 import hecke, verify
+from hecke2 import fast, naive, verify
 from hecke2.deltapoly import DeltaPoly, monomial
 from hecke2.errors import WitnessFailed
 from hecke2.hecke import CharPoly
@@ -118,13 +118,13 @@ def test_structure_sweep_fails_on_one_flipped_image_bit(monkeypatch, p, k, claim
     # T_p(Delta^p) = Delta, packed as bit 0 on the class p*p mod 8 = 1; with
     # that bit flipped the image vanishes although n3(3) = 1 and n5(5) = 1.
     # The sweeps read every image from the odd stream, where k is value (k-1)/2
-    packed_stream = hecke._packed_stream
+    packed_stream = fast._packed_stream
 
     def flipped(cp, kmax):
         for j, packed in enumerate(packed_stream(cp, kmax)):
             yield packed ^ 1 if (cp.p, j) == (p, (k - 1) // 2) else packed
 
-    monkeypatch.setattr(hecke, "_packed_stream", flipped)
+    monkeypatch.setattr(fast, "_packed_stream", flipped)
     monkeypatch.setitem(verify.SUITES, "sweeps", ("t3-image-structure", "t5-image-structure"))
     report = run_suite("sweeps", VerifyConfig(kmax=200))
     status = {c.claim_id: c for c in report.claims}
@@ -138,7 +138,7 @@ def test_structure_sweep_fails_on_one_flipped_image_bit(monkeypatch, p, k, claim
 def test_triangular_nilpotent_fails_on_an_image_at_or_above_its_own_index(monkeypatch, p, k, e):
     # x^e with odd e >= k stays in the odd basis but puts a bit of row
     # (k - 1) / 2 on or above the diagonal
-    naive_range = hecke._naive_monomial_range
+    naive_range = naive._naive_monomial_range
 
     def corrupted(q, kmax, *, step=1):
         # item k // step is the image of Delta^k, k odd, at either step
@@ -147,7 +147,7 @@ def test_triangular_nilpotent_fails_on_an_image_at_or_above_its_own_index(monkey
             images[k // step] = images[k // step] + monomial(e)
         return images
 
-    monkeypatch.setattr(hecke, "_naive_monomial_range", corrupted)
+    monkeypatch.setattr(naive, "_naive_monomial_range", corrupted)
     with pytest.raises(AssertionError, match=f"^matrix not triangular at p={p}$"):
         verify._REGISTRY["triangular-nilpotent"](VerifyConfig())
 
