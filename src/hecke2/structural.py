@@ -101,6 +101,45 @@ def _table_to(table: Sequence[DeltaPoly], top: int) -> Sequence[DeltaPoly]:
     return table
 
 
+@lru_cache(maxsize=None)
+def _shift_terms(p: int, n: int) -> tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
+    """The two shift identities of T_p at n, p = 3 or 5, as data.
+
+    Each identity is its lead index (4^n, then 2*4^n) and its pairs
+    (offset j, exponents of the coefficient of P(k+j)), as written in the
+    docstrings of ``check_shift3`` and ``check_shift5``.
+    """
+    f = 4**n
+    if p == 3:
+        qn, xan = q_poly(n), monomial(a_seq(n))
+        identities = (
+            (f, ((0, qn), (1, xan))),
+            (2 * f, ((0, qn.square()), (2, xan.square()))),
+        )
+    else:
+        un, vn = u_poly(n), v_poly(n)
+        un2 = un.square()
+        identities = (
+            (f, ((0, w_poly(n)), (1, vn), (4, un))),
+            (2 * f, ((0, y_poly(n)), (1, monomial(3) * un2), (2, vn.square()), (3, monomial(1) * un2))),
+        )
+    return tuple((lead, tuple((j, c.exponents()) for j, c in pairs)) for lead, pairs in identities)
+
+
+def _check_shifts(p: int, n: int, k: int, pk: Sequence[DeltaPoly]) -> bool:
+    """Both shift identities of T_p at (n, k): each right side is the xor of
+    P(k+j) shifted by every exponent of its coefficient."""
+    for which, (lead, terms) in zip(("first", "second"), _shift_terms(p, n)):
+        rhs = 0
+        for j, exponents in terms:
+            mask = pk[k + j].mask
+            for e in exponents:
+                rhs ^= mask << e
+        if rhs != pk[lead + k].mask:
+            raise AssertionError(f"{which} shift identity fails at n={n}, k={k}")
+    return True
+
+
 def check_shift3(n: int, k: int, cp3: CharPoly, table: Sequence[DeltaPoly]) -> bool:
     """Both T_3 shift identities at (n, k), against a table of T_3 images.
 
@@ -111,18 +150,7 @@ def check_shift3(n: int, k: int, cp3: CharPoly, table: Sequence[DeltaPoly]) -> b
         raise ValueError("n and k must be nonnegative")
     if cp3.p != 3:
         raise ValueError("need the p=3 relation")
-    pk = _table_to(table, 2 * 4**n + k + 2)
-    qn = q_poly(n)
-    xan = monomial(a_seq(n))
-    lhs1 = pk[4**n + k]
-    rhs1 = qn * pk[k] + xan * pk[k + 1]
-    if lhs1 != rhs1:
-        raise AssertionError(f"first shift identity fails at n={n}, k={k}")
-    lhs2 = pk[2 * 4**n + k]
-    rhs2 = qn.square() * pk[k] + xan.square() * pk[k + 2]
-    if lhs2 != rhs2:
-        raise AssertionError(f"second shift identity fails at n={n}, k={k}")
-    return True
+    return _check_shifts(3, n, k, _table_to(table, 2 * 4**n + k + 2))
 
 
 def check_shift5(n: int, k: int, cp5: CharPoly, table: Sequence[DeltaPoly]) -> bool:
@@ -135,23 +163,7 @@ def check_shift5(n: int, k: int, cp5: CharPoly, table: Sequence[DeltaPoly]) -> b
         raise ValueError("n and k must be nonnegative")
     if cp5.p != 5:
         raise ValueError("need the p=5 relation")
-    pk = _table_to(table, 2 * 4**n + k + 4)
-    un, vn, wn, yn = u_poly(n), v_poly(n), w_poly(n), y_poly(n)
-    lhs1 = pk[4**n + k]
-    rhs1 = wn * pk[k] + vn * pk[k + 1] + un * pk[k + 4]
-    if lhs1 != rhs1:
-        raise AssertionError(f"first shift identity fails at n={n}, k={k}")
-    un2 = un.square()
-    lhs2 = pk[2 * 4**n + k]
-    rhs2 = (
-        yn * pk[k]
-        + monomial(3) * un2 * pk[k + 1]
-        + vn.square() * pk[k + 2]
-        + monomial(1) * un2 * pk[k + 3]
-    )
-    if lhs2 != rhs2:
-        raise AssertionError(f"second shift identity fails at n={n}, k={k}")
-    return True
+    return _check_shifts(5, n, k, _table_to(table, 2 * 4**n + k + 4))
 
 
 def check_corollary_values(

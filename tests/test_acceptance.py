@@ -141,7 +141,7 @@ def test_criterion_07b_image_structure_full_scale():
 
 
 def test_criterion_08_shift_identities_and_families():
-    with budget("08-shift-identities", 2.0):
+    with budget("08-shift-identities", 0.5):
         cp3, cp5 = cached_charpoly(3), cached_charpoly(5)
         t3 = hecke_fast_range(cp3, 2 * 4**5 + 305)
         t5 = hecke_fast_range(cp5, 2 * 4**5 + 305)

@@ -1,9 +1,12 @@
+from functools import lru_cache
+
 import pytest
 
 from hecke2.codes import code, dominant_exponent, h_poly
-from hecke2.deltapoly import ZERO, Parity, monomial
+from hecke2.deltapoly import ZERO, DeltaPoly, Parity, monomial
 from hecke2.hecke import cached_charpoly, hecke_fast_range, hecke_naive, image_table
 from hecke2.structural import (
+    _shift_terms,
     a_seq,
     check_corollary_values,
     check_shift3,
@@ -131,6 +134,8 @@ def test_checkers_validate_input():
     with pytest.raises(ValueError):
         check_shift5(1, 1, cp3, t3)
     with pytest.raises(ValueError):
+        check_shift5(1, -1, cp5, t5)
+    with pytest.raises(ValueError):
         check_corollary_values(1, cp5, cp3, t5, t3)
 
 
@@ -147,3 +152,57 @@ def test_checkers_reject_a_short_table():
     t3, t5 = hecke_fast_range(cp3, 2 * 4**2 + 5), hecke_fast_range(cp5, 2 * 4**2 + 3)
     with pytest.raises(ValueError, match="image 36 is needed"):
         check_corollary_values(2, cp3, cp5, t3, t5)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_shift_terms_match_the_docstring_formulas(n):
+    # the cached exponent lists rebuilt as polynomials, against the products
+    # written in the docstrings of check_shift3 and check_shift5
+    def rebuilt(p):
+        return [
+            (lead, [(j, DeltaPoly.from_exponents(es)) for j, es in terms])
+            for lead, terms in _shift_terms(p, n)
+        ]
+
+    f, an = 4**n, a_seq(n)
+    qn, un, vn = q_poly(n), u_poly(n), v_poly(n)
+    assert rebuilt(3) == [
+        (f, [(0, qn), (1, monomial(an))]),
+        (2 * f, [(0, qn * qn), (2, monomial(2 * an))]),
+    ]
+    assert rebuilt(5) == [
+        (f, [(0, w_poly(n)), (1, vn), (4, un)]),
+        (2 * f, [(0, y_poly(n)), (1, monomial(3) * un * un), (2, vn * vn), (3, monomial(1) * un * un)]),
+    ]
+
+
+# the offsets j each identity reads, by prime: (lead index / 4^n, offsets),
+# the first identity, then the second
+_READS = {3: ((1, (0, 1)), (2, (0, 2))), 5: ((1, (0, 1, 4)), (2, (0, 1, 2, 3)))}
+_CHECKERS = {3: check_shift3, 5: check_shift5}
+
+
+@lru_cache(maxsize=None)
+def _images(p):
+    return tuple(hecke_fast_range(cached_charpoly(p), 2 * 4**5 + 305))
+
+
+def _flips():
+    # n >= 2, where every coefficient is nonzero and no neighbour is a lead
+    for p, reads in _READS.items():
+        for n, k in ((2, 0), (3, 17), (5, 300)):
+            for which, (lead, offsets) in zip(("first", "second"), reads):
+                # a flipped neighbour fails the first identity that reads it
+                yield p, n, k, lead * 4**n + k, which
+                for j in offsets:
+                    fails = "first" if j in reads[0][1] else "second"
+                    yield p, n, k, k + j, fails
+
+
+@pytest.mark.parametrize("p, n, k, index, fails", list(_flips()))
+def test_shift_checkers_catch_one_flipped_bit(p, n, k, index, fails):
+    cp, table = cached_charpoly(p), list(_images(p))
+    assert _CHECKERS[p](n, k, cp, table)
+    table[index] = DeltaPoly(table[index].mask ^ 0b10)
+    with pytest.raises(AssertionError, match=f"^{fails} shift identity fails at n={n}, k={k}$"):
+        _CHECKERS[p](n, k, cp, table)

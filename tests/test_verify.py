@@ -94,6 +94,14 @@ def test_structure_sweeps_over_no_power_fail():
     assert verify._REGISTRY["t3-image-structure"](VerifyConfig(kmax=1)) == "k<=1"
 
 
+@pytest.mark.parametrize("long, nmax", [(False, 5), (True, 6)])
+def test_shift_claims_reach_n6_under_long(long, nmax):
+    cfg = VerifyConfig(long=long)
+    for claim_id in ("shift3-identities", "shift5-identities"):
+        assert verify._REGISTRY[claim_id](cfg) == f"n<={nmax}, k<=300"
+    assert verify._REGISTRY["shift-special-values"](cfg) == f"n<={nmax}"
+
+
 def test_random_masks_reach_past_8191_and_keep_small_draws():
     m = verify._random_pure_mask(random.Random(1), 20000, True)
     assert m >> 8192 and m.bit_length() <= 20001
