@@ -25,8 +25,10 @@ tail octets times the terms of F_p.
 ``ImageTable`` cuts each odd image from its octet by one AND and keeps it in
 that layout, as an odd-exponent mask: a T_p step on an odd form xors the
 images of its set bits into the next odd mask, so the witness chain never
-unpacks between steps.  ``shared_image_table`` keeps one table per relation
-across calls for the witness route.
+unpacks between steps.  ``hecke_fast`` and ``ImageTable.apply`` decode a
+form's image through one loop (``_apply_odd_images``), the image of one
+power is decoded by the stream alone, and ``shared_image_table`` keeps one
+table per relation across calls for the witness route.
 """
 
 from __future__ import annotations
@@ -158,33 +160,37 @@ def hecke_fast_range(cp: CharPoly, kmax: int) -> list[DeltaPoly]:
     return list(iter_hecke_fast(cp, kmax))
 
 
+def _apply_odd_images(groups: dict[int, list[int]], odd) -> int:
+    """Exponent mask of T_p on the form split into ``groups`` (``_odd_parts``).
+
+    ``odd[m >> 1]`` is the image of Delta^m, m odd, as an odd-exponent mask.
+    For each 2-adic valuation s, the images of the odd parts m of the
+    exponents 2^s m are xored into one accumulator, decoded once as the
+    images squared s times (``_from_odd``).
+    """
+    out = 0
+    for s, parts in groups.items():
+        acc = 0
+        for m in parts:
+            acc ^= odd[m >> 1]
+        out ^= _from_odd(acc, s)
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class ImageTable:
-    """Images of Delta^0..Delta^kmax, from the odd ones only.
+    """T_p on forms of degree at most kmax, from the images of the odd powers.
 
     ``odd[j]`` is the image of Delta^(2j+1) as an odd-exponent mask: bit v
     stands for Delta^(2v+1), the layout of the octets it is cut from.
-    ``apply_odd`` maps an odd mask to the odd mask of its image, so a chain
-    of steps stays in that layout.  ``apply`` xors the images of the odd
-    parts m of a form's exponents 2^s m, group by group, and ``table[k]``
-    takes image m alone; both decode group s as the images squared s times
-    (``_from_odd``).
+    ``apply`` maps a form's exponent mask to its image's, and ``apply_odd``
+    maps an odd mask to the odd mask of its image, so a chain of steps stays
+    in that layout.
     """
 
     p: int
     kmax: int
     odd: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return self.kmax + 1
-
-    def __getitem__(self, k: int) -> DeltaPoly:
-        if not 0 <= k <= self.kmax:
-            raise IndexError(f"power {k} outside 0..{self.kmax}")
-        if not k:
-            return ZERO
-        s = (k & -k).bit_length() - 1
-        return DeltaPoly(_from_odd(self.odd[k >> s >> 1], s))
 
     def apply(self, mask: int) -> int:
         """Exponent mask of T_p applied to the form with exponent mask ``mask``."""
@@ -192,13 +198,7 @@ class ImageTable:
             raise ValueError("exponent mask must be nonnegative")
         if mask.bit_length() > self.kmax + 1:
             raise IndexError(f"degree {mask.bit_length() - 1} above {self.kmax}")
-        out = 0
-        for s, parts in _odd_parts(mask).items():
-            acc = 0
-            for m in parts:
-                acc ^= self.odd[m >> 1]
-            out ^= _from_odd(acc, s)
-        return out
+        return _apply_odd_images(_odd_parts(mask), self.odd)
 
     def apply_odd(self, odd: int) -> int:
         """T_p on the odd mask ``odd`` (bit v for Delta^(2v+1)), as an odd mask."""
@@ -247,10 +247,9 @@ def shared_image_table(cp: CharPoly, kmax: int) -> ImageTable:
     relation.  A request at or below the held table's kmax reuses it; a
     larger one replaces it with a table to the next 2^j - 1, so a run of
     growing requests runs each tail octet about twice (``_head_octets`` keeps
-    the head).  ``len`` of the result may exceed kmax + 1.  After a build,
-    the least recently used tables are dropped until the store holds at most
-    ``_SHARED_BYTES`` (``_table_bytes``); the table just asked for is never
-    dropped.
+    the head).  After a build, the least recently used tables are dropped
+    until the store holds at most ``_SHARED_BYTES`` (``_table_bytes``); the
+    table just asked for is never dropped.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -341,10 +340,9 @@ def hecke_fast(f: DeltaPoly, cp: CharPoly) -> DeltaPoly:
     """T_p of an arbitrary polynomial, over the octets of the odd images.
 
     f is split once (``_odd_parts``).  ``_odd_octets`` runs to the largest odd
-    part, and only the octets that hold an image f uses are kept.  The odd
-    parts m of valuation s xor their lanes, H_(m >> 3) masked to the lane of
-    the class p*m mod 8, into one accumulator; bit u of it stands for
-    Delta^(2u+1), which squared s times is Delta^(2^(s+1) u + 2^s).
+    part, and only the octets that hold an image f uses are kept.  Odd image
+    m is H_(m >> 3) masked to the lane of its class p*m mod 8, and the table
+    applier's loop (``_apply_odd_images``) xors and decodes them.
     """
     groups = _odd_parts(f.mask)
     wanted = {m >> 3 for parts in groups.values() for m in parts}
@@ -354,10 +352,5 @@ def hecke_fast(f: DeltaPoly, cp: CharPoly) -> DeltaPoly:
     octets = _odd_octets(cp, top, wanted)
     lanes = _lanes(octets)
     p = cp.p
-    out = 0
-    for s, parts in groups.items():
-        acc = 0
-        for m in parts:
-            acc ^= octets[m >> 3] & lanes[p * m & 7]
-        out ^= _from_odd(acc, s)
-    return DeltaPoly(out)
+    odd = {m >> 1: octets[m >> 3] & lanes[p * m & 7] for parts in groups.values() for m in parts}
+    return DeltaPoly(_apply_odd_images(groups, odd))

@@ -6,13 +6,12 @@ coefficient polynomials built from a handful of recursively defined
 families.  These generators, and checkers for the identities and their
 special-value corollaries, let the test suite exercise the structure theory
 behind the nilpotence-order formula.  The checkers read the images from a
-caller's table: any sequence whose item k is the image of Delta^k, such as
-a ``hecke_fast_range`` list or an ``ImageTable``.
+caller's list whose item k is the image of Delta^k, such as
+``hecke_fast_range``'s.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import lru_cache
 
 from .deltapoly import ONE, ZERO, DeltaPoly, monomial
@@ -94,7 +93,7 @@ def y_poly(n: int) -> DeltaPoly:
     return monomial(8) * u_poly(n).square() + w_poly(n).square()
 
 
-def _table_to(table: Sequence[DeltaPoly], top: int) -> Sequence[DeltaPoly]:
+def _table_to(table: list[DeltaPoly], top: int) -> list[DeltaPoly]:
     """``table`` itself, once it is known to reach image ``top``."""
     if len(table) <= top:
         raise ValueError(f"table ends at image {len(table) - 1}, image {top} is needed")
@@ -126,7 +125,7 @@ def _shift_terms(p: int, n: int) -> tuple[tuple[int, tuple[tuple[int, tuple[int,
     return tuple((lead, tuple((j, c.exponents()) for j, c in pairs)) for lead, pairs in identities)
 
 
-def _check_shifts(p: int, n: int, k: int, pk: Sequence[DeltaPoly]) -> bool:
+def _check_shifts(p: int, n: int, k: int, pk: list[DeltaPoly]) -> bool:
     """Both shift identities of T_p at (n, k): each right side is the xor of
     P(k+j) shifted by every exponent of its coefficient."""
     for which, (lead, terms) in zip(("first", "second"), _shift_terms(p, n)):
@@ -140,8 +139,8 @@ def _check_shifts(p: int, n: int, k: int, pk: Sequence[DeltaPoly]) -> bool:
     return True
 
 
-def check_shift3(n: int, k: int, cp3: CharPoly, table: Sequence[DeltaPoly]) -> bool:
-    """Both T_3 shift identities at (n, k), against a table of T_3 images.
+def check_shift3(n: int, k: int, cp3: CharPoly, table: list[DeltaPoly]) -> bool:
+    """Both T_3 shift identities at (n, k), against a list of T_3 images.
 
     P(4^n + k) = Q_n P(k) + x^(a_n) P(k+1) and
     P(2*4^n + k) = Q_n^2 P(k) + x^(2 a_n) P(k+2).
@@ -153,8 +152,8 @@ def check_shift3(n: int, k: int, cp3: CharPoly, table: Sequence[DeltaPoly]) -> b
     return _check_shifts(3, n, k, _table_to(table, 2 * 4**n + k + 2))
 
 
-def check_shift5(n: int, k: int, cp5: CharPoly, table: Sequence[DeltaPoly]) -> bool:
-    """Both T_5 shift identities at (n, k), against a table of T_5 images.
+def check_shift5(n: int, k: int, cp5: CharPoly, table: list[DeltaPoly]) -> bool:
+    """Both T_5 shift identities at (n, k), against a list of T_5 images.
 
     P(4^n + k) = W_n P(k) + V_n P(k+1) + U_n P(k+4) and
     P(2*4^n + k) = Y_n P(k) + x^3 U_n^2 P(k+1) + V_n^2 P(k+2) + x U_n^2 P(k+3).
@@ -170,8 +169,8 @@ def check_corollary_values(
     n: int,
     cp3: CharPoly,
     cp5: CharPoly,
-    table3: Sequence[DeltaPoly],
-    table5: Sequence[DeltaPoly],
+    table3: list[DeltaPoly],
+    table5: list[DeltaPoly],
 ) -> bool:
     """All nonnegative-index special values at 4^n and 2*4^n, both primes."""
     if n < 0:

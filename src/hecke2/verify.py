@@ -218,20 +218,23 @@ def _naive_fast_agree(cfg: VerifyConfig) -> str:
     # --long covers every prime the CLI accepts.  Image k depends on s_1..s_k
     # only: a change in an odd s_r first shows at k = r, and in an even s_r at
     # k = r + m0, where N_m0 is the first nonzero power sum (m0 <= 33 below
-    # 500).  So the powers run to k = p + 34, and at least to 200.
+    # 500).  So the powers run to k = p + 34, and at least to 200.  Both
+    # decodes of the fast route meet the naive images there: the table's
+    # applier on each monomial, and the stream.
     pmax = min(cfg.pmax, MAX_PRIME if cfg.long else 31)
     rng = random.Random(0xF2)
     for p in _checked_primes(pmax):
         kmax = max(200, p + 34)
         cp = cached_charpoly(p)
-        fast = image_table(cp, kmax)
+        table = image_table(cp, kmax)
         naive = _naive_monomial_range(p, kmax)
         m0 = next((m for m, img in enumerate(naive) if img), kmax + 1)
         assert p + 1 + m0 <= kmax, f"power k<={kmax} misses s_{p + 1} at p={p}"
-        assert [fast[k] for k in range(kmax + 1)] == naive, f"monomial routes disagree at p={p}"
+        assert [DeltaPoly(table.apply(1 << k)) for k in range(kmax + 1)] == naive, f"monomial routes disagree at p={p}"
+        assert list(iter_hecke_fast(cp, kmax)) == naive, f"stream and naive images disagree at p={p}"
         for _ in range(200 if p <= 31 else 50):
             f = DeltaPoly(rng.getrandbits(200) | (1 << 199))
-            img = fast.apply(f.mask)
+            img = table.apply(f.mask)
             assert hecke_naive(f, p).mask == img, f"random-form routes disagree at p={p}"
     above = ", 50 above p=31" if pmax > 31 else ""
     krange = "k<=200" if pmax + 34 <= 200 else "k<=max(200,p+34)"
@@ -799,7 +802,8 @@ def _pm1_double_decrement(cfg: VerifyConfig) -> str:
     for p in (7, 17, 23, 31):
         table = image_table(cached_charpoly(p), deg)
         for k in range(1, 200, 2):
-            assert g_general(table[k]).g <= h(k) - 1, f"double decrement fails at p={p}, k={k}"
+            img = DeltaPoly(table.apply(1 << k))
+            assert g_general(img).g <= h(k) - 1, f"double decrement fails at p={p}, k={k}"
         for _ in range(200):
             f = DeltaPoly(_random_pure_mask(rng, deg, True))
             img = DeltaPoly(table.apply(f.mask))

@@ -50,7 +50,7 @@ def test_naive_monomial_range_newton_sums(benchmark):
     # expanded it
     out = benchmark(_naive_monomial_range, 61, 185, step=2)
     table = image_table(cached_charpoly(61), 185)
-    assert out == [table[k] for k in range(1, 186, 2)]
+    assert [img.mask for img in out] == [table.apply(1 << k) for k in range(1, 186, 2)]
 
 
 def test_from_series_dense_round_trip(benchmark):
@@ -66,4 +66,4 @@ def test_stream_every_image(benchmark, p):
     cp = cached_charpoly(p)
     out = benchmark(hecke_fast_range, cp, 4095)
     table = image_table(cp, 4095)
-    assert out == [table[k] for k in range(4096)]
+    assert [img.mask for img in out] == [table.apply(1 << k) for k in range(4096)]

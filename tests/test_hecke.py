@@ -18,6 +18,7 @@ from hecke2.errors import (
 )
 from hecke2.gf2series import (
     _BYTEWISE_STR_LIMIT,
+    _DOUBLING_LOOP_LIMIT,
     BitSeries,
     bit_positions,
     clmul,
@@ -489,7 +490,7 @@ def test_packed_kernel_matches_unpacked_recurrence_and_naive():
         assert fast == _naive_monomial_range(p, 600), p
         assert list(iter_hecke_fast(cp, 600)) == fast, p
         table = image_table(cp, 600)
-        assert [table[k] for k in range(len(table))] == fast, p
+        assert [table.apply(1 << k) for k in range(601)] == [img.mask for img in fast], p
 
 
 def test_packed_kernel_seeds_only():
@@ -500,7 +501,8 @@ def test_packed_kernel_seeds_only():
         assert list(iter_hecke_fast(cp, 0)) == [ZERO]
         for kmax in (1, p, p + 1):
             assert hecke_fast_range(cp, kmax) == sums[: kmax + 1], (p, kmax)
-            assert len(image_table(cp, kmax)) == kmax + 1
+            table = image_table(cp, kmax)
+            assert table.kmax == kmax and len(table.odd) == (kmax + 1) // 2
         # past the seeds only the recurrence runs
         kmax = 2 * p + 4
         assert hecke_fast_range(cp, kmax) == unpacked_recurrence(cp, kmax), p
@@ -630,7 +632,7 @@ def test_image_table_matches_the_unpacked_recurrence_across_the_octet_seam(p):
     want = unpacked_recurrence(cp, seam + 7)
     for kmax in (1, 7, seam - 9, seam - 1, seam + 1, seam + 7):
         table = image_table(cp, kmax)
-        assert [table[k] for k in range(kmax + 1)] == want[: kmax + 1], (p, kmax)
+        assert [table.apply(1 << k) for k in range(kmax + 1)] == [img.mask for img in want[: kmax + 1]], (p, kmax)
         assert table.odd == tuple(stride_bits(img.mask, 2, 1) for img in want[1 : kmax + 1 : 2])
         assert all(spread_bits(odd, 2) << 1 == img.mask for odd, img in zip(table.odd, want[1::2]))
         for _ in range(20):
@@ -667,11 +669,37 @@ def test_every_2adic_valuation():
             acc = 0
             for e in f.exponents():
                 acc ^= want[e].mask
-                assert table[e] == want[e], (p, e)
+                assert table.apply(1 << e) == want[e].mask, (p, e)
             assert hecke_fast(f, cp) == DeltaPoly(acc), (p, f.degree)
             assert table.apply(f.mask) == acc, (p, f.degree)
         assert hecke_fast(ONE, cp) == ZERO and table.apply(ONE.mask) == 0
-        assert table[0] == ZERO
+
+
+@pytest.mark.parametrize("p", [3, 31])
+def test_shared_applier_decodes_dense_accumulators(p, monkeypatch):
+    # a dense form to degree 8191 whose exponents have 2-adic valuation 0 to
+    # 3: each valuation's accumulator holds far more than the 32 set bits of
+    # the per-bit spread, so every digit-string decode of _from_odd runs, the
+    # spread8 one for s >= 2 included, for hecke_fast and the table alike
+    rng = random.Random(8191)
+    mask = sum(1 << e for e in range(1, 8191) if e & 15 and rng.getrandbits(1)) | 1 << 8191
+    decoded = []
+    clean = fast._from_odd
+
+    def spy(acc, s):
+        decoded.append((s, acc.bit_count()))
+        return clean(acc, s)
+
+    monkeypatch.setattr(fast, "_from_odd", spy)
+    cp = cached_charpoly(p)
+    want = 0
+    for k, image in enumerate(iter_hecke_fast(cp, 8191)):
+        if mask >> k & 1:
+            want ^= image.mask
+    assert hecke_fast(DeltaPoly(mask), cp).mask == want
+    assert image_table(cp, 8191).apply(mask) == want
+    assert sorted(s for s, _ in decoded) == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert min(bits for _, bits in decoded) > _DOUBLING_LOOP_LIMIT, decoded
 
 
 def test_shared_table_rounds_up_and_serves_smaller_requests(monkeypatch):
@@ -689,7 +717,7 @@ def test_shared_table_rounds_up_and_serves_smaller_requests(monkeypatch):
         small = shared_image_table(cp, 100)
         assert small is big
         fresh = image_table(cp, 100)
-        assert [small[k] for k in range(101)] == [fresh[k] for k in range(101)], p
+        assert small.odd[: len(fresh.odd)] == fresh.odd, p
         for _ in range(20):
             mask = rng.getrandbits(101)
             assert small.apply(mask) == fresh.apply(mask), p
@@ -735,16 +763,19 @@ def test_shared_store_holds_at_most_its_bound(monkeypatch):
 
 
 def test_image_table_rejects_powers_outside_it():
+    # a table is an operator: it is read through apply and apply_odd only,
+    # and the image of one power comes from the stream
     table = image_table(F3, 20)
-    assert len(table) == 21 and table[18] == poly(6)
-    for k in (-1, -3, -21, 21, 40):
-        with pytest.raises(IndexError):
-            table[k]
+    with pytest.raises(TypeError):
+        table[18]
+    with pytest.raises(TypeError):
+        len(table)
+    assert table.apply(1 << 18) == poly(6).mask
     with pytest.raises(IndexError):
         table.apply(1 << 21)
-    assert table.apply(1 << 20) == table[20].mask
+    assert table.apply(1 << 20) == hecke_naive(monomial(20), 3).mask
     # the odd step reads odd masks up to the table's top odd power, 19
-    assert table.apply_odd(1 << 9) == stride_bits(table[19].mask, 2, 1)
+    assert table.apply_odd(1 << 9) == stride_bits(table.apply(1 << 19), 2, 1)
     with pytest.raises(IndexError):
         table.apply_odd(1 << 10)
     with pytest.raises(ValueError):
@@ -847,7 +878,7 @@ def test_head_octets_are_keyed_on_the_relation(p, fresh_heads):
     want = unpacked_recurrence(flipped, top)
     assert want != unpacked_recurrence(cp, top)
     table = image_table(flipped, top)
-    assert [table[k] for k in range(top + 1)] == want
+    assert [table.apply(1 << k) for k in range(top + 1)] == [img.mask for img in want]
     for k in range(seam - 16, top + 1):
         assert hecke_fast(monomial(k), flipped) == want[k], (p, k)
     assert fast._head_octets.cache_info().currsize == 2
@@ -874,8 +905,8 @@ def test_octet_consumers_see_a_fault_in_the_head_stream(monkeypatch, fresh_heads
     fault = 1 << (p * m % 8)  # packed bit 0 is Delta^(p*m mod 8)
     assert hecke_fast(monomial(m), cp).mask == want[m] ^ fault
     table = image_table(cp, top)
-    assert table[m].mask == want[m] ^ fault
-    tail = [k for k in range(seam + 1, top + 1, 2) if table[k].mask != want[k]]
+    assert table.apply(1 << m) == want[m] ^ fault
+    tail = [k for k in range(seam + 1, top + 1, 2) if table.apply(1 << k) != want[k]]
     assert tail and all(hecke_fast(monomial(k), cp).mask != want[k] for k in tail)
 
 

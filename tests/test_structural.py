@@ -4,7 +4,7 @@ import pytest
 
 from hecke2.codes import code, dominant_exponent, h_poly
 from hecke2.deltapoly import ZERO, DeltaPoly, Parity, monomial
-from hecke2.hecke import cached_charpoly, hecke_fast_range, hecke_naive, image_table
+from hecke2.hecke import cached_charpoly, hecke_fast_range, hecke_naive
 from hecke2.structural import (
     _shift_terms,
     a_seq,
@@ -103,7 +103,7 @@ def test_shift3_against_naive_route():
 
 def test_shift5_worked_examples():
     cp5 = cached_charpoly(5)
-    table = image_table(cp5, 2 * 4**2 + 9)
+    table = hecke_fast_range(cp5, 2 * 4**2 + 9)
     assert check_shift5(1, 1, cp5, table)
     assert check_shift5(2, 1, cp5, table)
     assert check_shift5(2, 5, cp5, table)
@@ -113,7 +113,7 @@ def test_shift5_worked_examples():
 
 def test_corollary_values():
     cp3, cp5 = cached_charpoly(3), cached_charpoly(5)
-    t3, t5 = hecke_fast_range(cp3, 2 * 4**3 + 5), image_table(cp5, 2 * 4**3 + 4)
+    t3, t5 = hecke_fast_range(cp3, 2 * 4**3 + 5), hecke_fast_range(cp5, 2 * 4**3 + 4)
     for n in range(4):
         assert check_corollary_values(n, cp3, cp5, t3, t5)
 
@@ -148,7 +148,7 @@ def test_checkers_reject_a_short_table():
         check_shift3(1, 3, cp3, t3)
     assert check_shift3(1, 3, cp3, hecke_fast_range(cp3, 13))
     with pytest.raises(ValueError, match="image 15 is needed"):
-        check_shift5(1, 3, cp5, image_table(cp5, 14))
+        check_shift5(1, 3, cp5, hecke_fast_range(cp5, 14))
     t3, t5 = hecke_fast_range(cp3, 2 * 4**2 + 5), hecke_fast_range(cp5, 2 * 4**2 + 3)
     with pytest.raises(ValueError, match="image 36 is needed"):
         check_corollary_values(2, cp3, cp5, t3, t5)

@@ -181,6 +181,19 @@ def test_naive_fast_agree_sees_the_last_relation_coefficients(monkeypatch, r):
         verify._REGISTRY["naive-fast-agree"](VerifyConfig(pmax=500, long=True))
 
 
+def test_naive_fast_agree_sees_one_flipped_stream_image(monkeypatch):
+    # the table's images stay clean, so only the stream comparison sees the flip
+    stream = verify.iter_hecke_fast
+
+    def corrupted(cp, kmax):
+        for k, image in enumerate(stream(cp, kmax)):
+            yield image + DeltaPoly(1 << 2) if cp.p == 13 and k == 150 else image
+
+    monkeypatch.setattr(verify, "iter_hecke_fast", corrupted)
+    with pytest.raises(AssertionError, match="^stream and naive images disagree at p=13$"):
+        verify._REGISTRY["naive-fast-agree"](VerifyConfig(pmax=13))
+
+
 def test_naive_fast_agree_range_names_the_power_bound(monkeypatch):
     monkeypatch.setattr(verify, "_checked_primes", lambda n: [211])
     assert verify._REGISTRY["naive-fast-agree"](VerifyConfig(pmax=500, long=True)) == (
