@@ -19,6 +19,7 @@ from .gf2series import (
     clmul,
     delta,
     delta_powers,
+    odd_squares,
     spread8,
     spread_bits,
     square_multiply,
@@ -201,34 +202,42 @@ def to_series(f: DeltaPoly, precision: int) -> BitSeries:
     the exponent-doubling spread, so each level costs one product by the
     sparse Delta, and both halves recurse at half the precision.  Delta^k
     starts at q^k, so exponents at or above the precision are cut first.
+    A product by Delta xors shifts of its other operand by the odd squares
+    below the node's precision (``odd_squares``), the exponents of Delta.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
     keep = (1 << precision) - 1
-    return BitSeries(_expand(f.mask & keep, precision, delta(precision).bits, {}), precision)
+    return BitSeries(_expand(f.mask & keep, precision, {}), precision)
 
 
-def _expand(mask: int, precision: int, dbits: int, ladders: dict[int, list[int]]) -> int:
+def _expand(mask: int, precision: int, ladders: dict[int, list[int]]) -> int:
     """Bits of f(Delta) mod q^precision, for exponents of f below ``precision``.
 
-    ``dbits`` is Delta at a precision at least this one; ``ladders`` caches
-    Delta^0, Delta^1, ... per precision across the nodes of one expansion.
+    ``ladders`` caches Delta^0, Delta^1, ... per precision across the nodes
+    of one expansion.
     """
     keep = (1 << precision) - 1
-    d = dbits & keep
+    squares = odd_squares(precision)
     if mask.bit_length() <= _SPLIT_DEGREE:
         ladder = ladders.setdefault(precision, [1])
         while len(ladder) < mask.bit_length():
-            ladder.append(clmul(ladder[-1], d) & keep)
+            acc = 0
+            for e in squares:
+                acc ^= ladder[-1] << e
+            ladder.append(acc & keep)
         acc = 0
         for e in bit_positions(mask):
             acc ^= ladder[e]
         return acc
     half = (precision + 1) // 2
     cut = (1 << half) - 1
-    even = _expand(stride_bits(mask, 2) & cut, half, dbits, ladders)
-    odd = _expand(stride_bits(mask, 2, 1) & cut, half, dbits, ladders)
-    return spread_bits(even, 2) ^ (clmul(spread_bits(odd, 2), d) & keep)
+    even = _expand(stride_bits(mask, 2) & cut, half, ladders)
+    odd = spread_bits(_expand(stride_bits(mask, 2, 1) & cut, half, ladders), 2)
+    acc = spread_bits(even, 2)
+    for e in squares:
+        acc ^= odd << e
+    return acc & keep
 
 
 def from_series(f: BitSeries, max_deg: int) -> DeltaPoly:
@@ -257,55 +266,78 @@ def _peel(bits: int, precision: int, max_deg: int, ladder: list[int]) -> DeltaPo
 
     Delta^e lies on the q-exponents congruent to e mod 8, so class c of the
     series fixes exactly the exponents e = 8m + c of the polynomial, and each
-    class is peeled on its own, packed (bit m stands for q^(8m + c)).  The
-    class starts from packed Delta^c, and moving from exponent 8m + c to
-    8m' + c multiplies by Delta^(8(m' - m)), which packed on class 0 is the
-    plain series of Delta^(m' - m): a gap power at an eighth of the
-    precision and an eighth of the exponent.
-
-    ``ladder`` is ``delta_powers(n, kmax)`` with n >= ``precision`` and
-    kmax >= 7; its items give the starting powers and every gap below
-    kmax + 1, the rest come from square-and-multiply.  The error names the
-    lowest exponent above ``max_deg`` left on any class, the term a peel of
-    the whole series in ascending order stops at.
+    class is peeled on its own (``_peel_class``).  The error names the lowest
+    exponent above ``max_deg`` left on any class, the term a peel of the
+    whole series in ascending order stops at.
     """
     width = (precision + 7) // 8  # packed precision of class 0, the widest
-    gaps = {0: [0]}  # set-bit positions of the gap powers
+    gaps = {0: [0]}
     digits = format(bits, f"0{8 * width}b")
     mask = 0
     stops = []
     for c in range(8):
-        residual = int(digits[7 - c :: 8], 2)
-        keep = (1 << ((precision - c + 7) // 8)) - 1
-        cur = ladder[c] & keep  # packed expansion of the current power
-        if residual and not cur & 1:
-            raise ValueError(f"ladder item {c} does not start at q^{c}")
-        last = 0
-        while residual:
-            m = (residual & -residual).bit_length() - 1
-            if 8 * m + c > max_deg:
-                stops.append(8 * m + c)
-                break
-            gap = m - last
-            step = gaps.get(gap)
-            if step is None:
-                if gap < len(ladder):
-                    low = ladder[gap] & ((1 << ((width - gap % 8 + 7) // 8)) - 1)
-                    power = spread8(low, gap % 8)
-                else:
-                    power = delta(width).pow(gap).bits
-                step = gaps[gap] = bit_positions(power)
-                if step[:1] != [gap]:  # else the residual's valuation could stall
-                    raise ValueError(f"ladder item {gap} does not start at q^{gap}")
-            acc = 0
-            for n in step:
-                acc ^= cur << n
-            cur = acc & keep
-            last = m
-            mask ^= 1 << (8 * m + c)
-            residual ^= cur
+        part, stop = _peel_class(int(digits[7 - c :: 8], 2), c, precision, max_deg, ladder, gaps, width)
+        mask |= part
+        if stop is not None:
+            stops.append(stop)
     if stops:
         raise NotAPolynomial(
             f"residual term q^{min(stops)} exceeds the degree bound {max_deg}"
         )
     return DeltaPoly(mask)
+
+
+def _peel_class(
+    residual: int,
+    c: int,
+    precision: int,
+    max_deg: int,
+    ladder: list[int],
+    gaps: dict[int, list[int]],
+    width: int,
+) -> tuple[int, int | None]:
+    """Peel class c of a series below ``precision``, packed (bit m stands for q^(8m + c)).
+
+    Returns the exponents 8m + c <= ``max_deg`` peeled off, unpacked, and the
+    lowest exponent above ``max_deg`` left on the class, or None.  The class
+    starts from packed Delta^c, and moving from exponent 8m + c to 8m' + c
+    multiplies by Delta^(8(m' - m)), which packed on class 0 is the plain
+    series of Delta^(m' - m): a gap power at an eighth of the precision and
+    an eighth of the exponent.
+
+    ``ladder`` is ``delta_powers(n, kmax)`` with n >= ``precision`` and
+    kmax >= 7; its items give the starting powers and every gap below
+    kmax + 1, the rest come from square-and-multiply.  ``gaps`` caches the
+    set-bit positions of the gap powers below q^``width``; peels that share
+    it must agree on ``width`` and need no more than it, since each product
+    is cut to the class's own packed precision.
+    """
+    keep = (1 << ((precision - c + 7) // 8)) - 1
+    cur = ladder[c] & keep  # packed expansion of the current power
+    if residual and not cur & 1:
+        raise ValueError(f"ladder item {c} does not start at q^{c}")
+    mask = 0
+    last = 0
+    while residual:
+        m = (residual & -residual).bit_length() - 1
+        if 8 * m + c > max_deg:
+            return mask, 8 * m + c
+        gap = m - last
+        step = gaps.get(gap)
+        if step is None:
+            if gap < len(ladder):
+                low = ladder[gap] & ((1 << ((width - gap % 8 + 7) // 8)) - 1)
+                power = spread8(low, gap % 8)
+            else:
+                power = delta(width).pow(gap).bits
+            step = gaps[gap] = bit_positions(power)
+            if step[:1] != [gap]:  # else the residual's valuation could stall
+                raise ValueError(f"ladder item {gap} does not start at q^{gap}")
+        acc = 0
+        for n in step:
+            acc ^= cur << n
+        cur = acc & keep
+        last = m
+        mask ^= 1 << (8 * m + c)
+        residual ^= cur
+    return mask, None

@@ -7,22 +7,26 @@ results carry the minimum precision of their operands.
 
 The module also provides the generator everything else is built from,
 ``delta`` (the weight-12 cusp form reduced mod 2, whose expansion has a
-coefficient 1 exactly at the odd squares), and ``delta_powers``, the ladder
-of the powers of ``delta`` behind the relation solve, its residual check and
-the naive power sums, each packed on its exponent class mod 8.  Two smaller
-caches of powers stay apart from it.  ``deltapoly.to_series`` builds the
-powers below Delta^32 unpacked, by dense products at each node's precision,
-since its leaves xor full q-series and unpacking this ladder's powers there
-made the expansion slower.  Recognition in ``deltapoly`` peels one class
-mod 8 at a time: it starts each class from this ladder's packed Delta^c and
-steps by Delta^(8g), which packed on class 0 is the plain series of Delta^g,
-read from the ladder's items below the precision or raised by
-square-and-multiply past them.
+coefficient 1 exactly at the odd squares, listed by ``odd_squares``), and
+``delta_powers``, the ladder of the powers of ``delta`` behind the relation
+solve, its residual check and the naive power sums, each packed on its
+exponent class mod 8; the q-expansion of a naive power sum is one stride
+of its packed item.
+Two smaller caches of powers stay apart from it.  ``deltapoly.to_series``
+builds the powers below Delta^32 unpacked, at each node's precision, since
+its leaves xor full q-series and unpacking this ladder's powers there made
+the expansion slower; it multiplies by Delta as one shift of the other
+operand per odd square below the precision.  Recognition in ``deltapoly``
+peels one class mod 8 at a time: it starts each class from this ladder's
+packed Delta^c and steps by Delta^(8g), which packed on class 0 is the
+plain series of Delta^g, read from the ladder's items below the precision
+or raised by square-and-multiply past them.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +46,7 @@ __all__ = [
     "one",
     "delta",
     "delta_powers",
+    "odd_squares",
 ]
 
 # Below these popcounts a plain Python loop beats the numpy round trip.
@@ -254,15 +259,29 @@ def one(precision: int) -> BitSeries:
     return BitSeries(1, precision)
 
 
+_ODD_SQUARES = [1]  # 1, 9, 25, ..., grown on demand
+
+
+def odd_squares(precision: int) -> list[int]:
+    """The odd squares below ``precision`` (>= 1), ascending: the exponents of Delta.
+
+    There are ``(isqrt(precision - 1) + 1) // 2`` of them, read from one list
+    grown on demand, so a product by Delta xors that many shifts of the other
+    operand instead of enumerating Delta's bits.
+    """
+    count = (math.isqrt(precision - 1) + 1) // 2
+    while len(_ODD_SQUARES) < count:
+        _ODD_SQUARES.append((2 * len(_ODD_SQUARES) + 1) ** 2)
+    return _ODD_SQUARES[:count]
+
+
 def delta(precision: int) -> BitSeries:
     """The cusp-form generator: coefficient 1 exactly at odd squares."""
     if precision < 1:
         raise ValueError("precision must be >= 1")
     bits = 0
-    m = 1
-    while m * m < precision:
-        bits |= 1 << (m * m)
-        m += 2
+    for e in odd_squares(precision):
+        bits |= 1 << e
     return BitSeries(bits, precision)
 
 

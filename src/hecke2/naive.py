@@ -1,17 +1,20 @@
 """The naive route: T_p on q-expansions.
 
 Expand the form, drop to every p-th coefficient (folding in the multiples
-of p), and recognize the image polynomial.  It reads no relation F_p, so it
-is the route the others are checked against.
+of p), and recognize the image polynomial.  The images of single powers,
+the naive power sums, skip the expansion: each lies on one exponent class
+mod 8 and is every p-th packed bit of its power in the ladder, peeled on
+that class alone.  It reads no relation F_p, so it is the route the others
+are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deltapoly import ZERO, DeltaPoly, _peel, from_series, monomial, to_series
+from .deltapoly import ZERO, DeltaPoly, _peel_class, from_series, monomial, to_series
 from .errors import BadK, NotAPolynomial
-from .gf2series import BitSeries, delta_powers, spread8, spread_bits, stride_bits
+from .gf2series import BitSeries, delta_powers, spread_bits, stride_bits
 from .primes import _require_odd_prime
 
 
@@ -45,23 +48,34 @@ def hecke_naive(f: DeltaPoly, p: int) -> DeltaPoly:
 
 
 def _naive_monomial_range(p: int, kmax: int, *, step: int = 1) -> list[DeltaPoly]:
-    """Naive images of the powers up to kmax from one packed ladder.
+    """Naive images of the powers up to kmax, each read on its packed class.
 
     Item i is the image of Delta^(step*i + step - 1): every power 0..kmax at
     step 1, the odd powers 1, 3, ..., <= kmax at step 2.
-    The ladder ``delta_powers(p*kmax + 1, max(kmax, 7))`` gives both the
-    expansion of each power and every power the peel of an image needs:
-    the starting Delta^0..Delta^7 and the gaps, which stay below k/8.  So
-    recognition computes no powers of its own.
+
+    The image of Delta^k, known to precision k + 1, lies on the one class
+    c = p*k mod 8, since p*n = k mod 8 there.  Its term c(n/p) is zero for
+    n <= k, as Delta^k starts at q^k, so the image is c(pn) alone, and as
+    p^2 = 1 mod 8, its packed bit a (q^(8a + c)) is packed bit
+    p*a + (p*c - k mod 8)/8 of Delta^k.  One stride of the ladder item cut
+    to q^(p*k) gives the packed image, and one class is peeled.  The ladder
+    ``delta_powers(p*kmax + 1, max(kmax, 7))`` also holds every power the
+    peels read: the starting Delta^0..Delta^7 and the gaps, which stay below
+    k/8.  The gap lists are shared by every image, so they are built at the
+    widest image's packed width.
     """
     _require_odd_prime(p)
     ladder = delta_powers(p * kmax + 1, max(kmax, 7))
+    gaps = {0: [0]}
+    width = (kmax + 8) // 8
     out = [ZERO] if step == 1 else []
     for k in range(1, kmax + 1, step):
-        # Delta^k at hecke_naive's precision p*k + 1: packed bits 8m + k mod 8 <= p*k
+        c = p * k % 8
         low = ladder[k] & ((1 << ((p * k - k % 8) // 8 + 1)) - 1)
-        image = hecke_naive_series(BitSeries(spread8(low, k % 8), p * k + 1), p)
-        out.append(_peel(image.bits, image.precision, k, ladder))
+        image = stride_bits(low, p, (p * c - k % 8) >> 3)
+        # at precision k + 1 every term of the class lies at or below k: no stop
+        mask, _ = _peel_class(image, c, k + 1, k, ladder, gaps, width)
+        out.append(DeltaPoly(mask))
     return out
 
 

@@ -19,7 +19,6 @@ from hecke2.hecke import (
     cached_charpoly,
     hecke_fast,
     image_table,
-    iter_hecke_fast,
     odd_primes_up_to,
 )
 from hecke2.nilpotence import apply_witness, g_general
@@ -127,14 +126,6 @@ def test_hecke_fast_head_warmed(benchmark, p, past_seam):
     hecke_fast(f, cp)
     out = benchmark(hecke_fast, f, cp)
     assert out.mask == image_table(cp, top).apply(f.mask)
-
-
-def test_stream_every_power(benchmark):
-    # every image to k = 4095 at p = 3, from the stream
-    cp = cached_charpoly(3)
-    out = benchmark(lambda: list(iter_hecke_fast(cp, 4095)))
-    table = image_table(cp, 4095)
-    assert [img.mask for img in out] == [table.apply(1 << k) for k in range(4096)]
 
 
 def test_witness_query_forms(benchmark):

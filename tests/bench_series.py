@@ -46,8 +46,8 @@ def test_from_series_oracle_images(benchmark):
 
 def test_naive_monomial_range_newton_sums(benchmark):
     # the power sums the Newton oracle reads at p=61: the 93 naive images of
-    # the odd powers below 3(p+1) = 186, each peeled against the ladder that
-    # expanded it
+    # the odd powers below 3(p+1) = 186, each strided off its ladder item
+    # onto one class mod 8 and peeled there
     out = benchmark(_naive_monomial_range, 61, 185, step=2)
     table = image_table(cached_charpoly(61), 185)
     assert [img.mask for img in out] == [table.apply(1 << k) for k in range(1, 186, 2)]

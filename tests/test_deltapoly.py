@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hecke2.deltapoly import (
     ONE,
     ZERO,
+    _SPLIT_DEGREE,
     DeltaPoly,
     Parity,
     _even_mask,
@@ -68,6 +69,27 @@ def test_to_series_matches_gap_ladder():
     for f, precision in cases:
         want = gap_ladder_to_series(f, precision)
         assert to_series(f, precision) == want, (f.mask.bit_length(), precision)
+
+
+def horner_to_series(f: DeltaPoly, precision: int) -> BitSeries:
+    """f(Delta) by Horner's rule: one full product by Delta per exponent below the degree."""
+    d, keep = delta(precision).bits, (1 << precision) - 1
+    acc = 0
+    for e in range(f.mask.bit_length() - 1, -1, -1):
+        acc = (clmul(acc, d) & keep) ^ (f.mask >> e & 1)
+    return BitSeries(acc, precision)
+
+
+def test_to_series_matches_horner_clmul():
+    # the expansion multiplies by Delta as shifts by the odd squares below each
+    # node's precision; an odd square at P - 1 must be kept and one at P cut.
+    # Forms below the split degree expand from the leaf ladder alone
+    rng = random.Random(0x40)
+    precisions = [m * m + t for m in (1, 3, 9, 33, 45) for t in (0, 1)] + [2, 12, 700]
+    for deg in (1, 5, _SPLIT_DEGREE - 1, _SPLIT_DEGREE, _SPLIT_DEGREE + 1, 64, 150):
+        for precision in precisions:
+            f = DeltaPoly(rng.getrandbits(deg) | (1 << deg))
+            assert to_series(f, precision) == horner_to_series(f, precision), (deg, precision)
 
 
 def test_from_series_round_trips():

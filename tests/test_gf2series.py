@@ -13,6 +13,7 @@ from hecke2.gf2series import (
     bit_positions,
     clmul,
     delta,
+    odd_squares,
     one,
     spread8,
     spread_bits,
@@ -49,6 +50,12 @@ def test_delta_support():
     assert delta(30).support() == (1, 9, 25)
     assert delta(30).coeff(4) == 0
     assert delta(2).coeff(1) == 1
+
+
+def test_odd_squares_are_the_exponents_below_the_precision():
+    # the shared list grows on demand, so ask out of order
+    for n in (2000, 1, 2, 9, 10, 26, 1089, 1090, 3000, 7):
+        assert odd_squares(n) == [m * m for m in range(1, n, 2) if m * m < n], n
 
 
 def test_delta_qpow():

@@ -322,15 +322,19 @@ def test_newton_oracle_rejects_corrupted_stream(p, monkeypatch):
             charpoly_via_newton(p)
 
 
-@pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES)
+@pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES + [127, 257])
 def test_naive_monomial_range_matches_from_series(p):
-    # the range peels against its expansion ladder, from_series computes its own
-    kmax = 3 * (p + 1)
+    # the range strides each image off its ladder item onto the class p*k mod 8
+    # and peels that class alone; from_series expands, applies T_p and peels
+    # all eight.  p mod 8 runs over 3, 5, 7 and 1, to max(200, p + 34), the
+    # range naive-fast-agree reads, past the oracle's 3(p + 1) for p <= 41
+    kmax = max(200, p + 34)
     want = [
         from_series(hecke_naive_series(to_series(monomial(k), p * k + 1), p), k)
         for k in range(kmax + 1)
     ]
     assert naive._naive_monomial_range(p, kmax) == want
+    assert naive._naive_monomial_range(p, kmax, step=2) == want[1::2]
 
 
 def flipped_ladder(monkeypatch, j: int, e: int) -> None:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from hecke2 import fast, hecke, nilpotence
-from hecke2.codes import NEG_INF, code, h
+from hecke2.codes import NEG_INF, dominant_exponent, h
 from hecke2.deltapoly import ZERO, DeltaPoly
 from hecke2.errors import NotOddForm, WitnessFailed, ZeroPolynomial
 from hecke2.hecke import CharPoly, cached_charpoly, hecke_fast
@@ -139,26 +139,15 @@ def stored_t5_with_flip(store, kmax: int, v: int, bit: int):
     store[cp5] = replace(table, odd=tuple(odd))
 
 
-def t5_input_of(k: int) -> int:
-    """The odd mask that the one T_5 step of the witness of Delta^k reads."""
-    a, b = code(k)
-    assert b == 1
-    table3 = hecke.image_table(cached_charpoly(3), k)
-    mask = 1 << (k >> 1)
-    for _ in range(a):
-        mask = table3.apply_odd(mask)
-    return mask
-
-
-K5 = 687  # code (31, 1): thirty-one T_3 steps, then one T_5 step
+K5 = 687  # code (31, 1): one T_5 step, then thirty-one T_3 steps
 
 
 def test_witness_fails_on_a_flipped_bit_of_a_stored_t5_image(monkeypatch, empty_store):
-    # the one T_5 step reads the image of each set bit of its input; a flipped
-    # bit 0 of one of them moves the result off Delta^1
-    v = t5_input_of(K5).bit_length() - 1
-    stored_t5_with_flip(empty_store, 1023, v, 0)
-    with pytest.raises(WitnessFailed, match=r"^witness T3\^31 T5\^1 left .* instead of x\^1$"):
+    # the chain runs T_5 first, on Delta^K5 alone: with the bit of the dominant
+    # exponent of its image flipped, the T_3 steps carry nothing to Delta^1
+    image = hecke.image_table(cached_charpoly(5), K5).apply(1 << K5)
+    stored_t5_with_flip(empty_store, 1023, K5 >> 1, dominant_exponent(DeltaPoly(image)) >> 1)
+    with pytest.raises(WitnessFailed, match=r"^witness T3\^31 T5\^1 left 0 instead of x\^1$"):
         apply_witness(poly(K5))
     monkeypatch.setitem(SUITES, "witness", ("witness-chain",))
     report = run_suite("witness", VerifyConfig())
@@ -169,8 +158,7 @@ def test_witness_fails_on_a_flipped_bit_of_a_stored_t5_image(monkeypatch, empty_
 
 def test_witness_fails_on_an_image_bit_above_the_form(empty_store):
     # a bit at Delta^(K5 + 2), inside the table but above the form's degree
-    v = t5_input_of(K5).bit_length() - 1
-    stored_t5_with_flip(empty_store, 1023, v, (K5 + 1) >> 1)
+    stored_t5_with_flip(empty_store, 1023, K5 >> 1, (K5 + 1) >> 1)
     with pytest.raises(WitnessFailed, match=f"^T5 took the form above degree {K5}$"):
         apply_witness(poly(K5))
 
