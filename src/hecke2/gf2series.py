@@ -11,7 +11,12 @@ coefficient 1 exactly at the odd squares, listed by ``odd_squares``), and
 ``delta_powers``, the ladder of the powers of ``delta`` behind the relation
 solve, its residual check and the naive power sums, each packed on its
 exponent class mod 8; the q-expansion of a naive power sum is one stride
-of its packed item.
+of its packed item.  The ladder depends on the precision and the top power
+only, never on p, so one ladder is kept for the process, like the list of
+``odd_squares``, and every request is cut from it.  It grows on demand, its
+precision by doubling, and holds at most 16 MiB (``_LADDER_BYTES``), which
+is room for the residual's ladder at p = 499; a request whose own ladder
+is larger is built, returned and not kept.
 Two smaller caches of powers stay apart from it.  ``deltapoly.to_series``
 builds the powers below Delta^32 unpacked, at each node's precision, since
 its leaves xor full q-series and unpacking this ladder's powers there made
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,6 +291,39 @@ def delta(precision: int) -> BitSeries:
     return BitSeries(bits, precision)
 
 
+# The ladder ``delta_powers`` serves, (precision N, [Delta^0, ..., Delta^K]),
+# grown on demand and never holding more than _LADDER_BYTES (``_ladder_bytes``).
+_LADDER_BYTES = 16 << 20
+_ladder: tuple[int, list[int]] = (0, [])
+
+
+def _keep_masks(n: int) -> list[int]:
+    """The packed bits below q^n on each class c mod 8, as masks."""
+    return [(1 << max(0, (n - c + 7) // 8)) - 1 for c in range(8)]
+
+
+def _extend(items: list[int], n: int, kmax: int) -> list[int]:
+    """A new list of Delta^0..Delta^kmax below q^n that starts with ``items``,
+    a ladder below q^n itself (or empty), which it leaves as it is."""
+    out = items[:] or [1, pack8(delta(n).bits, 1)]
+    keep = _keep_masks(n)
+    for j in range(len(out), kmax + 1):
+        if j % 2 == 0:
+            half = j // 2
+            cur = spread_bits(out[half], 2) << ((half % 8) >> 2)
+        else:
+            top = 1 << (j.bit_length() - 1)
+            cur = clmul(out[j - top], out[top])
+        out.append(cur & keep[j % 8])
+    return out
+
+
+def _ladder_bytes(n: int, kmax: int) -> int:
+    """Bytes a ladder of Delta^0..Delta^kmax below q^n holds at most: per
+    item an int of ceil(n/8) bits or fewer, and its list slot."""
+    return (kmax + 1) * (sys.getsizeof(1 << n // 8) + 8)
+
+
 def delta_powers(n: int, kmax: int) -> list[int]:
     """Delta^0..Delta^kmax below q^n (n >= 1), item j packed on its class j mod 8.
 
@@ -295,16 +334,34 @@ def delta_powers(n: int, kmax: int) -> list[int]:
     Delta^(j - 2^s) times the sparse Delta^(2^s), for the top bit 2^s of j
     (``clmul`` walks the sparser operand); its classes sum to j mod 8 without
     a wrap, since j - 2^s < 2^s.
-    """
-    keep = [(1 << max(0, (n - c + 7) // 8)) - 1 for c in range(8)]
-    out = [1, pack8(delta(n).bits, 1)]
-    for j in range(2, kmax + 1):
-        if j % 2 == 0:
-            half = j // 2
-            cur = spread_bits(out[half], 2) << ((half % 8) >> 2)
-        else:
-            top = 1 << (j.bit_length() - 1)
-            cur = clmul(out[j - top], out[top])
-        out.append(cur & keep[j % 8])
-    return out[: kmax + 1]
 
+    Every answer is a new list cut from one ladder kept for the process: its
+    items at the held precision N, below N each item ANDed with its class's
+    packed mask below q^n, which is what a build at n gives, since the low
+    coefficients of a product read only the low ones of its factors.  A
+    request past the held K, at n <= N, appends items to kmax; one past N
+    rebuilds the ladder to kmax at max(n, 2N), so ascending requests rebuild
+    it O(log) times, and the items past kmax are dropped, as a later request
+    for them costs no more than building them now.  When that ladder's
+    ``_ladder_bytes`` exceed ``_LADDER_BYTES``, the ladder to kmax at n is
+    kept instead; when that too exceeds them, the request is built as if
+    there were no store, returned and not kept, and the held ladder stays as
+    it was.  The held ladder is replaced whole, never edited, so a reader
+    always sees one consistent ladder.
+    """
+    global _ladder
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    held, items = _ladder
+    if n > held or kmax >= len(items):
+        grown = held if n <= held else max(n, 2 * held)
+        for prec in (grown, n):
+            if _ladder_bytes(prec, kmax) <= _LADDER_BYTES:
+                break
+        else:
+            return _extend([], n, kmax)[: kmax + 1]
+        _ladder = held, items = prec, _extend(items if prec == held else [], prec, kmax)
+    if n == held:
+        return items[: kmax + 1]
+    keep = _keep_masks(n)
+    return [x & keep[j % 8] for j, x in enumerate(items[: kmax + 1])]

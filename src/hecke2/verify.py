@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -36,7 +37,7 @@ from .nilpotence import (
     g_general,
 )
 from .primes import MAX_PRIME, odd_primes_up_to
-from .relation import cached_charpoly, relation_residual, structure_violations
+from .relation import CharPoly, cached_charpoly, relation_residual, structure_violations
 
 __all__ = ["VerifyConfig", "ClaimResult", "VerificationReport", "SUITES", "run_suite"]
 
@@ -520,11 +521,23 @@ def _h_prefix_gap(cfg: VerifyConfig) -> str:
 # shift suite
 
 
+@lru_cache(maxsize=2)
+def _shift_images(cp: CharPoly, nmax: int) -> list[DeltaPoly]:
+    """The T_p images, p = 3 or 5, that the three shift claims read at n <= nmax.
+
+    One list per relation, streamed once to the longest any claim reads: the
+    identities to 2*4^nmax + 303 (T_3) or + 305 (T_5), the special values to
+    2*4^nmax + 6.  It is keyed on the relation itself, like ``fast``'s
+    stores, so a corrupted F_p gets its own list; the last two are kept.
+    """
+    return hecke_fast_range(cp, 2 * 4**nmax + (303 if cp.p == 3 else 305))
+
+
 @_claim("shift3-identities", "shift")
 def _shift3_identities(cfg: VerifyConfig) -> str:
     nmax = cfg.shift_nmax
     cp3 = cached_charpoly(3)
-    table = hecke_fast_range(cp3, 2 * 4**nmax + 303)
+    table = _shift_images(cp3, nmax)
     for nn in range(nmax + 1):
         for k in range(301):
             structural.check_shift3(nn, k, cp3, table)
@@ -535,7 +548,7 @@ def _shift3_identities(cfg: VerifyConfig) -> str:
 def _shift5_identities(cfg: VerifyConfig) -> str:
     nmax = cfg.shift_nmax
     cp5 = cached_charpoly(5)
-    table = hecke_fast_range(cp5, 2 * 4**nmax + 305)
+    table = _shift_images(cp5, nmax)
     for nn in range(nmax + 1):
         for k in range(301):
             structural.check_shift5(nn, k, cp5, table)
@@ -546,8 +559,8 @@ def _shift5_identities(cfg: VerifyConfig) -> str:
 def _shift_special_values(cfg: VerifyConfig) -> str:
     nmax = cfg.shift_nmax
     cp3, cp5 = cached_charpoly(3), cached_charpoly(5)
-    t3 = hecke_fast_range(cp3, 2 * 4**nmax + 6)
-    t5 = hecke_fast_range(cp5, 2 * 4**nmax + 6)
+    t3 = _shift_images(cp3, nmax)
+    t5 = _shift_images(cp5, nmax)
     for nn in range(nmax + 1):
         structural.check_corollary_values(nn, cp3, cp5, t3, t5)
     return f"n<={nmax}"

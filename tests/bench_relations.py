@@ -7,21 +7,38 @@ installed as
 
 Each benchmark times one batch of calls, with the relations it checks built
 outside the timed region, and checks the batch's results once afterwards.
+The powers of Delta come from one ladder kept for the process
+(``gf2series.delta_powers``): a warm batch finds it grown by the batches
+before it, a cold one (``_cold``) finds it emptied, outside the timed region.
 """
 
 import pytest
 
+from hecke2 import gf2series
 from hecke2.hecke import cached_charpoly, compute_charpoly, odd_primes_up_to, relation_residual
+
+COLD_ROUNDS = 10
+
+
+def _empty_ladder():
+    gf2series._ladder = (0, [])
+
+
+def _solves_to_181():
+    # the solves of the relations workload: every odd prime up to 181
+    primes = odd_primes_up_to(181)
+    return primes, lambda: [compute_charpoly(p) for p in primes]
 
 
 def test_compute_charpoly_to_181(benchmark):
-    # the solves of the relations workload: every odd prime up to 181
-    primes = odd_primes_up_to(181)
-
-    def solves():
-        return [compute_charpoly(p) for p in primes]
-
+    primes, solves = _solves_to_181()
     out = benchmark(solves)
+    assert out == [cached_charpoly(p) for p in primes]
+
+
+def test_compute_charpoly_to_181_cold(benchmark):
+    primes, solves = _solves_to_181()
+    out = benchmark.pedantic(solves, setup=_empty_ladder, rounds=COLD_ROUNDS)
     assert out == [cached_charpoly(p) for p in primes]
 
 
@@ -34,3 +51,19 @@ def test_relation_residual_at_eight_squares(benchmark, p):
 
     out = benchmark(relation_residual, cp, precision)
     assert out.precision == precision and out.is_zero()
+
+
+def _residuals_to_257():
+    # the residual to 8(p+1)^2 at every odd prime up to 257, ascending
+    cps = [cached_charpoly(p) for p in odd_primes_up_to(257)]
+    return lambda: [relation_residual(cp, 8 * (cp.p + 1) ** 2) for cp in cps]
+
+
+def test_relation_residual_sweep_to_257(benchmark):
+    out = benchmark(_residuals_to_257())
+    assert all(res.is_zero() for res in out)
+
+
+def test_relation_residual_sweep_to_257_cold(benchmark):
+    out = benchmark.pedantic(_residuals_to_257(), setup=_empty_ladder, rounds=COLD_ROUNDS)
+    assert all(res.is_zero() for res in out)

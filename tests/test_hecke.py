@@ -30,7 +30,7 @@ from hecke2.gf2series import (
     spread_bits,
     stride_bits,
 )
-from hecke2 import fast, hecke, naive, relation
+from hecke2 import fast, gf2series, hecke, naive, relation
 from hecke2.hecke import (
     CharPoly,
     cached_charpoly,
@@ -212,6 +212,59 @@ def test_packed_power_ladder_matches_product_ladder(p):
     for n, count in unpacked:
         got = [spread8(x, j % 8) for j, x in enumerate(delta_powers(n, count))]
         assert got == _repeated_clmul(n, count), (n, count)
+
+
+def _first_wrong_answer(requests):
+    """The first (n, kmax) whose ``delta_powers`` differs from the product ladders, or None."""
+    for n, kmax in requests:
+        got = delta_powers(n, kmax)
+        if n % 8 == 0:
+            ok = got == _clmul_ladder(n, kmax)
+        else:
+            ok = [spread8(x, j % 8) for j, x in enumerate(got)] == _repeated_clmul(n, kmax)
+        if not ok:
+            return n, kmax
+    return None
+
+
+def test_ladder_store_answers_as_a_fresh_build(monkeypatch):
+    # an empty store, and the held ladder restored after the test
+    monkeypatch.setattr(gf2series, "_ladder", (0, []))
+    # n growing and shrinking, on and off the multiples of 8 and at the tiny
+    # windows; kmax growing, shrinking and 0; then a seeded mix of both
+    rng = random.Random(0x5107)
+    requests = [(9, 0), (1, 0), (2, 1), (7, 7), (8, 3), (9, 12), (800, 20), (803, 5)]
+    requests += [(5000, 40), (64, 40), (2, 0), (16001, 0), (16001, 60), (333, 61), (12000, 17)]
+    requests += [(rng.randrange(1, 20000), rng.randrange(0, 80)) for _ in range(40)]
+    # under a cap the widest requests exceed, then under the default one, the
+    # store fits in the cap after every request
+    for cap in (gf2series._ladder_bytes(8000, 40), 16 << 20):
+        monkeypatch.setattr(gf2series, "_LADDER_BYTES", cap)
+        for request in requests:
+            assert _first_wrong_answer([request]) is None
+            items = gf2series._ladder[1]
+            assert sum(map(sys.getsizeof, items)) + 8 * len(items) <= cap
+    held, items = gf2series._ladder
+    assert held >= 16001 and len(items) >= 62
+
+    # a caller that edits its answer in place, as flipped_ladder does, edits
+    # its own list: the next answer, cut, held or the whole ladder, is unchanged
+    for n, kmax in ((800, 20), (held, 20), (held, len(items) - 1)):
+        out = delta_powers(n, kmax)
+        out[3] ^= 1 << 2
+        out[0] = 0
+        out.append(5)
+        assert _first_wrong_answer([(n, kmax)]) is None
+
+    # a request over the cap is built, returned and not kept
+    snapshot = list(items)
+    monkeypatch.setattr(gf2series, "_LADDER_BYTES", gf2series._ladder_bytes(held, 1))
+    assert _first_wrong_answer([(held + 8, 3), (held + 1, 90)]) is None
+    assert gf2series._ladder == (held, snapshot) and gf2series._ladder[1] is items
+
+    # the requests read the store itself: one flipped bit of a held item shows
+    items[5] ^= 1 << 1  # q^13, cut away below q^14
+    assert _first_wrong_answer(requests) == (800, 20)
 
 
 def test_gf2_solve_pivot_elimination():
