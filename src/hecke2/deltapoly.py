@@ -186,9 +186,13 @@ def decompose(f: DeltaPoly) -> FormDecomposition:
     return FormDecomposition(0 in f, components)
 
 
-# Forms of degree below this expand from a ladder of low powers of Delta;
-# splitting them further costs more per node than it saves.
-_SPLIT_DEGREE = 32
+# Forms of degree below this expand from the held ladder of powers of Delta
+# (``delta_powers``), one xor per exponent; splitting them further costs more
+# per node than it saves.  A leaf at precision P reads up to 256 items of P/8
+# bits, and P is at most about 256p when the form is expanded to p*deg + 1, so
+# the leaves' ladder holds at most 256 * 32p bits, about 0.5 MiB at p = 499,
+# far under the store's 16 MiB for every prime the CLI accepts.
+_SPLIT_DEGREE = 256
 
 
 def to_series(f: DeltaPoly, precision: int) -> BitSeries:
@@ -204,6 +208,9 @@ def to_series(f: DeltaPoly, precision: int) -> BitSeries:
     starts at q^k, so exponents at or above the precision are cut first.
     A product by Delta xors shifts of its other operand by the odd squares
     below the node's precision (``odd_squares``), the exponents of Delta.
+    Parts of degree below ``_SPLIT_DEGREE`` are leaves: they xor the packed
+    items of the process-wide ``delta_powers`` ladder class by class, so the
+    expansion builds no power of Delta itself.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
@@ -214,28 +221,34 @@ def to_series(f: DeltaPoly, precision: int) -> BitSeries:
 def _expand(mask: int, precision: int, ladders: dict[int, list[int]]) -> int:
     """Bits of f(Delta) mod q^precision, for exponents of f below ``precision``.
 
-    ``ladders`` caches Delta^0, Delta^1, ... per precision across the nodes
-    of one expansion.
+    At a leaf, Delta^e is item e of ``delta_powers(precision, top)``, packed on
+    its class e mod 8, so the leaf xors the items of its exponents into eight
+    class accumulators and unpacks each nonzero one once (``spread8``): at most
+    eight unpacks per leaf, not one per power.  ``ladders`` keeps the longest
+    answer per precision across the leaves of one expansion.
     """
-    keep = (1 << precision) - 1
-    squares = odd_squares(precision)
     if mask.bit_length() <= _SPLIT_DEGREE:
-        ladder = ladders.setdefault(precision, [1])
-        while len(ladder) < mask.bit_length():
-            acc = 0
-            for e in squares:
-                acc ^= ladder[-1] << e
-            ladder.append(acc & keep)
-        acc = 0
+        if not mask:
+            return 0
+        top = mask.bit_length() - 1
+        ladder = ladders.get(precision)
+        if ladder is None or len(ladder) <= top:
+            ladder = ladders[precision] = delta_powers(precision, top)
+        accs = [0] * 8
         for e in bit_positions(mask):
-            acc ^= ladder[e]
-        return acc
+            accs[e & 7] ^= ladder[e]
+        out = 0
+        for c, acc in enumerate(accs):
+            if acc:
+                out |= spread8(acc, c)
+        return out
+    keep = (1 << precision) - 1
     half = (precision + 1) // 2
     cut = (1 << half) - 1
     even = _expand(stride_bits(mask, 2) & cut, half, ladders)
     odd = spread_bits(_expand(stride_bits(mask, 2, 1) & cut, half, ladders), 2)
     acc = spread_bits(even, 2)
-    for e in squares:
+    for e in odd_squares(precision):
         acc ^= odd << e
     return acc & keep
 

@@ -8,24 +8,27 @@ results carry the minimum precision of their operands.
 The module also provides the generator everything else is built from,
 ``delta`` (the weight-12 cusp form reduced mod 2, whose expansion has a
 coefficient 1 exactly at the odd squares, listed by ``odd_squares``), and
-``delta_powers``, the ladder of the powers of ``delta`` behind the relation
-solve, its residual check and the naive power sums, each packed on its
-exponent class mod 8; the q-expansion of a naive power sum is one stride
-of its packed item.  The ladder depends on the precision and the top power
-only, never on p, so one ladder is kept for the process, like the list of
-``odd_squares``, and every request is cut from it.  It grows on demand, its
-precision by doubling, and holds at most 16 MiB (``_LADDER_BYTES``), which
-is room for the residual's ladder at p = 499; a request whose own ladder
-is larger is built, returned and not kept.
-Two smaller caches of powers stay apart from it.  ``deltapoly.to_series``
-builds the powers below Delta^32 unpacked, at each node's precision, since
-its leaves xor full q-series and unpacking this ladder's powers there made
-the expansion slower; it multiplies by Delta as one shift of the other
-operand per odd square below the precision.  Recognition in ``deltapoly``
-peels one class mod 8 at a time: it starts each class from this ladder's
-packed Delta^c and steps by Delta^(8g), which packed on class 0 is the
-plain series of Delta^g, read from the ladder's items below the precision
-or raised by square-and-multiply past them.
+``delta_powers``, the one ladder of the powers of ``delta``, each packed on
+its exponent class mod 8.  It serves the relation solve, its residual
+check, the naive power sums (the q-expansion of one is a stride of its
+packed item), the leaves of the expansion ``deltapoly.to_series`` and the
+starting powers and gaps of recognition.  The ladder depends on the
+precision and the top power only, never on p, so one ladder is kept for the
+process, like the list of ``odd_squares``, and every request is cut from it.
+It grows on demand, its precision by doubling, and holds at most 16 MiB
+(``_LADDER_BYTES``), which is room for the residual's ladder at p = 499; a
+request whose own ladder is larger is built, returned and not kept.
+A leaf of the expansion, a part of degree below 256, xors the packed items
+of its exponents into eight class accumulators and unpacks each nonzero one
+once with ``spread8``.  At the naive route's precision p*deg + 1 a leaf's
+precision is at most about 256p, so its 256 items of 32p bits stay near
+0.5 MiB at p = 499, far under the cap.  Between the leaves the expansion
+multiplies by Delta as one shift of the other operand per odd square below
+the precision.  Recognition in ``deltapoly`` peels one class mod 8 at a
+time: it starts each class from the ladder's packed Delta^c and steps by
+Delta^(8g), which packed on class 0 is the plain series of Delta^g, read
+from the ladder's items below the precision or raised by square-and-multiply
+past them.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""Timings of q-series recognition, ``from_series`` and the peel it shares,
-and of the recurrence stream behind ``hecke_fast_range``.
+"""Timings of the q-expansion ``to_series``, of q-series recognition,
+``from_series`` and the peel it shares, and of the recurrence stream behind
+``hecke_fast_range``.
 
 The file name keeps it out of the tier-1 suite; run it with pytest-benchmark
 installed as
@@ -7,23 +8,78 @@ installed as
     pytest tests/bench_series.py
 
 Each benchmark times one batch of calls, with its inputs built outside the
-timed region, and checks the batch's results once afterwards.
+timed region, and checks the batch's results once afterwards.  The leaves of
+``to_series`` read the powers of Delta from one ladder kept for the process
+(``gf2series.delta_powers``): a warm batch finds it grown by the batches
+before it, a cold one (``_cold``) finds it emptied, outside the timed region.
 """
 
 import random
 
 import pytest
 
+from hecke2 import gf2series
 from hecke2.deltapoly import DeltaPoly, from_series, to_series
-from hecke2.hecke import (
-    cached_charpoly,
-    hecke_fast_range,
-    hecke_naive,
-    hecke_naive_series,
-    image_table,
-    odd_primes_up_to,
-)
-from hecke2.naive import _naive_monomial_range
+from hecke2.fast import hecke_fast_range, image_table
+from hecke2.naive import _naive_monomial_range, hecke_naive, hecke_naive_series
+from hecke2.primes import odd_primes_up_to
+from hecke2.relation import cached_charpoly
+
+COLD_ROUNDS = 10
+
+
+def _empty_ladder():
+    gf2series._ladder = (0, [])
+
+
+def _oracle_forms():
+    # the forms of the oracle workload: dense, of degree 64-512, at every
+    # prime up to 31, expanded to hecke_naive's precision p * degree + 1
+    rng = random.Random(1)
+    return [
+        (DeltaPoly(rng.getrandbits(degree) | 1 << degree), p * degree + 1)
+        for p in odd_primes_up_to(31)
+        for degree in (64, 128, 199, 256, 384, 512)
+    ]
+
+
+def _random_199(p):
+    # the random forms of naive-fast-agree above p = 31: degree 199, one leaf
+    rng = random.Random(p)
+    return [(DeltaPoly(rng.getrandbits(200) | 1 << 199), p * 199 + 1) for _ in range(50)]
+
+
+def _expand_all(cases):
+    return lambda: [to_series(f, precision) for f, precision in cases]
+
+
+def _check_expansions(out, cases):
+    # each expansion is recognized as its own form again
+    assert [from_series(series, f.degree) for series, (f, _) in zip(out, cases)] == [f for f, _ in cases]
+
+
+def test_to_series_oracle_forms(benchmark):
+    cases = _oracle_forms()
+    _check_expansions(benchmark(_expand_all(cases)), cases)
+
+
+def test_to_series_oracle_forms_cold(benchmark):
+    cases = _oracle_forms()
+    out = benchmark.pedantic(_expand_all(cases), setup=_empty_ladder, rounds=COLD_ROUNDS)
+    _check_expansions(out, cases)
+
+
+@pytest.mark.parametrize("p", [257, 499])
+def test_to_series_random_199(benchmark, p):
+    cases = _random_199(p)
+    _check_expansions(benchmark(_expand_all(cases)), cases)
+
+
+@pytest.mark.parametrize("p", [257, 499])
+def test_to_series_random_199_cold(benchmark, p):
+    cases = _random_199(p)
+    out = benchmark.pedantic(_expand_all(cases), setup=_empty_ladder, rounds=COLD_ROUNDS)
+    _check_expansions(out, cases)
 
 
 def test_from_series_oracle_images(benchmark):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecke2 import gf2series
 from hecke2.deltapoly import (
     ONE,
     ZERO,
@@ -83,13 +84,39 @@ def horner_to_series(f: DeltaPoly, precision: int) -> BitSeries:
 def test_to_series_matches_horner_clmul():
     # the expansion multiplies by Delta as shifts by the odd squares below each
     # node's precision; an odd square at P - 1 must be kept and one at P cut.
-    # Forms below the split degree expand from the leaf ladder alone
+    # Forms below the split degree are one leaf, read from the packed ladder;
+    # at 2 * _SPLIT_DEGREE + 1 the leaves sit two levels down.  Precisions
+    # below 8 give leaves with empty packed classes, and 700 leaves two levels
+    # down at 175, off the multiples of 8
     rng = random.Random(0x40)
-    precisions = [m * m + t for m in (1, 3, 9, 33, 45) for t in (0, 1)] + [2, 12, 700]
-    for deg in (1, 5, _SPLIT_DEGREE - 1, _SPLIT_DEGREE, _SPLIT_DEGREE + 1, 64, 150):
-        for precision in precisions:
+    precisions = [m * m + t for m in (1, 3, 9, 33, 45) for t in (0, 1)] + [2, 5, 7, 12, 700]
+    degrees = (1, 5, 64, 150, _SPLIT_DEGREE - 1, _SPLIT_DEGREE, _SPLIT_DEGREE + 1, 2 * _SPLIT_DEGREE + 1)
+    for deg in degrees:
+        for precision in precisions + [3 * deg + 1]:
             f = DeltaPoly(rng.getrandbits(deg) | (1 << deg))
             assert to_series(f, precision) == horner_to_series(f, precision), (deg, precision)
+    # a sparse form, split four times down to its leaves
+    sparse = DeltaPoly(sum(1 << rng.randrange(4095) for _ in range(60)) | 1 << 4095)
+    for precision in (4096, 3 * 4095 + 1):
+        assert to_series(sparse, precision) == horner_to_series(sparse, precision), precision
+
+
+def test_to_series_reads_the_held_ladder(monkeypatch):
+    # the leaves read Delta^e from the process-wide ladder of delta_powers:
+    # one flipped bit of a held item it reads must show in the expansion, at a
+    # lone leaf and at leaves two levels down (every exponent set, so every
+    # leaf reads every item).  The store is restored after the test
+    for deg, precision in ((100, 301), (2 * _SPLIT_DEGREE + 1, 3 * (2 * _SPLIT_DEGREE + 1) + 1)):
+        f = DeltaPoly((1 << (deg + 1)) - 1)
+        want = horner_to_series(f, precision)
+        assert to_series(f, precision) == want  # grows the store to cover every leaf
+        held, items = gf2series._ladder
+        flipped = list(items)
+        flipped[37] ^= 1 << 2  # the coefficient of q^21 in Delta^37, below every leaf's cut
+        monkeypatch.setattr(gf2series, "_ladder", (held, flipped))
+        assert to_series(f, precision) != want, deg
+        monkeypatch.setattr(gf2series, "_ladder", (held, items))
+        assert to_series(f, precision) == want
 
 
 def test_from_series_round_trips():

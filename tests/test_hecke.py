@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hecke2.deltapoly import ONE, ZERO, DeltaPoly, from_series, monomial, to_series
+from hecke2.deltapoly import ONE, ZERO, _SPLIT_DEGREE, DeltaPoly, from_series, monomial, to_series
 from hecke2.errors import (
     BadK,
     BadResidue,
@@ -204,11 +204,12 @@ def test_packed_power_ladder_matches_product_ladder(p):
     for n in (8, 72, solve, 8 * (p + 1) ** 2, 16 * (p + 1) ** 2):
         assert delta_powers(n, max_j) == _clmul_ladder(n, max_j), n
     # windows off the multiples of 8, unpacked: the powers of Delta(q^p) below
-    # ceil(n/p) for each window above, the naive power sums below p*k + 1, and
-    # the tiny windows
+    # ceil(n/p) for each window above, the naive power sums below p*k + 1, a
+    # whole leaf of to_series at p = 31, and the tiny windows
     kmax = 3 * (p + 1)
     unpacked = [(-(-w // p), p + 1) for w in (solve, 8 * (p + 1) ** 2, 16 * (p + 1) ** 2)]
-    unpacked += [(p * kmax + 1, kmax)] + [(n, k) for n in (1, 2, 7, 8, 9) for k in (0, 1)]
+    unpacked += [(p * kmax + 1, kmax), (31 * _SPLIT_DEGREE + 1, _SPLIT_DEGREE - 1)]
+    unpacked += [(n, k) for n in (1, 2, 7, 8, 9) for k in (0, 1)]
     for n, count in unpacked:
         got = [spread8(x, j % 8) for j, x in enumerate(delta_powers(n, count))]
         assert got == _repeated_clmul(n, count), (n, count)
