@@ -25,27 +25,35 @@ tail octets times the terms of F_p.
 ``ImageTable`` cuts each odd image from its octet by one AND and keeps it in
 that layout, as an odd-exponent mask: a T_p step on an odd form xors the
 images of its set bits into the next odd mask, so the witness chain never
-unpacks between steps.  ``hecke_fast`` and ``ImageTable.apply`` decode a
-form's image through one loop (``_apply_odd_images``), the image of one
-power is decoded by the stream alone, and ``shared_image_table`` keeps one
-table per relation across calls for the witness route.
+unpacks between steps.  A chain T^n takes one step of T^(2^i) per set bit i
+of n, by power rows (``_PowerRows``) each table builds on first read and
+holds.  ``hecke_fast`` and ``ImageTable.apply`` decode a form's image
+through one loop (``_apply_odd_images``), the image of one power is decoded
+by the stream alone, and ``shared_image_table`` keeps one table per
+relation, with its power rows, across calls for the witness route.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
 
 from .deltapoly import ONE, ZERO, DeltaPoly, _odd_parts
 from .errors import BadResidue
 from .gf2series import _DOUBLING_LOOP_LIMIT, bit_positions, clmul, pack8, spread8, spread_bits
+from .primes import MAX_PRIME, odd_primes_up_to
 from .relation import CharPoly, _off_class
 
 
-@lru_cache(maxsize=64)
+# one plan and one head per relation of every odd prime the command line
+# reaches, so a run over all of them (``verify --long``) builds each once
+_RELATIONS_HELD = len(odd_primes_up_to(MAX_PRIME))
+
+
+@lru_cache(maxsize=_RELATIONS_HELD)
 def _recurrence_plan(cp: CharPoly) -> tuple[tuple, tuple[int, ...]]:
     """Per index i mod 4, the terms (r, shifts) of the odd recurrence, and its seeds.
 
@@ -177,6 +185,98 @@ def _apply_odd_images(groups: dict[int, list[int]], odd) -> int:
     return out
 
 
+class _NoRow(Exception):
+    """A power row that is not built: it would read a row that sits above its
+    own power of Delta, or its table's power rows are at ``_POWER_BYTES``."""
+
+
+# bytes of power rows, dict headers included, past which a table builds no
+# row; the T_3 and T_5 tables to degree 16383 with rows at this bound,
+# 2 * (4.5 + 3) MiB, fit under ``_SHARED_BYTES``, so a witness chain does not
+# evict the other table of its pair
+_POWER_BYTES = 3 << 20
+
+
+class _Powers(list):
+    """The power levels of one table, level i >= 1 at index i - 1.
+
+    ``held[0]`` counts the bytes of every level, its dict and its row ints.
+    The levels share that one-item list rather than refer back to this one,
+    so a table dropped from the store frees its rows at once, with no cycle
+    to collect.
+    """
+
+    __slots__ = ("held",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.held = [0]
+
+    @property
+    def nbytes(self) -> int:
+        return self.held[0]
+
+    def level(self, i: int, odd: tuple[int, ...]) -> _PowerRows:
+        """Level i >= 1, made empty with the levels below it on first use;
+        level 0 is ``odd``."""
+        while len(self) < i:
+            self.append(_PowerRows(self[-1] if self else odd, self.held))
+            self.held[0] += sys.getsizeof(self[-1])
+        return self[i - 1]
+
+
+class _PowerRows(dict):
+    """The rows of T^(2^i) for one level i >= 1 of a table, built on first read.
+
+    Row v is the odd mask of T^(2^i) Delta^(2v+1): level i - 1 applied twice,
+    that is row v of ``below`` and then the xor of the rows of ``below`` at
+    its set bits.  A row of ``below`` whose top bit lies above its own power
+    (bit_length > v + 1) is never read into a row here: the build raises
+    ``_NoRow`` and keeps nothing, so a row held at any level stands for single
+    steps that each stayed at or below the degree of the power they started
+    from.  No row is built once the table's levels hold ``_POWER_BYTES``
+    (``held[0]``, shared by the levels).
+    """
+
+    __slots__ = ("below", "held")
+
+    def __init__(self, below, held: list[int]) -> None:
+        super().__init__()
+        self.below = below
+        self.held = held
+
+    def cover(self, positions: list[int]) -> bool:
+        """Build the rows at ``positions`` not held yet; False if one is not built."""
+        if all(map(self.__contains__, positions)):
+            return True
+        try:
+            for v in positions:
+                if v not in self:
+                    self.__missing__(v)
+        except _NoRow:
+            return False
+        return True
+
+    def __missing__(self, v: int) -> int:
+        held = self.held
+        if held[0] > _POWER_BYTES:
+            raise _NoRow
+        below = self.below
+        half = below[v]
+        if half.bit_length() > v + 1:
+            raise _NoRow
+        acc = 0
+        for u in bit_positions(half):
+            row = below[u]
+            if row.bit_length() > u + 1:
+                raise _NoRow
+            acc ^= row
+        size = sys.getsizeof(self)
+        self[v] = acc
+        held[0] += sys.getsizeof(self) - size + sys.getsizeof(acc)
+        return acc
+
+
 @dataclass(frozen=True, slots=True)
 class ImageTable:
     """T_p on forms of degree at most kmax, from the images of the odd powers.
@@ -186,11 +286,27 @@ class ImageTable:
     ``apply`` maps a form's exponent mask to its image's, and ``apply_odd``
     maps an odd mask to the odd mask of its image, so a chain of steps stays
     in that layout.
+
+    ``power_steps`` runs T^n by binary powers.  The rows of T^(2^i), i >= 1,
+    are built on first read (``_PowerRows``) and held in ``_powers``, at most
+    ``_POWER_BYTES`` of them; a table made by ``dataclasses.replace`` starts
+    with none.  Rows cost memory and a first chain's time: on the ``queries``
+    witness forms, 24 terms at degree 4095, the T_3 and T_5 tables hold about
+    1.1 MiB of rows beside their 0.66 MiB of odd images, and the first chain
+    on a table builds thousands of rows (``nilpotence.apply_witness`` gives
+    the times).
     """
 
     p: int
     kmax: int
     odd: tuple[int, ...]
+    _powers: _Powers = field(default_factory=_Powers, init=False, compare=False, repr=False)
+    _odd_bytes: int = field(init=False, compare=False, repr=False)  # for the store's cap
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_odd_bytes", sys.getsizeof(self.odd) + sum(map(sys.getsizeof, self.odd))
+        )
 
     def apply(self, mask: int) -> int:
         """Exponent mask of T_p applied to the form with exponent mask ``mask``."""
@@ -202,14 +318,51 @@ class ImageTable:
 
     def apply_odd(self, odd: int) -> int:
         """T_p on the odd mask ``odd`` (bit v for Delta^(2v+1)), as an odd mask."""
-        if odd < 0:
-            raise ValueError("odd mask must be nonnegative")
-        if odd.bit_length() > len(self.odd):
-            raise IndexError(f"degree {2 * odd.bit_length() - 1} above {self.kmax}")
+        self._check_odd(odd)
         acc = 0
         for v in bit_positions(odd):
             acc ^= self.odd[v]
         return acc
+
+    def power_steps(self, odd: int, n: int):
+        """T_p^n on the odd mask ``odd``, yielding the odd mask after each step.
+
+        A set bit i of n, highest first, is one step of T^(2^i) by the rows of
+        level i; the highest power first leaves the fewest bits for the lower
+        ones.  Where a row of the level is not built, that step is two steps
+        of the level below, down to single steps by the odd images.  So a step
+        that reads power rows stands for single steps that kept each bit of
+        the mask at or below its own degree.  The last mask yielded is T^n odd.
+        """
+        self._check_odd(odd)
+        if n < 0:
+            raise ValueError("the power must be nonnegative")
+        for i in reversed(bit_positions(n)):
+            for odd in self._level_steps(odd, i):
+                yield odd
+
+    def _check_odd(self, odd: int) -> None:
+        if odd < 0:
+            raise ValueError("odd mask must be nonnegative")
+        if odd.bit_length() > len(self.odd):
+            raise IndexError(f"degree {2 * odd.bit_length() - 1} above {self.kmax}")
+
+    def _level_steps(self, odd: int, i: int, positions: list[int] | None = None):
+        """T^(2^i) on ``odd``, whose set bits are ``positions`` if given: one
+        step by the rows of level i, or two steps of level i - 1."""
+        if positions is None:
+            positions = bit_positions(odd)
+        rows = self._powers.level(i, self.odd) if i else self.odd
+        if not i or rows.cover(positions):
+            acc = 0
+            for v in positions:
+                acc ^= rows[v]
+            yield acc
+            return
+        for odd in self._level_steps(odd, i - 1, positions):
+            yield odd
+        for odd in self._level_steps(odd, i - 1):
+            yield odd
 
 
 def image_table(cp: CharPoly, kmax: int) -> ImageTable:
@@ -227,16 +380,17 @@ def image_table(cp: CharPoly, kmax: int) -> ImageTable:
     return ImageTable(p, kmax, tuple(octets[m >> 3] & lanes[p * m & 7] for m in range(1, kmax + 1, 2)))
 
 
-# bytes of the tables ``shared_image_table`` keeps besides the one just asked
-# for, the least recently used dropped first: the T_3 and T_5 tables to degree
-# 16383 take about 4.5 MiB each
+# bytes of the tables ``shared_image_table`` keeps, power rows included, the
+# least recently used dropped first: the T_3 and T_5 tables to degree 16383
+# take about 4.5 MiB each, and at most ``_POWER_BYTES`` of rows each
 _SHARED_BYTES = 16 << 20
 _shared_tables: dict[CharPoly, ImageTable] = {}
 
 
 def _table_bytes(table: ImageTable) -> int:
-    """Bytes held by the odd images of ``table``, with their int and tuple headers."""
-    return sys.getsizeof(table.odd) + sum(map(sys.getsizeof, table.odd))
+    """Bytes held by the odd images of ``table`` and its power rows, with their
+    int, tuple and dict headers."""
+    return table._odd_bytes + table._powers.nbytes
 
 
 def shared_image_table(cp: CharPoly, kmax: int) -> ImageTable:
@@ -247,19 +401,23 @@ def shared_image_table(cp: CharPoly, kmax: int) -> ImageTable:
     relation.  A request at or below the held table's kmax reuses it; a
     larger one replaces it with a table to the next 2^j - 1, so a run of
     growing requests runs each tail octet about twice (``_head_octets`` keeps
-    the head).  After a build, the least recently used tables are dropped
-    until the store holds at most ``_SHARED_BYTES`` (``_table_bytes``); the
-    table just asked for is never dropped.
+    the head).  A table holds the power rows its witness chains built
+    (``ImageTable.power_steps``), and is dropped with them.  At every call
+    the least recently used tables are dropped until the store holds at most
+    ``_SHARED_BYTES`` (``_table_bytes``, rows included), so rows built since
+    the last call count at this one; the table just asked for is never
+    dropped.  On the ``queries`` witness forms, 24 terms at degree 4095, the
+    T_3 and T_5 tables hold 0.66 MiB of odd images and about 1.1 MiB of rows.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     table = _shared_tables.pop(cp, None)
     if table is None or table.kmax < kmax:
         table = image_table(cp, (1 << kmax.bit_length()) - 1)
-        held = _table_bytes(table) + sum(map(_table_bytes, _shared_tables.values()))
-        while held > _SHARED_BYTES and _shared_tables:
-            held -= _table_bytes(_shared_tables.pop(next(iter(_shared_tables))))
     _shared_tables[cp] = table  # reinserted: dict order is recency order
+    held = sum(map(_table_bytes, _shared_tables.values()))
+    while held > _SHARED_BYTES and len(_shared_tables) > 1:
+        held -= _table_bytes(_shared_tables.pop(next(iter(_shared_tables))))
     return table
 
 
@@ -290,7 +448,7 @@ class _HeadOctets:
         return self.octets[:n]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_RELATIONS_HELD)
 def _head_octets(cp: CharPoly) -> _HeadOctets:
     """The head octets of ``cp``, kept across calls and keyed on the relation
     itself, like ``_recurrence_plan``, so a corrupted relation has its own."""

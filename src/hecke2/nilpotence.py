@@ -93,12 +93,25 @@ def apply_witness(f: DeltaPoly) -> DeltaPoly:
     process-wide store keyed on the relation, so a call at or below the
     degree of a held table reuses it.  The chain runs on odd-exponent masks,
     bit v for Delta^(2v+1), the layout of the tables' odd images: the form is
-    strided into one once, each step (``ImageTable.apply_odd``) returns the
-    next, and the result is spread back once.  The chain runs in the order it
-    is written, T5^(n5) first; on the witness forms of the ``queries``
-    workload that order xors fewer images than T3 first.  T_p never raises
-    the degree, so an image above the form's degree raises WitnessFailed,
-    however far the held table reaches.
+    strided into one once, each step returns the next, and the result is
+    spread back once.  The chain runs in the order it is written, T5^(n5)
+    first; on the witness forms of the ``queries`` workload that order xors
+    fewer images than T3 first.  Each T_p^n runs by binary powers
+    (``ImageTable.power_steps``): one step of T^(2^i) per set bit i of n,
+    highest first, by power rows the table builds on first read and keeps.
+    T_p never raises the degree, so an image above the form's degree raises
+    WitnessFailed, however far the held table reaches; a step by power rows
+    stands for single steps that each kept the form's degree, so results and
+    errors are those of the chain one T_p at a time.
+
+    Costs on a 2-core machine, against one T_p at a time: with the rows
+    held, 15 witnesses on 24-term odd forms of degrees 1023-4095 take 3-4 ms
+    against 31-33 (``tests/bench_applier.py``).  The rows cost a table's
+    first chains: the same 15 with the store emptied take 0.14-0.25 s
+    against 0.04, and one witness on such a form of degree 4095 in a fresh
+    process 70-125 ms against 7-11 (its second call 0.6-1.0 ms against 3-4).
+    At degree 16383 the rows reach ``fast._POWER_BYTES`` in the first chain,
+    which takes 0.8-0.9 s against 0.06; later ones take as long as before.
     """
     parity = f.parity_class()
     if parity is Parity.ZERO:
@@ -112,8 +125,7 @@ def apply_witness(f: DeltaPoly) -> DeltaPoly:
         if not times:
             continue
         table = shared_image_table(cached_charpoly(p), deg)
-        for _ in range(times):
-            out = table.apply_odd(out)
+        for out in table.power_steps(out, times):
             if 2 * out.bit_length() > deg + 1:  # T_p never raises the degree
                 raise WitnessFailed(f"T{p} took the form above degree {deg}")
     result = DeltaPoly(_from_odd(out, 0))

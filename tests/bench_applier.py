@@ -7,42 +7,32 @@ installed as
 
 Each benchmark times one batch of calls, with the relations and tables built
 outside the timed region, and checks the batch's results once afterwards.
+The witness chains read the T_3 and T_5 tables of ``fast.shared_image_table``
+and the power rows those tables hold: a warm batch finds them built by the
+batches before it, a cold one (``_cold``) finds the store emptied, outside the
+timed region, so it pays the tables and their power rows.
 """
 
-import itertools
 import random
 
 import pytest
 
+from hecke2 import fast
 from hecke2.deltapoly import DeltaPoly, decompose, monomial
-from hecke2.hecke import (
-    cached_charpoly,
-    hecke_fast,
-    image_table,
-    odd_primes_up_to,
-)
+from hecke2.fast import hecke_fast, image_table
 from hecke2.nilpotence import apply_witness, g_general
+from hecke2.primes import odd_primes_up_to
+from hecke2.relation import cached_charpoly
+from helpers import witness_mask
 
 PRIMES = odd_primes_up_to(31)
+COLD_ROUNDS = 10
 
 
 def sparse_mask(rng: random.Random, degree: int, terms: int, odd: bool = False) -> int:
     pool = range(1, degree, 2) if odd else range(degree)
     mask = 1 << degree
     for e in rng.sample(pool, terms - 1):
-        mask |= 1 << e
-    return mask
-
-
-def witness_mask(rng: random.Random, degree: int, terms: int, odd: bool) -> int:
-    # degree is 2^n - 1; 2-adic part s (s = 0 only when odd, else s = 0..3)
-    # holds the anchor (2^(n-s) - 1) << s, whose part exponent dominates the
-    # part, and the random terms lie below the anchors
-    parts = 1 if odd else 4
-    anchors = {((degree + 1 >> s) - 1) << s for s in range(parts)}
-    pool = [e for e in range(1, degree) if (e & -e) < 1 << parts and e not in anchors]
-    mask = 0
-    for e in itertools.chain(anchors, rng.sample(pool, terms - parts)):
         mask |= 1 << e
     return mask
 
@@ -150,3 +140,27 @@ def test_witness_query_forms(benchmark):
     out = benchmark(witnesses)
     results = [r for _, rs in out for r in rs]
     assert len(results) == 15 + 4 * 15 and set(results) == {monomial(1)}
+
+
+def _empty_store():
+    fast._shared_tables.clear()
+
+
+def _witness_chains():
+    # the odd witness forms of the queries workload: 24 terms at degrees
+    # 1023, 2047 and 4095, one chain T3^a T5^b each
+    rng = random.Random(5)
+    forms = [DeltaPoly(witness_mask(rng, (1023, 2047, 4095)[i % 3], 24, True)) for i in range(15)]
+    return lambda: [apply_witness(f) for f in forms]
+
+
+def test_witness_chains(benchmark):
+    chains = _witness_chains()
+    chains()
+    out = benchmark(chains)
+    assert set(out) == {monomial(1)}
+
+
+def test_witness_chains_cold(benchmark):
+    out = benchmark.pedantic(_witness_chains(), setup=_empty_store, rounds=COLD_ROUNDS)
+    assert set(out) == {monomial(1)}

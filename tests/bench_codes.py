@@ -12,7 +12,8 @@ scalar digit walk.
 """
 
 from hecke2.codes import code, dominant_exponent, domination_key, h, h_poly
-from hecke2.hecke import cached_charpoly, hecke_fast_range
+from hecke2.fast import hecke_fast_range
+from hecke2.relation import cached_charpoly
 from hecke2.verify import _image_codes
 
 

@@ -15,7 +15,8 @@ before it, a cold one (``_cold``) finds it emptied, outside the timed region.
 import pytest
 
 from hecke2 import gf2series
-from hecke2.hecke import cached_charpoly, compute_charpoly, odd_primes_up_to, relation_residual
+from hecke2.primes import odd_primes_up_to
+from hecke2.relation import cached_charpoly, compute_charpoly, relation_residual
 
 COLD_ROUNDS = 10
 

@@ -12,7 +12,8 @@ claims, against a table of images built outside the timed region.
 
 import pytest
 
-from hecke2.hecke import cached_charpoly, hecke_fast_range
+from hecke2.fast import hecke_fast_range
+from hecke2.relation import cached_charpoly
 from hecke2.structural import check_shift3, check_shift5
 
 

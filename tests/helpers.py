@@ -1,5 +1,8 @@
 """Helpers the test modules share: short constructors and independent oracles."""
 
+import itertools
+import random
+
 from hecke2.deltapoly import DeltaPoly
 from hecke2.gf2series import BitSeries
 
@@ -35,3 +38,19 @@ def delta_qpow(p: int, precision: int) -> BitSeries:
         bits |= 1 << (p * m * m)
         m += 2
     return BitSeries(bits, precision)
+
+
+def witness_mask(rng: random.Random, degree: int, terms: int, odd: bool) -> int:
+    """A form of the ``queries`` benchmark workload, whose witnesses the seed leaves fixed.
+
+    ``degree`` is 2^n - 1.  Part s (s = 0 only when ``odd``, else s = 0..3)
+    holds the anchor (2^(n-s) - 1) << s, whose part exponent dominates the
+    part, and the random terms lie below the anchors.
+    """
+    parts = 1 if odd else 4
+    anchors = {((degree + 1 >> s) - 1) << s for s in range(parts)}
+    pool = [e for e in range(1, degree) if (e & -e) < 1 << parts and e not in anchors]
+    mask = 0
+    for e in itertools.chain(anchors, rng.sample(pool, terms - parts)):
+        mask |= 1 << e
+    return mask

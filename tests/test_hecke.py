@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -842,6 +843,104 @@ def test_image_table_rejects_powers_outside_it():
     for mask in (-1, -6, -(1 << 30)):
         with pytest.raises(ValueError):
             table.apply(mask)
+
+
+def single_steps(table, odd: int, n: int) -> int:
+    """T^n on the odd mask ``odd`` by n steps of ``apply_odd``."""
+    for _ in range(n):
+        odd = table.apply_odd(odd)
+    return odd
+
+
+def sparse_odd_mask(rng: random.Random, kmax: int, terms: int) -> int:
+    # ``terms`` odd powers, the top one Delta^kmax
+    top = kmax >> 1
+    return 1 << top | sum(1 << v for v in rng.sample(range(top), terms - 1))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("kmax", [1023, 2047, 4095])
+def test_power_rows_are_repeated_single_steps(p, kmax):
+    # one step of level i is 2^i steps of apply_odd, every row held is the
+    # single-step image of its own power, and power_steps yields the mask
+    # after each set bit of n, highest first
+    table = image_table(cached_charpoly(p), kmax)
+    rng = random.Random(kmax + p)
+    for i in range(1, 6):
+        for _ in range(2):
+            odd = sparse_odd_mask(rng, kmax, 24)
+            assert list(table.power_steps(odd, 1 << i)) == [single_steps(table, odd, 1 << i)], i
+    for i, rows in enumerate(table._powers, 1):
+        assert rows, i
+        for v in rng.sample(sorted(rows), min(30, len(rows))):
+            assert rows[v] == single_steps(table, 1 << v, 1 << i), (i, v)
+    for n in (0, 1, 6, 21, 63):
+        odd = sparse_odd_mask(rng, kmax, 24)
+        powers = [1 << i for i in reversed(bit_positions(n))]
+        want = [single_steps(table, odd, sum(powers[: j + 1])) for j in range(len(powers))]
+        assert list(table.power_steps(odd, n)) == want, n
+    with pytest.raises(ValueError):
+        list(table.power_steps(1, -1))
+    with pytest.raises(IndexError):
+        list(table.power_steps(1 << (kmax + 1) // 2, 1))
+
+
+def test_a_power_row_above_its_own_power_builds_no_higher_level():
+    # row v of level 1 given a bit above Delta^(2v+1): level 2 is not built
+    # from it, so T^4 runs as two level-1 steps and the first shows the bit
+    table = image_table(cached_charpoly(3), 1023)
+    v = 255
+    level1 = table._powers.level(1, table.odd)
+    level1[v] = single_steps(table, 1 << v, 2) ^ 1 << (v + 1)
+    steps = list(table.power_steps(1 << v, 4))
+    assert len(steps) == 2 and steps[0].bit_length() == v + 2
+    assert v not in table._powers.level(2, table.odd)
+
+
+def test_a_replaced_table_holds_no_power_rows():
+    table = image_table(cached_charpoly(5), 1023)
+    steps = list(table.power_steps(1 << 511, 31))
+    assert table._powers and table._powers.nbytes > 0
+    copy = replace(table, odd=table.odd)
+    assert copy == table and copy._powers == [] and copy._powers.nbytes == 0
+    assert list(copy.power_steps(1 << 511, 31)) == steps
+
+
+def test_shared_store_counts_power_rows(monkeypatch):
+    # _table_bytes counts the rows a table holds, and a hit brings the store
+    # back under its bound, dropping the least recently used table whole
+    store = {}
+    monkeypatch.setattr(fast, "_shared_tables", store)
+    cp3, cp5 = cached_charpoly(3), cached_charpoly(5)
+    t3 = shared_image_table(cp3, 1023)
+    t5 = shared_image_table(cp5, 1023)
+    bare3 = fast._table_bytes(t3)
+    monkeypatch.setattr(fast, "_SHARED_BYTES", bare3 + fast._table_bytes(t5))
+    assert shared_image_table(cp5, 100) is t5 and list(store) == [cp3, cp5]
+    list(t3.power_steps(1 << 511, 31))
+    rows = [row for level in t3._powers for row in level.values()]
+    assert rows
+    assert fast._table_bytes(t3) == (
+        bare3 + sum(map(sys.getsizeof, rows)) + sum(map(sys.getsizeof, t3._powers))
+    )
+    assert shared_image_table(cp5, 100) is t5 and list(store) == [cp5]
+
+
+def test_power_rows_stop_at_their_bound(monkeypatch):
+    # past _POWER_BYTES a table builds no row, and a step whose rows are not
+    # all held runs as steps of the level below, with the same results
+    monkeypatch.setattr(fast, "_POWER_BYTES", 20_000)
+    table = image_table(cached_charpoly(5), 2047)
+    rng = random.Random(11)
+    for _ in range(2):
+        odd = sparse_odd_mask(rng, 2047, 24)
+        assert list(table.power_steps(odd, 31))[-1] == single_steps(table, odd, 31)
+    held = table._powers.nbytes
+    assert held > 20_000
+    for _ in range(4):
+        odd = sparse_odd_mask(rng, 2047, 24)
+        assert list(table.power_steps(odd, 31))[-1] == single_steps(table, odd, 31)
+    assert table._powers.nbytes == held
 
 
 def test_image_table_applies_to_the_zero_form_in_a_fresh_process():

@@ -1,12 +1,14 @@
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
 
 from hecke2 import fast, hecke, nilpotence
-from hecke2.codes import NEG_INF, dominant_exponent, h
-from hecke2.deltapoly import ZERO, DeltaPoly
+from hecke2.codes import NEG_INF, code, dominant_exponent, h
+from hecke2.deltapoly import ZERO, DeltaPoly, decompose
 from hecke2.errors import NotOddForm, WitnessFailed, ZeroPolynomial
+from hecke2.gf2series import stride_bits
 from hecke2.hecke import CharPoly, cached_charpoly, hecke_fast
 from hecke2.nilpotence import (
     apply_witness,
@@ -19,7 +21,7 @@ from hecke2.nilpotence import (
     render_report,
 )
 from hecke2.verify import SUITES, VerifyConfig, run_suite
-from helpers import poly
+from helpers import poly, witness_mask
 
 
 def test_g_odd_examples():
@@ -161,6 +163,81 @@ def test_witness_fails_on_an_image_bit_above_the_form(empty_store):
     stored_t5_with_flip(empty_store, 1023, K5 >> 1, (K5 + 1) >> 1)
     with pytest.raises(WitnessFailed, match=f"^T5 took the form above degree {K5}$"):
         apply_witness(poly(K5))
+
+
+def single_step_witness(f: DeltaPoly) -> DeltaPoly:
+    """The witness chain one T_p step at a time, by the stored tables' odd images."""
+    a, b = code(dominant_exponent(f))
+    out = stride_bits(f.mask, 2, 1)
+    for p, times in ((5, b), (3, a)):
+        if times:
+            table = fast.shared_image_table(cached_charpoly(p), f.degree)
+            for _ in range(times):
+                out = table.apply_odd(out)
+                if 2 * out.bit_length() > f.degree + 1:
+                    raise WitnessFailed(f"T{p} took the form above degree {f.degree}")
+    result = DeltaPoly(fast._from_odd(out, 0))
+    if out != 1:
+        raise WitnessFailed(f"witness T3^{a} T5^{b} left {result.render()} instead of x^1")
+    return result
+
+
+def outcome(witness, f: DeltaPoly):
+    try:
+        return witness(f).mask
+    except WitnessFailed as err:
+        return str(err)
+
+
+def test_witness_agrees_with_single_steps_on_every_odd_power(empty_store):
+    for k in range(1, 4096, 2):
+        f = poly(k)
+        assert apply_witness(f) == single_step_witness(f) == poly(1), k
+
+
+def test_witness_agrees_with_single_steps_on_query_forms(empty_store):
+    # the odd and mixed 24-term forms of the queries workload, by 2-adic part
+    rng = random.Random(3)
+    for odd in (True, False):
+        for i in range(9):
+            f = DeltaPoly(witness_mask(rng, (1023, 2047, 4095)[i % 3], 24, odd))
+            for _, part in decompose(f).components:
+                assert apply_witness(part) == single_step_witness(part) == poly(1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_witness_fails_as_single_steps_do_on_a_flipped_t5_image(empty_store, seed):
+    # a bit above its own power set in one stored T_5 image: the chain by
+    # power rows ends as the single-step chain does, with the same result or
+    # the same error, on every odd power up to 1023
+    rng = random.Random(seed)
+    v = rng.randrange(64, 512)
+    stored_t5_with_flip(empty_store, 1023, v, v + 1 + rng.randrange(8))
+    for k in range(1, 1024, 2):
+        assert outcome(apply_witness, poly(k)) == outcome(single_step_witness, poly(k)), k
+
+
+K8 = 129  # code (8, 0): one step of T_3^8, by level 3
+
+
+def held_t3_row(v: int) -> dict:
+    level = fast.shared_image_table(cached_charpoly(3), K8)._powers[2]
+    assert level[v] == 1  # T_3^8 takes Delta^K8 to Delta
+    return level
+
+
+def test_witness_fails_on_a_flipped_bit_of_a_held_power_row(empty_store):
+    assert apply_witness(poly(K8)) == poly(1)
+    held_t3_row(K8 >> 1)[K8 >> 1] ^= 1
+    with pytest.raises(WitnessFailed, match=r"^witness T3\^8 T5\^0 left 0 instead of x\^1$"):
+        apply_witness(poly(K8))
+
+
+def test_witness_fails_on_a_held_power_row_above_the_form(empty_store):
+    assert apply_witness(poly(K8)) == poly(1)
+    held_t3_row(K8 >> 1)[K8 >> 1] ^= 1 << (K8 >> 1) + 1
+    with pytest.raises(WitnessFailed, match=f"^T3 took the form above degree {K8}$"):
+        apply_witness(poly(K8))
 
 
 def test_witness_chain_against_operator_count():

@@ -1,4 +1,5 @@
-"""Names other code reaches by string: the benchmark tracer's layers and ``__all__``."""
+"""Names other code reaches by string or from outside Tier-1: the benchmark
+tracer's layers, ``__all__`` and the imports of the bench files."""
 
 import importlib
 import importlib.util
@@ -11,6 +12,7 @@ import hecke2
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hecke2.__path__) if m.name != "__main__")
+BENCHES = sorted(path.stem for path in Path(__file__).parent.glob("bench_*.py"))
 
 
 def _load_tracing():
@@ -39,3 +41,11 @@ def test_module_all_resolves(module):
 
 def test_package_all_resolves():
     assert [name for name in hecke2.__all__ if not hasattr(hecke2, name)] == []
+
+
+@pytest.mark.parametrize("name", BENCHES)
+def test_bench_file_imports(name):
+    # the bench files run outside Tier-1: a name one imports that moves or
+    # goes fails here, not only in a later bench run
+    module = importlib.import_module(name)
+    assert any(attr.startswith("test_") for attr in vars(module)), name
