@@ -11,7 +11,11 @@ The scalar functions gather digits one exponent at a time; ``code_arrays``
 gathers a whole range at once.  The dominant exponent of a polynomial is read
 from a lazily built table of bit slices made from it: one mask over the
 exponents for each bit of ``h`` and of ``n5``, which narrow the polynomial's
-mask to its dominant exponent with one AND each.
+mask to its dominant exponent with one AND each.  ``dominant_exponent`` and
+``h_poly`` are two reads of that one search: the last result is kept, keyed
+on the form's mask and on the slice table object it was searched with, so a
+second read of the same form costs no search, and a table grown or replaced
+since is never served a stale answer.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deltapoly import DeltaPoly, Parity
+from .deltapoly import DeltaPoly, _even_mask
 from .errors import MixedParity, ParityMismatch, ZeroPolynomial
 from .gf2series import bit_positions
 
@@ -184,15 +188,6 @@ def dominates(k: int, l: int) -> int:
     return 0
 
 
-def _pure_mask(f: DeltaPoly) -> int:
-    p = f.parity_class()
-    if p is Parity.MIXED:
-        raise MixedParity("polynomial mixes even and odd exponents")
-    if p is Parity.ZERO:
-        raise ZeroPolynomial("the zero polynomial has no dominant exponent")
-    return f.mask
-
-
 def _dominant(mask: int) -> tuple[int, int]:
     """The dominant exponent of a nonzero parity-pure mask, and its ``h``.
 
@@ -219,20 +214,44 @@ def _dominant(mask: int) -> tuple[int, int]:
     return cand.bit_length() - 1, hk
 
 
+# The last search: (mask, the slice table it was searched with, (exponent, h)).
+# The table is compared by identity: a grown or replaced table is another
+# object, and holding the reference keeps its identity from being reused.
+_last: tuple = (None, None, None)
+
+
+def _search(f: DeltaPoly) -> tuple[int, int]:
+    """``_dominant`` of a nonzero parity-pure form, kept for the next read."""
+    global _last
+    mask = f.mask
+    last_mask, last_table, found = _last
+    if mask == last_mask and _table is last_table:
+        return found
+    if not mask:
+        raise ZeroPolynomial("the zero polynomial has no dominant exponent")
+    even = mask & _even_mask(mask.bit_length())
+    if even and even != mask:
+        raise MixedParity("polynomial mixes even and odd exponents")
+    found = _dominant(mask)
+    _last = (mask, _table, found)
+    return found
+
+
 def dominant_exponent(f: DeltaPoly) -> int:
     """The exponent of ``f`` maximal for the domination order."""
-    return _dominant(_pure_mask(f))[0]
+    return _search(f)[0]
 
 
 def h_poly(f: DeltaPoly) -> int | float:
     """max of ``h`` over the exponents of ``f`` (-inf for the zero polynomial).
 
     ``(h, n5)`` orders lexicographically, so this is ``h`` of the dominant
-    exponent.
+    exponent, and it shares ``dominant_exponent``'s search: a read of the
+    same mask against the same slice table object returns the last result.
     """
     if not f:
         return NEG_INF
-    return _dominant(_pure_mask(f))[1]
+    return _search(f)[1]
 
 
 def cap_H(b: int) -> int:

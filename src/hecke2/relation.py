@@ -11,7 +11,7 @@ it at the two expansions (``relation_residual``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -58,10 +58,18 @@ class CharPoly:
 
     p: int
     s: tuple[DeltaPoly, ...]
+    # hash of (p, s), computed on the first lookup: the caches keyed on the
+    # relation would otherwise hash its p+1 coefficients at every call
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.s) != self.p + 1:
             raise ValueError(f"expected {self.p + 1} coefficients, got {len(self.s)}")
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.p, self.s)))
+        return self._hash
 
     def bivariate_terms(self) -> frozenset[tuple[int, int]]:
         """(X-degree, Y-degree) pairs, including the monic Y^(p+1) term."""

@@ -1,5 +1,7 @@
 """Timings of the dominant exponent: ``dominant_exponent``, ``h_poly`` and the
-image-structure sweep's ``_image_codes``.
+image-structure sweep's ``_image_codes``.  ``dominant_exponent`` alone times
+the search; with ``h_poly`` after it on the same form it times the search
+and the shared second read.
 
 The file name keeps it out of the tier-1 suite; run it with pytest-benchmark
 installed as
@@ -17,10 +19,21 @@ from hecke2.relation import cached_charpoly
 from hecke2.verify import _image_codes
 
 
-def test_dominant_exponent_and_h_of_sweep_images(benchmark):
+def _sweep_images():
     # the inputs of the sweep workload: the nonzero images T_p(Delta^k) at
     # p = 3 and 5 for k <= 4095, about 16 terms each
-    images = [f for p in (3, 5) for f in hecke_fast_range(cached_charpoly(p), 4095) if f]
+    return [f for p in (3, 5) for f in hecke_fast_range(cached_charpoly(p), 4095) if f]
+
+
+def test_dominant_exponent_of_sweep_images(benchmark):
+    images = _sweep_images()
+    out = benchmark(lambda: [dominant_exponent(f) for f in images])
+    for f, e in zip(images, out):
+        assert e == max(f.exponents(), key=domination_key)
+
+
+def test_dominant_exponent_and_h_of_sweep_images(benchmark):
+    images = _sweep_images()
 
     def dominant():
         return [(dominant_exponent(f), h_poly(f)) for f in images]

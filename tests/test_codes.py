@@ -293,6 +293,103 @@ def test_two_exponents_with_equal_slices_raise(monkeypatch):
         dominant_exponent(poly(7, 9))
 
 
+def _dominant_and_h(f):
+    e = max(f.exponents(), key=domination_key)
+    return e, h(e)
+
+
+def _counting_dominant(monkeypatch):
+    # count the searches behind dominant_exponent and h_poly
+    calls = []
+    search = codes._dominant
+
+    def counted(mask):
+        calls.append(mask)
+        return search(mask)
+
+    monkeypatch.setattr(codes, "_dominant", counted)
+    return calls
+
+
+def test_both_reads_share_one_search_per_form(monkeypatch):
+    calls = _counting_dominant(monkeypatch)
+    codes._slice_table(6000)  # no form below grows the table
+    rng = random.Random(34)
+    forms = []
+    for _ in range(40):
+        odd = rng.random() < 0.5
+        f = poly(*{rng.randrange(6000) & ~1 | odd for _ in range(rng.randint(1, 20))})
+        # an equal mask in a distinct object reads the same result
+        forms += [f, DeltaPoly.from_exponents(f.exponents())]
+    last = None
+    for _ in range(400):
+        f = rng.choice(forms)
+        before = len(calls)
+        if rng.random() < 0.5:
+            assert dominant_exponent(f) == _dominant_and_h(f)[0]
+        else:
+            assert h_poly(f) == _dominant_and_h(f)[1]
+        # a search runs exactly when the mask differs from the last one read
+        assert len(calls) - before == (f.mask != last)
+        last = f.mask
+
+
+def test_shared_search_raises_after_a_cached_form():
+    pure = poly(4095, 21, 7)
+    assert dominant_exponent(pure) == _dominant_and_h(pure)[0]
+    mixed = poly(4095, 21, 6)
+    with pytest.raises(MixedParity, match="mixes even and odd"):
+        dominant_exponent(mixed)
+    with pytest.raises(MixedParity, match="mixes even and odd"):
+        h_poly(mixed)
+    assert h_poly(pure) == _dominant_and_h(pure)[1]
+    with pytest.raises(ZeroPolynomial, match="no dominant exponent"):
+        dominant_exponent(DeltaPoly(0))
+    assert h_poly(DeltaPoly(0)) == NEG_INF
+    assert (dominant_exponent(pure), h_poly(pure)) == _dominant_and_h(pure)
+
+
+def test_shared_search_misses_when_the_table_grows(monkeypatch):
+    monkeypatch.setattr(codes, "_table", codes._Slices(0, (), ()))
+    calls = _counting_dominant(monkeypatch)
+    f = poly(4093, 1001, 19, 3)
+    assert dominant_exponent(f) == _dominant_and_h(f)[0]
+    assert h_poly(f) == _dominant_and_h(f)[1]
+    assert len(calls) == 1 and codes._table.size == 1 << 12
+    # a larger mask searched by _dominant alone, as the image-structure
+    # sweeps do, grows the table and leaves the kept result in place
+    codes._slice_table(40_001)
+    assert codes._table.size == 1 << 16
+    assert h_poly(f) == _dominant_and_h(f)[1]
+    assert dominant_exponent(f) == _dominant_and_h(f)[0]
+    assert calls == [f.mask, f.mask]
+
+
+def test_a_patched_table_is_never_served_the_cached_result(monkeypatch):
+    calls = _counting_dominant(monkeypatch)
+    table = codes._slice_table(4095)
+    f = poly(7, 9)
+    assert dominant_exponent(f) == _dominant_and_h(f)[0]
+    # an equal table in another object is searched again
+    monkeypatch.setattr(codes, "_table", table._replace())
+    assert h_poly(f) == _dominant_and_h(f)[1]
+    assert len(calls) == 2
+    # a table that no longer separates 7 from 9 raises instead of serving 9
+
+    def copied(s):
+        return s & ~(1 << 7) | (s >> 9 & 1) << 7
+
+    monkeypatch.setattr(codes, "_table", table._replace(
+        h=tuple((w, copied(s)) for w, s in table.h), n5=tuple(copied(s) for s in table.n5),
+    ))
+    with pytest.raises(AssertionError, match="more than one dominant exponent"):
+        h_poly(f)
+    with pytest.raises(AssertionError, match="more than one dominant exponent"):
+        dominant_exponent(f)
+    monkeypatch.setattr(codes, "_table", table)
+    assert (dominant_exponent(f), h_poly(f)) == _dominant_and_h(f)
+
+
 def test_key_table_is_lazy_and_bounded():
     src = str(Path(codes.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -782,6 +782,31 @@ def test_shared_table_rounds_up_and_serves_smaller_requests(monkeypatch):
             assert small.apply(mask) == fresh.apply(mask), p
 
 
+def test_a_relation_one_bit_apart_is_another_key(monkeypatch):
+    store = {}
+    monkeypatch.setattr(fast, "_shared_tables", store)
+    true3 = cached_charpoly(3)
+    # built separately, equal relations compare and hash equal, and a copy
+    # made by replace starts with no hash of its own
+    again = CharPoly(3, tuple(DeltaPoly.from_exponents(sr.exponents()) for sr in true3.s))
+    assert again == true3 and hash(again) == hash(true3) == hash((3, true3.s))
+    copy = replace(true3)
+    assert copy._hash is None and copy == true3
+    assert hash(copy) == copy._hash == hash(true3)
+    assert fast._head_octets(again) is fast._head_octets(true3)
+    assert shared_image_table(again, 63) is shared_image_table(true3, 63)
+    # s_1 = X^3 at p=3 is on its class mod 8: one bit from F_3, its own entries
+    s = list(true3.s)
+    s[0] = DeltaPoly(s[0].mask ^ 1 << 3)
+    flipped = CharPoly(3, tuple(s))
+    assert flipped != true3
+    assert fast._head_octets(flipped) is not fast._head_octets(true3)
+    assert fast._head_octets(flipped).first(4) != fast._head_octets(true3).first(4)
+    t_flipped, t_true = shared_image_table(flipped, 63), shared_image_table(true3, 63)
+    assert t_flipped is not t_true and t_flipped.odd != t_true.odd
+    assert list(store) == [flipped, true3]
+
+
 def test_shared_store_holds_at_most_its_bound(monkeypatch):
     # after a build the store holds at most _SHARED_BYTES, dropping the least
     # recently used tables first, and never the table just asked for
