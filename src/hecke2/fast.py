@@ -20,17 +20,18 @@ whose shifts, 8e for each term X^e of s_r, do not depend on n.  Its octets
 hold the four odd images N_(8j+1), ..., N_(8j+7), which lie on four
 distinct odd classes, in one int (``_odd_octets``), bit u for Delta^(2u+1).
 The head octets H_0..H_p, below the seam 8(p+1), depend on the relation
-only and are kept per relation (``_head_octets``), so one call pays its
+only and are kept in its record (``_Recurrence``), so one call pays its
 tail octets times the terms of F_p.
 ``ImageTable`` cuts each odd image from its octet by one AND and keeps it in
 that layout, as an odd-exponent mask: a T_p step on an odd form xors the
 images of its set bits into the next odd mask, so the witness chain never
 unpacks between steps.  A chain T^n takes one step of T^(2^i) per set bit i
-of n, by power rows (``_PowerRows``) each table builds on first read and
-holds.  ``hecke_fast`` and ``ImageTable.apply`` decode a form's image
-through one loop (``_apply_odd_images``), the image of one power is decoded
-by the stream alone, and ``shared_image_table`` keeps one table per
-relation, with its power rows, across calls for the witness route.
+of n, by power rows each table builds on first read and holds in plain
+dicts (``ImageTable._rows``).  ``hecke_fast`` and ``ImageTable.apply``
+decode a form's image through one loop (``_apply_odd_images``), the image
+of one power is decoded by the stream alone, and ``shared_image_table``
+keeps one table per relation, with its power rows, across calls for the
+witness route.
 """
 
 from __future__ import annotations
@@ -48,14 +49,17 @@ from .primes import MAX_PRIME, odd_primes_up_to
 from .relation import CharPoly, _off_class
 
 
-# one plan and one head per relation of every odd prime the command line
-# reaches, so a run over all of them (``verify --long``) builds each once
+# one record per relation of every odd prime the command line reaches, so a
+# run over all of them (``verify --long``) builds each plan and head once
 _RELATIONS_HELD = len(odd_primes_up_to(MAX_PRIME))
 
 
-@lru_cache(maxsize=_RELATIONS_HELD)
-def _recurrence_plan(cp: CharPoly) -> tuple[tuple, tuple[int, ...]]:
-    """Per index i mod 4, the terms (r, shifts) of the odd recurrence, and its seeds.
+class _Recurrence:
+    """The recurrences of one relation: its step-2 plan, its step-8 tail terms
+    and its head octets, streamed as far as asked.
+
+    ``plan`` is, per index i mod 4, the terms (r, shifts) of the odd
+    recurrence, and its seeds.
 
     Value i of the stream is image k = 2i + 1, on the class c_k = p*k mod 8
     (s_r lies on p*r mod 8), which depends on i mod 4 only.  The power sums
@@ -71,28 +75,59 @@ def _recurrence_plan(cp: CharPoly) -> tuple[tuple, tuple[int, ...]]:
     of value i - r shifted by (2e + c_(k-2r) - c_k) >> 3 for each exponent e
     of s_r: exact and never negative, since 2e + c_(k-2r) >= 0 is congruent
     to c_k mod 8.  Each seed is packed on the class of its image.
+
+    ``terms`` holds (-r, 4e) for each term X^e of each s_r, the step-8
+    recurrence of ``_odd_octets``.  ``head(n)`` returns H_0..H_(n-1), which
+    fold the odd images 8j+1, ..., 8j+7 of the step-2 stream, drawn once per
+    relation: the stream starts at the first call and a call past the octets
+    held resumes it.  An off-class relation raises before a record is made.
     """
-    p = cp.p
-    off = _off_class(cp)
-    if off:
-        raise BadResidue(f"s{off[0]} of the relation at p={p} leaves its class mod 8")
-    shifts = []
-    for k in (1, 3, 5, 7):
-        ck = (p * k) % 8
-        shifts.append(tuple(
-            (r, tuple((2 * e + (p * (k - 2 * r)) % 8 - ck) >> 3 for e in sr.exponents()))
-            for r, sr in enumerate(cp.s, 1)
-            if sr
-        ))
-    s = (ONE, *cp.s)
-    # every product s_r s_(k-r) at once, by Kronecker substitution t = X^width
-    width = 2 * max(sr.mask.bit_length() for sr in s)
-    odd_part = sum(s[r].mask << (width * r) for r in range(1, p + 2, 2))
-    even_part = sum(s[r].mask << (width * r) for r in range(0, p + 2, 2))
-    prod = clmul(odd_part, even_part)
-    numerator = [(prod >> (width * k)) & ((1 << width) - 1) for k in range(1, 2 * p + 2, 2)]
-    seeds = tuple(pack8(m, (p * (2 * i + 1)) % 8) for i, m in enumerate(numerator))
-    return tuple(shifts), seeds
+
+    __slots__ = ("cp", "plan", "terms", "octets", "_stream")
+
+    def __init__(self, cp: CharPoly) -> None:
+        p = cp.p
+        off = _off_class(cp)
+        if off:
+            raise BadResidue(f"s{off[0]} of the relation at p={p} leaves its class mod 8")
+        shifts = []
+        for k in (1, 3, 5, 7):
+            ck = (p * k) % 8
+            shifts.append(tuple(
+                (r, tuple((2 * e + (p * (k - 2 * r)) % 8 - ck) >> 3 for e in sr.exponents()))
+                for r, sr in enumerate(cp.s, 1)
+                if sr
+            ))
+        s = (ONE, *cp.s)
+        # every product s_r s_(k-r) at once, by Kronecker substitution t = X^width
+        width = 2 * max(sr.mask.bit_length() for sr in s)
+        odd_part = sum(s[r].mask << (width * r) for r in range(1, p + 2, 2))
+        even_part = sum(s[r].mask << (width * r) for r in range(0, p + 2, 2))
+        prod = clmul(odd_part, even_part)
+        numerator = [(prod >> (width * k)) & ((1 << width) - 1) for k in range(1, 2 * p + 2, 2)]
+        seeds = tuple(pack8(m, (p * (2 * i + 1)) % 8) for i, m in enumerate(numerator))
+        self.plan = (tuple(shifts), seeds)
+        self.terms = tuple((-r, 4 * e) for r, sr in enumerate(cp.s, 1) for e in sr.exponents())
+        self.cp = cp
+        self.octets: list[int] = []
+        self._stream = None
+
+    def head(self, n: int) -> list[int]:
+        """H_0..H_(n-1), for n <= p + 1."""
+        p = self.cp.p
+        if self._stream is None:
+            self._stream = _packed_stream(self.cp, 8 * p + 7)
+        while len(self.octets) < n:
+            j = len(self.octets)
+            octet = 0
+            for m, packed in zip(range(8 * j + 1, 8 * j + 8, 2), self._stream):
+                octet |= spread_bits(packed, 4) << ((p * m & 7) >> 1)
+            self.octets.append(octet)
+        return self.octets[:n]
+
+
+# keyed on the relation itself, so a corrupted relation has its own record
+_recurrence = lru_cache(maxsize=_RELATIONS_HELD)(_Recurrence)
 
 
 def _packed_stream(cp: CharPoly, kmax: int):
@@ -100,12 +135,13 @@ def _packed_stream(cp: CharPoly, kmax: int):
 
     Value i is image k = 2i + 1, with bit m for Delta^(8m + p*k mod 8).  All
     fast images start here: ``iter_hecke_fast`` unpacks them, and
-    ``_head_octets`` folds them into the head octets once per relation.  One
-    loop runs ``_recurrence_plan`` over a ring window of the last p+2 values
-    and xors in the seeds; a slot not yet written reads 0, which gives
-    N_j = 0 for j <= 0.
+    ``_Recurrence.head`` folds them into the head octets once per relation.
+    One loop runs the relation's step-2 plan over a ring window of the last
+    p+2 values and xors in the seeds; a slot not yet written reads 0, which
+    gives N_j = 0 for j <= 0.
     """
-    shifts, seeds = _recurrence_plan(cp)
+    # the plan alone, so the head stream of a record does not hold its record
+    shifts, seeds = _recurrence(cp).plan
     size = cp.p + 2
     window = [0] * size
     # the seeds ride along the index, so values past them pay no seed lookup
@@ -185,96 +221,11 @@ def _apply_odd_images(groups: dict[int, list[int]], odd) -> int:
     return out
 
 
-class _NoRow(Exception):
-    """A power row that is not built: it would read a row that sits above its
-    own power of Delta, or its table's power rows are at ``_POWER_BYTES``."""
-
-
 # bytes of power rows, dict headers included, past which a table builds no
 # row; the T_3 and T_5 tables to degree 16383 with rows at this bound,
 # 2 * (4.5 + 3) MiB, fit under ``_SHARED_BYTES``, so a witness chain does not
 # evict the other table of its pair
 _POWER_BYTES = 3 << 20
-
-
-class _Powers(list):
-    """The power levels of one table, level i >= 1 at index i - 1.
-
-    ``held[0]`` counts the bytes of every level, its dict and its row ints.
-    The levels share that one-item list rather than refer back to this one,
-    so a table dropped from the store frees its rows at once, with no cycle
-    to collect.
-    """
-
-    __slots__ = ("held",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.held = [0]
-
-    @property
-    def nbytes(self) -> int:
-        return self.held[0]
-
-    def level(self, i: int, odd: tuple[int, ...]) -> _PowerRows:
-        """Level i >= 1, made empty with the levels below it on first use;
-        level 0 is ``odd``."""
-        while len(self) < i:
-            self.append(_PowerRows(self[-1] if self else odd, self.held))
-            self.held[0] += sys.getsizeof(self[-1])
-        return self[i - 1]
-
-
-class _PowerRows(dict):
-    """The rows of T^(2^i) for one level i >= 1 of a table, built on first read.
-
-    Row v is the odd mask of T^(2^i) Delta^(2v+1): level i - 1 applied twice,
-    that is row v of ``below`` and then the xor of the rows of ``below`` at
-    its set bits.  A row of ``below`` whose top bit lies above its own power
-    (bit_length > v + 1) is never read into a row here: the build raises
-    ``_NoRow`` and keeps nothing, so a row held at any level stands for single
-    steps that each stayed at or below the degree of the power they started
-    from.  No row is built once the table's levels hold ``_POWER_BYTES``
-    (``held[0]``, shared by the levels).
-    """
-
-    __slots__ = ("below", "held")
-
-    def __init__(self, below, held: list[int]) -> None:
-        super().__init__()
-        self.below = below
-        self.held = held
-
-    def cover(self, positions: list[int]) -> bool:
-        """Build the rows at ``positions`` not held yet; False if one is not built."""
-        if all(map(self.__contains__, positions)):
-            return True
-        try:
-            for v in positions:
-                if v not in self:
-                    self.__missing__(v)
-        except _NoRow:
-            return False
-        return True
-
-    def __missing__(self, v: int) -> int:
-        held = self.held
-        if held[0] > _POWER_BYTES:
-            raise _NoRow
-        below = self.below
-        half = below[v]
-        if half.bit_length() > v + 1:
-            raise _NoRow
-        acc = 0
-        for u in bit_positions(half):
-            row = below[u]
-            if row.bit_length() > u + 1:
-                raise _NoRow
-            acc ^= row
-        size = sys.getsizeof(self)
-        self[v] = acc
-        held[0] += sys.getsizeof(self) - size + sys.getsizeof(acc)
-        return acc
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,24 +239,35 @@ class ImageTable:
     in that layout.
 
     ``power_steps`` runs T^n by binary powers.  The rows of T^(2^i), i >= 1,
-    are built on first read (``_PowerRows``) and held in ``_powers``, at most
-    ``_POWER_BYTES`` of them; a table made by ``dataclasses.replace`` starts
-    with none.  Rows cost memory and a first chain's time: on the ``queries``
-    witness forms, 24 terms at degree 4095, the T_3 and T_5 tables hold about
-    1.1 MiB of rows beside their 0.66 MiB of odd images, and the first chain
-    on a table builds thousands of rows (``nilpotence.apply_witness`` gives
-    the times).
+    are built on first read (``_rows``) and held in ``_levels``, level i at
+    index i - 1, at most ``_POWER_BYTES`` of them (``_row_bytes``); a table
+    made by ``dataclasses.replace`` starts with none.  A table with an odd
+    image above its own power (``_in_degree`` false) builds no row and runs
+    single steps only.  Rows cost memory and a first chain's time: on the
+    ``queries`` witness forms, 24 terms at degree 4095, the T_3 and T_5
+    tables hold about 1.1 MiB of rows beside their 0.66 MiB of odd images,
+    and the first chain on a table builds thousands of rows
+    (``nilpotence.apply_witness`` gives the times).
     """
 
     p: int
     kmax: int
     odd: tuple[int, ...]
-    _powers: _Powers = field(default_factory=_Powers, init=False, compare=False, repr=False)
+    _levels: list[dict[int, int]] = field(
+        default_factory=list, init=False, compare=False, repr=False
+    )
+    _row_bytes: int = field(default=0, init=False, compare=False, repr=False)
     _odd_bytes: int = field(init=False, compare=False, repr=False)  # for the store's cap
+    _in_degree: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        odd = self.odd
+        object.__setattr__(self, "_odd_bytes", sys.getsizeof(odd) + sum(map(sys.getsizeof, odd)))
+        # image v at or below Delta^(2v+1); rows built from such images stay
+        # at or below their own powers too, so they stand for single steps
+        # that each kept the degree
         object.__setattr__(
-            self, "_odd_bytes", sys.getsizeof(self.odd) + sum(map(sys.getsizeof, self.odd))
+            self, "_in_degree", all(image.bit_length() <= v for v, image in enumerate(odd, 1))
         )
 
     def apply(self, mask: int) -> int:
@@ -352,8 +314,8 @@ class ImageTable:
         step by the rows of level i, or two steps of level i - 1."""
         if positions is None:
             positions = bit_positions(odd)
-        rows = self._powers.level(i, self.odd) if i else self.odd
-        if not i or rows.cover(positions):
+        rows = self._rows(i, positions)
+        if rows is not None:
             acc = 0
             for v in positions:
                 acc ^= rows[v]
@@ -363,6 +325,46 @@ class ImageTable:
             yield odd
         for odd in self._level_steps(odd, i - 1):
             yield odd
+
+    def _rows(self, i: int, positions) -> tuple[int, ...] | dict[int, int] | None:
+        """Level i with a row at each of ``positions``, or None if one is not built.
+
+        Level 0 is ``odd``.  Row v of level i >= 1 is the odd mask of
+        T^(2^i) Delta^(2v+1): level i - 1 applied twice, that is row v of
+        level i - 1 and then the xor of its rows at the set bits of that row.
+        Missing rows are built from level i - 1, on a table whose odd images
+        are in degree, while its levels hold at most ``_POWER_BYTES``.
+        """
+        if not i:
+            return self.odd
+        if not self._in_degree:
+            return None
+        levels = self._levels
+        while len(levels) < i:
+            levels.append({})
+            self._count(sys.getsizeof(levels[-1]))
+        rows = levels[i - 1]
+        for v in positions:
+            if v in rows:
+                continue
+            if self._row_bytes > _POWER_BYTES:
+                return None
+            below = self._rows(i - 1, (v,))
+            if below is None:
+                return None
+            half = bit_positions(below[v])
+            if self._rows(i - 1, half) is None:
+                return None
+            acc = 0
+            for u in half:
+                acc ^= below[u]
+            size = sys.getsizeof(rows)
+            rows[v] = acc
+            self._count(sys.getsizeof(rows) - size + sys.getsizeof(acc))
+        return rows
+
+    def _count(self, nbytes: int) -> None:
+        object.__setattr__(self, "_row_bytes", self._row_bytes + nbytes)
 
 
 def image_table(cp: CharPoly, kmax: int) -> ImageTable:
@@ -390,7 +392,7 @@ _shared_tables: dict[CharPoly, ImageTable] = {}
 def _table_bytes(table: ImageTable) -> int:
     """Bytes held by the odd images of ``table`` and its power rows, with their
     int, tuple and dict headers."""
-    return table._odd_bytes + table._powers.nbytes
+    return table._odd_bytes + table._row_bytes
 
 
 def shared_image_table(cp: CharPoly, kmax: int) -> ImageTable:
@@ -400,13 +402,13 @@ def shared_image_table(cp: CharPoly, kmax: int) -> ImageTable:
     differs from F_p in one bit gets its own table.  It holds one table per
     relation.  A request at or below the held table's kmax reuses it; a
     larger one replaces it with a table to the next 2^j - 1, so a run of
-    growing requests runs each tail octet about twice (``_head_octets`` keeps
-    the head).  A table holds the power rows its witness chains built
-    (``ImageTable.power_steps``), and is dropped with them.  At every call
-    the least recently used tables are dropped until the store holds at most
-    ``_SHARED_BYTES`` (``_table_bytes``, rows included), so rows built since
-    the last call count at this one; the table just asked for is never
-    dropped.  On the ``queries`` witness forms, 24 terms at degree 4095, the
+    growing requests runs each tail octet about twice (the relation's
+    ``_Recurrence`` keeps the head).  A table holds the power rows its
+    witness chains built (``ImageTable.power_steps``), and is dropped with
+    them.  At every call the least recently used tables are dropped until the
+    store holds at most ``_SHARED_BYTES`` (``_table_bytes``, rows included),
+    so rows built since the last call count at this one; the table just asked
+    for is never dropped.  On the ``queries`` witness forms, 24 terms at degree 4095, the
     T_3 and T_5 tables hold 0.66 MiB of odd images and about 1.1 MiB of rows.
     """
     if kmax < 0:
@@ -421,40 +423,6 @@ def shared_image_table(cp: CharPoly, kmax: int) -> ImageTable:
     return table
 
 
-class _HeadOctets:
-    """The head octets H_0..H_p of one relation, streamed as far as asked.
-
-    H_j folds the odd images 8j+1, ..., 8j+7 of the step-2 stream, which runs
-    to 8p + 7 at most.  Each image is drawn once per relation: a call that
-    reaches past the octets held resumes the stream where the last one left
-    it, and a call at or below them draws nothing.
-    """
-
-    def __init__(self, cp: CharPoly) -> None:
-        _recurrence_plan(cp)  # an off-class relation raises here, before it is kept
-        self.p = cp.p
-        self.octets: list[int] = []
-        self._stream = _packed_stream(cp, 8 * cp.p + 7)
-
-    def first(self, n: int) -> list[int]:
-        """H_0..H_(n-1), for n <= p + 1."""
-        p = self.p
-        while len(self.octets) < n:
-            j = len(self.octets)
-            octet = 0
-            for m, packed in zip(range(8 * j + 1, 8 * j + 8, 2), self._stream):
-                octet |= spread_bits(packed, 4) << ((p * m & 7) >> 1)
-            self.octets.append(octet)
-        return self.octets[:n]
-
-
-@lru_cache(maxsize=_RELATIONS_HELD)
-def _head_octets(cp: CharPoly) -> _HeadOctets:
-    """The head octets of ``cp``, kept across calls and keyed on the relation
-    itself, like ``_recurrence_plan``, so a corrupted relation has its own."""
-    return _HeadOctets(cp)
-
-
 def _odd_octets(cp: CharPoly, top: int, keep) -> dict[int, int]:
     """The octets H_j, j in ``keep``, of the odd images up to ``top``:
     every octet for ``image_table``, those its form uses for ``hecke_fast``.
@@ -463,8 +431,8 @@ def _odd_octets(cp: CharPoly, top: int, keep) -> dict[int, int]:
     coefficient of Delta^(2u+1).  Image m lies on the odd class p*m mod 8,
     which is 2u+1 mod 8 on the nibble lane u mod 4 = (p*m mod 8) >> 1, and
     the four classes of an octet are distinct.  H_0..H_p, which hold the odd
-    images to 8(p+1) - 1, come from the relation's cached head
-    (``_head_octets``), of which the window takes the first
+    images to 8(p+1) - 1, come from the relation's record
+    (``_Recurrence.head``), of which the window takes the first
     (min(top, 8p + 7) >> 3) + 1.  Past it, for j > p up to top >> 3, H_j is
     the xor of H_(j-r) << 4e over each term X^e of each s_r (the step-8
     recurrence in the module docstring): a shift by 4e moves every
@@ -472,10 +440,11 @@ def _odd_octets(cp: CharPoly, top: int, keep) -> dict[int, int]:
     times the terms of F_p, and the head once per relation.
     """
     p = cp.p
-    window = _head_octets(cp).first((min(top, 8 * p + 7) >> 3) + 1)
+    rec = _recurrence(cp)
+    window = rec.head((min(top, 8 * p + 7) >> 3) + 1)
     kept = {j: h for j, h in enumerate(window) if j in keep}
     window = deque(window, maxlen=p + 1)  # window[-r] is H_(j-r)
-    terms = tuple((-r, 4 * e) for r, sr in enumerate(cp.s, 1) for e in sr.exponents())
+    terms = rec.terms
     for j in range(p + 1, (top >> 3) + 1):
         acc = 0
         for r, sh in terms:

@@ -110,7 +110,7 @@ def apply_witness(f: DeltaPoly) -> DeltaPoly:
     first chains: the same 15 with the store emptied take 0.14-0.25 s
     against 0.04, and one witness on such a form of degree 4095 in a fresh
     process 70-125 ms against 7-11 (its second call 0.6-1.0 ms against 3-4).
-    At degree 16383 the rows reach ``fast._POWER_BYTES`` in the first chain,
+    At degree 16383 the rows fill their table's cap in the first chain,
     which takes 0.8-0.9 s against 0.06; later ones take as long as before.
     """
     parity = f.parity_class()

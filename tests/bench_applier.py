@@ -9,8 +9,8 @@ Each benchmark times one batch of calls, with the relations and tables built
 outside the timed region, and checks the batch's results once afterwards.
 The witness chains read the T_3 and T_5 tables of ``fast.shared_image_table``
 and the power rows those tables hold: a warm batch finds them built by the
-batches before it, a cold one (``_cold``) finds the store emptied, outside the
-timed region, so it pays the tables and their power rows.
+batches before it, a cold one (``_cold``, ``_first_call``) finds the store
+emptied, outside the timed region, so it pays the tables and their power rows.
 """
 
 import random
@@ -164,3 +164,27 @@ def test_witness_chains(benchmark):
 def test_witness_chains_cold(benchmark):
     out = benchmark.pedantic(_witness_chains(), setup=_empty_store, rounds=COLD_ROUNDS)
     assert set(out) == {monomial(1)}
+
+
+WITNESS_DEGREES = [4095, 8191, 16383]
+
+
+def _one_witness(degree: int):
+    # one odd witness form of the queries kind, 24 terms at ``degree``
+    f = DeltaPoly(witness_mask(random.Random(degree), degree, 24, True))
+    return lambda: apply_witness(f)
+
+
+@pytest.mark.parametrize("degree", WITNESS_DEGREES)
+def test_one_witness(benchmark, degree):
+    # later calls: the tables and the power rows the first call built are held
+    witness = _one_witness(degree)
+    witness()
+    assert benchmark(witness) == monomial(1)
+
+
+@pytest.mark.parametrize("degree", WITNESS_DEGREES)
+def test_one_witness_first_call(benchmark, degree):
+    # a first call: the store emptied, so it builds both tables and their rows
+    out = benchmark.pedantic(_one_witness(degree), setup=_empty_store, rounds=3)
+    assert out == monomial(1)

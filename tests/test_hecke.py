@@ -793,15 +793,15 @@ def test_a_relation_one_bit_apart_is_another_key(monkeypatch):
     copy = replace(true3)
     assert copy._hash is None and copy == true3
     assert hash(copy) == copy._hash == hash(true3)
-    assert fast._head_octets(again) is fast._head_octets(true3)
+    assert fast._recurrence(again) is fast._recurrence(true3)
     assert shared_image_table(again, 63) is shared_image_table(true3, 63)
     # s_1 = X^3 at p=3 is on its class mod 8: one bit from F_3, its own entries
     s = list(true3.s)
     s[0] = DeltaPoly(s[0].mask ^ 1 << 3)
     flipped = CharPoly(3, tuple(s))
     assert flipped != true3
-    assert fast._head_octets(flipped) is not fast._head_octets(true3)
-    assert fast._head_octets(flipped).first(4) != fast._head_octets(true3).first(4)
+    assert fast._recurrence(flipped) is not fast._recurrence(true3)
+    assert fast._recurrence(flipped).head(4) != fast._recurrence(true3).head(4)
     t_flipped, t_true = shared_image_table(flipped, 63), shared_image_table(true3, 63)
     assert t_flipped is not t_true and t_flipped.odd != t_true.odd
     assert list(store) == [flipped, true3]
@@ -895,7 +895,7 @@ def test_power_rows_are_repeated_single_steps(p, kmax):
         for _ in range(2):
             odd = sparse_odd_mask(rng, kmax, 24)
             assert list(table.power_steps(odd, 1 << i)) == [single_steps(table, odd, 1 << i)], i
-    for i, rows in enumerate(table._powers, 1):
+    for i, rows in enumerate(table._levels, 1):
         assert rows, i
         for v in rng.sample(sorted(rows), min(30, len(rows))):
             assert rows[v] == single_steps(table, 1 << v, 1 << i), (i, v)
@@ -910,24 +910,31 @@ def test_power_rows_are_repeated_single_steps(p, kmax):
         list(table.power_steps(1 << (kmax + 1) // 2, 1))
 
 
-def test_a_power_row_above_its_own_power_builds_no_higher_level():
-    # row v of level 1 given a bit above Delta^(2v+1): level 2 is not built
-    # from it, so T^4 runs as two level-1 steps and the first shows the bit
-    table = image_table(cached_charpoly(3), 1023)
+def test_an_odd_image_above_its_own_power_builds_no_power_row():
+    # odd image v given a bit above Delta^(2v+1): the table builds no row,
+    # and power_steps yields exactly the single steps of apply_odd
+    clean = image_table(cached_charpoly(3), 1023)
     v = 255
-    level1 = table._powers.level(1, table.odd)
-    level1[v] = single_steps(table, 1 << v, 2) ^ 1 << (v + 1)
-    steps = list(table.power_steps(1 << v, 4))
-    assert len(steps) == 2 and steps[0].bit_length() == v + 2
-    assert v not in table._powers.level(2, table.odd)
+    odd = list(clean.odd)
+    odd[v] ^= 1 << (v + 1)
+    table = replace(clean, odd=tuple(odd))
+    rng = random.Random(12)
+    for n in (2, 4, 31):
+        for mask in (1 << v, 1 << v | sparse_odd_mask(rng, 1023, 24)):
+            want = [single_steps(table, mask, j) for j in range(1, n + 1)]
+            assert list(table.power_steps(mask, n)) == want, n
+            assert want[0] != clean.apply_odd(mask)
+            assert list(clean.power_steps(mask, n))[-1] == single_steps(clean, mask, n)
+    assert clean._levels and clean._row_bytes > 0
+    assert table._levels == [] and table._row_bytes == 0
 
 
 def test_a_replaced_table_holds_no_power_rows():
     table = image_table(cached_charpoly(5), 1023)
     steps = list(table.power_steps(1 << 511, 31))
-    assert table._powers and table._powers.nbytes > 0
+    assert table._levels and table._row_bytes > 0
     copy = replace(table, odd=table.odd)
-    assert copy == table and copy._powers == [] and copy._powers.nbytes == 0
+    assert copy == table and copy._levels == [] and copy._row_bytes == 0
     assert list(copy.power_steps(1 << 511, 31)) == steps
 
 
@@ -943,10 +950,10 @@ def test_shared_store_counts_power_rows(monkeypatch):
     monkeypatch.setattr(fast, "_SHARED_BYTES", bare3 + fast._table_bytes(t5))
     assert shared_image_table(cp5, 100) is t5 and list(store) == [cp3, cp5]
     list(t3.power_steps(1 << 511, 31))
-    rows = [row for level in t3._powers for row in level.values()]
+    rows = [row for level in t3._levels for row in level.values()]
     assert rows
     assert fast._table_bytes(t3) == (
-        bare3 + sum(map(sys.getsizeof, rows)) + sum(map(sys.getsizeof, t3._powers))
+        bare3 + sum(map(sys.getsizeof, rows)) + sum(map(sys.getsizeof, t3._levels))
     )
     assert shared_image_table(cp5, 100) is t5 and list(store) == [cp5]
 
@@ -960,12 +967,12 @@ def test_power_rows_stop_at_their_bound(monkeypatch):
     for _ in range(2):
         odd = sparse_odd_mask(rng, 2047, 24)
         assert list(table.power_steps(odd, 31))[-1] == single_steps(table, odd, 31)
-    held = table._powers.nbytes
+    held = table._row_bytes
     assert held > 20_000
     for _ in range(4):
         odd = sparse_odd_mask(rng, 2047, 24)
         assert list(table.power_steps(odd, 31))[-1] == single_steps(table, odd, 31)
-    assert table._powers.nbytes == held
+    assert table._row_bytes == held
 
 
 def test_image_table_applies_to_the_zero_form_in_a_fresh_process():
@@ -986,11 +993,12 @@ def test_image_table_applies_to_the_zero_form_in_a_fresh_process():
 
 @pytest.fixture
 def fresh_heads():
-    # the cached head octets start empty and are dropped after the test, so a
-    # patched stream neither meets a head built before it nor leaves one behind
-    fast._head_octets.cache_clear()
+    # the relation records and their head octets start empty and are dropped
+    # after the test, so a patched stream neither meets a head built before it
+    # nor leaves one behind
+    fast._recurrence.cache_clear()
     yield
-    fast._head_octets.cache_clear()
+    fast._recurrence.cache_clear()
 
 
 def test_hecke_fast_streams_odd_powers_only(monkeypatch, fresh_heads):
@@ -1063,7 +1071,7 @@ def test_head_octets_are_keyed_on_the_relation(p, fresh_heads):
     assert [table.apply(1 << k) for k in range(top + 1)] == [img.mask for img in want]
     for k in range(seam - 16, top + 1):
         assert hecke_fast(monomial(k), flipped) == want[k], (p, k)
-    assert fast._head_octets.cache_info().currsize == 2
+    assert fast._recurrence.cache_info().currsize == 2
 
 
 def test_octet_consumers_see_a_fault_in_the_head_stream(monkeypatch, fresh_heads):
@@ -1083,7 +1091,7 @@ def test_octet_consumers_see_a_fault_in_the_head_stream(monkeypatch, fresh_heads
             yield packed ^ (2 * j + 1 == m)
 
     monkeypatch.setattr(fast, "_packed_stream", flipped)
-    fast._head_octets.cache_clear()
+    fast._recurrence.cache_clear()
     fault = 1 << (p * m % 8)  # packed bit 0 is Delta^(p*m mod 8)
     assert hecke_fast(monomial(m), cp).mask == want[m] ^ fault
     table = image_table(cp, top)

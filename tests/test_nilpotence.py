@@ -92,7 +92,7 @@ def test_witnesses_stream_each_head_once(monkeypatch, empty_store):
     # 1023 builds both tables, 4095 regrows them, 2047 and 4095 reuse them.
     # Each relation streams its head once, to 8p + 7, and each build runs
     # its own tail octets, (kmax >> 3) - p of them
-    fast._head_octets.cache_clear()
+    fast._recurrence.cache_clear()
     built = []
     steps = []
     stream = fast._packed_stream
@@ -221,7 +221,7 @@ K8 = 129  # code (8, 0): one step of T_3^8, by level 3
 
 
 def held_t3_row(v: int) -> dict:
-    level = fast.shared_image_table(cached_charpoly(3), K8)._powers[2]
+    level = fast.shared_image_table(cached_charpoly(3), K8)._levels[2]
     assert level[v] == 1  # T_3^8 takes Delta^K8 to Delta
     return level
 
