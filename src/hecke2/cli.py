@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
             "odd images below 8(p+1), kept once per relation, it takes (m >> 3) - p "
             "octet steps, m the largest odd part of an exponent, each of one shift "
             "per term of F_p (1262 terms at p = 257, 5261 at p = 499).  --form 65535 "
-            "takes about 9 s at p = 257 and 40 s at p = 499 on a 2-core machine."
+            "takes about 8 s at p = 257 and 27 s at p = 499 on a 2-core machine."
         ),
     )
     hk.add_argument("--p", type=int, required=True, help=PRIME_HELP)

@@ -14,9 +14,40 @@ from __future__ import annotations
 
 from . import fast, naive
 from .errors import SingularSystem
-from .gf2series import pack8, spread8, spread_bits
+from .gf2series import bit_positions, pack8, spread8, spread_bits
 from .primes import _require_odd_prime
-from .relation import CharPoly, _chosen_relation, _gf2_solve
+from .relation import CharPoly, _chosen_relation
+
+
+def _gf2_solve(columns, rhs: int, dependent, inconsistent) -> int:
+    """Mask of the columns whose xor is ``rhs``, by incremental pivot elimination.
+
+    ``columns`` yields packed GF(2) column vectors; each is reduced against
+    the pivots so far, keyed by lowest set row, in insertion order.  A column
+    that reduces to zero raises ``dependent(index)``; an ``rhs`` outside the
+    column span raises ``inconsistent()``.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for idx, col in enumerate(columns):
+        tracker = 1 << idx
+        while col:
+            low = (col & -col).bit_length() - 1
+            hit = pivots.get(low)
+            if hit is None:
+                pivots[low] = (col, tracker)
+                break
+            col ^= hit[0]
+            tracker ^= hit[1]
+        else:
+            raise dependent(idx)
+    chosen = 0
+    while rhs:
+        hit = pivots.get((rhs & -rhs).bit_length() - 1)
+        if hit is None:
+            raise inconsistent()
+        rhs ^= hit[0]
+        chosen ^= hit[1]
+    return chosen
 
 
 def charpoly_via_newton(p: int) -> CharPoly:
@@ -108,7 +139,7 @@ def charpoly_via_newton(p: int) -> CharPoly:
         ),
         lambda: SingularSystem(f"power-sum identities are inconsistent at p={p}"),
     )
-    cp = _chosen_relation(p, bits, chosen)
+    cp = _chosen_relation(p, (bits[idx] for idx in bit_positions(chosen)))
     for m, image in zip(range(1, rmax, 2), fast._packed_stream(cp, rmax)):
         if not (image == packed[m] and spread8(packed[m], cls[m]) == odd[m >> 1]):
             raise SingularSystem(f"power-sum identity {m} does not close at p={p}")

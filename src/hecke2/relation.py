@@ -3,9 +3,10 @@
 F_p(X, Y) = Y^(p+1) + s_1(X) Y^p + ... + s_(p+1)(X) is the unique symmetric
 bivariate relation satisfied by the expansions X = Delta(q), Y = Delta(q^p).
 Every s_r lies on the exponent class p*r mod 8.  The relation is computed
-by a packed GF(2) linear solve whose unknowns are the monomial bits allowed
-by the degree and mod-8 congruence constraints, and checked by evaluating
-it at the two expansions (``relation_residual``).
+by a packed GF(2) linear solve, peeled along its triangle, whose unknowns
+are the monomial bits allowed by the degree and mod-8 congruence
+constraints, and checked by evaluating it at the two expansions
+(``relation_residual``).
 """
 
 from __future__ import annotations
@@ -19,37 +20,6 @@ from .deltapoly import ONE, ZERO, DeltaPoly
 from .errors import CacheFormatError, RankDeficient
 from .gf2series import BitSeries, bit_positions, delta_powers, spread8
 from .primes import _require_odd_prime
-
-
-def _gf2_solve(columns, rhs: int, dependent, inconsistent) -> int:
-    """Mask of the columns whose xor is ``rhs``, by incremental pivot elimination.
-
-    ``columns`` yields packed GF(2) column vectors; each is reduced against
-    the pivots so far, keyed by lowest set row, in insertion order.  A column
-    that reduces to zero raises ``dependent(index)``; an ``rhs`` outside the
-    column span raises ``inconsistent()``.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    for idx, col in enumerate(columns):
-        tracker = 1 << idx
-        while col:
-            low = (col & -col).bit_length() - 1
-            hit = pivots.get(low)
-            if hit is None:
-                pivots[low] = (col, tracker)
-                break
-            col ^= hit[0]
-            tracker ^= hit[1]
-        else:
-            raise dependent(idx)
-    chosen = 0
-    while rhs:
-        hit = pivots.get((rhs & -rhs).bit_length() - 1)
-        if hit is None:
-            raise inconsistent()
-        rhs ^= hit[0]
-        chosen ^= hit[1]
-    return chosen
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,11 +65,10 @@ class CharPoly:
         return " + ".join(parts)
 
 
-def _chosen_relation(p: int, unknowns, chosen: int) -> CharPoly:
-    """The relation of a solve for F_p: X^j in s_r for each (r, j) = ``unknowns[idx]``, idx in ``chosen``."""
+def _chosen_relation(p: int, chosen) -> CharPoly:
+    """The relation of a solve for F_p: the bit X^j in s_r for each (r, j) in ``chosen``."""
     smasks = [0] * (p + 2)
-    for idx in bit_positions(chosen):
-        r, j = unknowns[idx]
+    for r, j in chosen:
         smasks[r] |= 1 << j
     return CharPoly(p, tuple(DeltaPoly(sm) for sm in smasks[1:]))
 
@@ -143,21 +112,24 @@ class _PackedTerms:
     Delta^j lies on the class j mod 8 and Delta(q^p)^i on the class p*i mod 8.
     ``xpow[j]`` is Delta^j packed on its class, for j = 0..max_j.  Every higher
     power of Y = Delta(q^p) is reached through Y^8 = Delta(q^(8p)), which
-    lies on class 0 with its bits at 8p*m^2, m odd: packed, a product by Y^8
-    is one shift by p*m^2 per term below q^n, and it keeps the class.  So
-    ``ypos[i]`` lists the exponents of Y^i below n for i = 0..7 only, and
-    ``y8`` the packed shifts of Y^8.
+    lies on class 0 with its bits at 8p*m^2, m odd, and (Y^8)^k =
+    Delta^k(q^(8p)) with a bit at 8p*e for each exponent e of Delta^k:
+    packed, a product by it is one shift by p*e per term below q^n, and it
+    keeps the class.  So ``ypos[i]`` lists the exponents of Y^i below n for
+    i = 0..7 only, and ``y8[k]`` the packed shifts of Y^(8k), for
+    k = 0..max_k.
     """
 
-    def __init__(self, p: int, n: int, max_j: int) -> None:
+    def __init__(self, p: int, n: int, max_j: int, max_k: int = 1) -> None:
         self.p = p
         self.cmask = (1 << (n // 8)) - 1
         self.xpow = delta_powers(n, max_j)
         # Delta(q^p)^i has its bits at p times those of Delta^i below n/p
         ys = delta_powers(-(-n // p), 7)
         self.ypos = [[p * e for e in bit_positions(spread8(y, i))] for i, y in enumerate(ys)]
-        # Y^8 has a bit at 8e for each exponent e of Y, packed as bit e
-        self.y8 = [e for e in self.ypos[1] if 8 * e < n]
+        tops = delta_powers(-(-n // (8 * p)), max_k)
+        self.y8 = [[p * e for e in bit_positions(spread8(d, k % 8))] for k, d in enumerate(tops)]
+        self.heads: dict[int, int] = {}
 
     def times_y(self, c: int, packed: int, i: int) -> tuple[int, int]:
         """Class and packed bits of a class-c packed mask times Delta(q^p)^i, i < 8."""
@@ -167,12 +139,26 @@ class _PackedTerms:
             acc ^= packed << ((pos + c - d) >> 3)
         return d, acc & self.cmask
 
-    def times_y8(self, packed: int) -> int:
-        """Packed bits of a packed mask times Y^8, on the mask's own class."""
+    def times_y8(self, packed: int, k: int = 1) -> int:
+        """Packed bits of a packed mask times Y^(8k), on the mask's own class."""
         acc = 0
-        for sh in self.y8:
+        for sh in self.y8[k]:
             acc ^= packed << sh
         return acc & self.cmask
+
+    def column(self, i: int, j: int) -> int:
+        """Delta^j * Y^i packed on the class p(p+1) mod 8, for i = p+1-r of an
+        allowed bit X^j of s_r, or (i, j) = (p+1, 0) for the monic Y^(p+1),
+        with max_k at least (p+1) >> 3.
+
+        Such an i is p+1-p*j mod 8 for a fixed j, so the head Delta^j *
+        Y^(i mod 8) is built once per j and kept, and the column is the head
+        times Y^(8(i >> 3)).
+        """
+        head = self.heads.get(j)
+        if head is None:
+            head = self.heads[j] = self.times_y(j % 8, self.xpow[j], i % 8)[1]
+        return self.times_y8(head, i >> 3)
 
     def residual(self, cp: CharPoly) -> list[int]:
         """F_p(Delta, Delta(q^p)) below q^n, as eight per-class packed masks.
@@ -214,47 +200,75 @@ def relation_residual(cp: CharPoly, precision: int) -> BitSeries:
 
 
 def _solve_relation(p: int, window: int) -> CharPoly:
-    """Linear solve for the relation over one coefficient window.
+    """Linear solve for the relation over one coefficient window, by peeling its triangle.
 
     Every term s_r(X) Y^(p+1-r) with s_r on its class p*r mod 8 lies on the
-    class p(p+1) mod 8, so the solve works on packed masks.  Unknowns are the
-    allowed monomial bits X^j of each s_r; their columns are the packed
-    expansions of Delta^j * Delta(q^p)^(p+1-r).  For a fixed j the allowed r
-    step by 8, so the columns go to the elimination with r descending and
-    column (r, j) is column (r+8, j) times Y^8: only the chain heads, with
-    Y-degree below 8, start from Delta^j, and one column per j is kept.  The
-    right-hand side is Y^(p+1) = Y^((p+1) mod 8) (Y^8)^((p+1) div 8).  At
-    full column rank the solution is unique, so the column order cannot
-    change it.  Elimination keeps pivots keyed by lowest row with
-    deterministic insertion order.
+    class c = p(p+1) mod 8, so the solve works on packed masks.  Unknowns are
+    the allowed monomial bits X^j of each s_r; the column of X^j in s_r is
+    Delta^j * Y^i, i = p+1-r, Y = Delta(q^p), and its lowest exponent is
+    j + p*i.  These are distinct but for two shared rows: X^(p+1) shares
+    p+1 with X*Y at every p, and X^p*Y shares 2p with Y^2 when p = 1 mod 8
+    (only then are both allowed).  Every other column owns its lowest row,
+    packed bit (j + p*i - c) / 8, which gives back (i, j) = divmod(8*row + c, p).
+
+    So the columns of lowest row inside the window are independent, and the
+    system has full column rank exactly when every column has its lowest row
+    inside the window and each of the one or two extra columns, X^(p+1) and
+    X^p*Y, reduces to a nonzero vector against the owners and the extra
+    before it.  Each reduction, and then that of the right-hand side
+    Y^(p+1), peels one step at a time: it xors in the column that owns the
+    vector's lowest set bit, or a reduced extra kept at that row, and a
+    lowest bit that neither holds ends it.  Only the columns a peel reads are
+    built (``_PackedTerms.column``).  Each tracker bit is a row: an owner's
+    own row, or the row at which a reduced extra is kept.  At full rank the
+    solution is unique, and a right-hand side that peels to a lowest bit
+    nothing holds has none.
     """
     big = p + 1
     n_window = ((window + 7) // 8) * 8
-    terms = _PackedTerms(p, n_window, big)
-    unknowns = [(r, j) for r in range(big, 0, -1) for j in range((p * r) % 8, r + 1, 8)]
+    terms = _PackedTerms(p, n_window, big, big >> 3)
+    c = (p * big) % 8
 
-    def columns():
-        latest = [0] * (big + 1)  # latest[j]: the last column of X^j
-        for r, j in unknowns:
-            i = big - r
-            if i < 8:
-                latest[j] = terms.times_y(j % 8, terms.xpow[j], i)[1]
+    def owner(row: int) -> tuple[int, int] | None:
+        """The (i, j) of the unknown whose column owns ``row``, if there is one."""
+        i, j = divmod(8 * row + c, p)
+        return (i, j) if i < big and i + j <= big else None
+
+    # row -> a reduced extra, its tracker and its (i, j)
+    kept: dict[int, tuple[int, int, tuple[int, int]]] = {}
+
+    def peel(vec: int) -> tuple[int, int]:
+        """``vec`` peeled until its lowest bit has neither owner nor kept extra, and its tracker."""
+        tracker = 0
+        while vec:
+            row = (vec & -vec).bit_length() - 1
+            if row in kept:
+                vec ^= kept[row][0]
+                tracker ^= kept[row][1]
+            elif (own := owner(row)) is not None:
+                vec ^= terms.column(*own)
+                tracker ^= 1 << row
             else:
-                latest[j] = terms.times_y8(latest[j])
-            yield latest[j]
+                break
+        return vec, tracker
 
-    rhs = terms.times_y(0, 1, big % 8)[1]
-    for _ in range(big // 8):
-        rhs = terms.times_y8(rhs)
-    chosen = _gf2_solve(
-        columns(),
-        rhs,
-        lambda idx: RankDeficient(
-            f"coefficient window {n_window} leaves the relation underdetermined (p={p})"
-        ),
-        lambda: AssertionError(f"no monic degree-{big} relation exists at p={p}"),
-    )
-    cp = _chosen_relation(p, unknowns, chosen)
+    deficient = f"coefficient window {n_window} leaves the relation underdetermined (p={p})"
+    # the highest lowest exponent of a column, at the top allowed X^j of some
+    # s_r: past the window that column vanishes, a dependency no peel reads
+    top = max(p * (big - r) + r - (r - p * r) % 8 for r in range(1, big + 1) if (p * r) % 8 <= r)
+    if top >= n_window:
+        raise RankDeficient(deficient)
+    for i, j in [(0, big), (1, p)][: 1 + (p % 8 == 1)]:
+        vec, tracker = peel(terms.column(i, j))
+        if not vec:
+            raise RankDeficient(deficient)
+        row = (vec & -vec).bit_length() - 1
+        kept[row] = vec, tracker ^ (1 << row), (i, j)
+    rest, chosen = peel(terms.column(big, 0))
+    if rest:
+        raise AssertionError(f"no monic degree-{big} relation exists at p={p}")
+    unknowns = (kept[row][2] if row in kept else owner(row) for row in bit_positions(chosen))
+    cp = _chosen_relation(p, ((big - i, j) for i, j in unknowns))
     if any(terms.residual(cp)):
         raise AssertionError(f"solved relation leaves a residual at p={p}")
     bad = structure_violations(cp)
@@ -267,15 +281,19 @@ def compute_charpoly(p: int) -> CharPoly:
     """The relation coefficients via one structured linear solve.
 
     The coefficient window is (p+1)^2 + 1.  F_p satisfies every row at any
-    window, so a solve of full column rank can only return F_p.  A column
-    dependency is a polynomial G of Y-degree at most p, with every monomial
-    X^a Y^b of a + b <= p+1, such that G(Delta, Delta(q^p)) vanishes below
-    the window.  Mod 2 that series is a form of weight 12(p+1) on Gamma_0(p)
-    (E_4 = 1 mod 2 evens out the weights), so by the Sturm bound it vanishes
+    window, so a solve of full column rank can only return F_p.  Every
+    column has its lowest exponent at most p^2 + 1, inside the window, and
+    all but the extra columns X^(p+1) and, at p = 1 mod 8, X^p*Y own their
+    lowest rows (``_solve_relation``): the rank is full exactly when each
+    extra peels to a nonzero vector.  A zero would be a column dependency: a
+    polynomial G of Y-degree at most p, with every monomial X^a Y^b of
+    a + b <= p+1, such that G(Delta, Delta(q^p)) vanishes below the window.
+    Mod 2 that series is a form of weight 12(p+1) on Gamma_0(p) (E_4 = 1
+    mod 2 evens out the weights), so by the Sturm bound it vanishes
     identically once it vanishes through q^((p+1)^2): no larger window adds
     rank, and a RankDeficient from this one solve is final.  The window is
-    also nearly the least that works (at p=257 a window of 66560 < (p+1)^2
-    is rank-deficient).
+    also nearly the least that works: at p=257 a window of 66560 < (p+1)^2
+    holds every lowest row, and an extra peels to zero in it.
     """
     _require_odd_prime(p)
     return _solve_relation(p, (p + 1) * (p + 1) + 1)

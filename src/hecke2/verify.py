@@ -404,18 +404,18 @@ def _h_subadditive(cfg: VerifyConfig) -> str:
 @_claim("h-increments", "codes")
 def _h_increments(cfg: VerifyConfig) -> str:
     lim = 1_000_000
-    a, b = code_arrays(lim + 5)
-    H = a + b
+    # h < 2^11 below 2^20, so int16 holds it, and h(k+i) is a view of H
+    H = np.add(*code_arrays(lim + 5)).astype(np.int16)
+    h0, h1, h2, h3, h4 = (H[i : i + lim + 1] for i in range(5))
     ks = np.arange(lim + 1)
-    h0, h1, h2 = H[ks], H[ks + 1], H[ks + 2]
     even = (ks & 1) == 0
     assert np.all(h1[even] == h0[even]), "h(k+1) != h(k) for even k"
     assert np.all(h1[~even] <= h0[~even] + 1), "h(k+1) bound fails for odd k"
     low = (ks & 3) < 2
     assert np.all(h2[low] == h0[low] + 1), "h(k+2) != h(k)+1 for k=0,1 mod 4"
     assert np.all(h2[~low] <= h0[~low]), "h(k+2) bound fails for k=2,3 mod 4"
-    assert np.all(H[ks + 3] <= h0 + 1), "h(k+3) bound fails"
-    assert np.all(H[ks + 4] <= h0 + 1), "h(k+4) bound fails"
+    assert np.all(h3 <= h0 + 1), "h(k+3) bound fails"
+    assert np.all(h4 <= h0 + 1), "h(k+4) bound fails"
     return "k<=1e6"
 
 

@@ -19,28 +19,47 @@ from hecke2.primes import odd_primes_up_to
 from hecke2.relation import cached_charpoly, compute_charpoly, relation_residual
 
 COLD_ROUNDS = 10
+SWEEP_ROUNDS = 3
 
 
 def _empty_ladder():
     gf2series._ladder = (0, [])
 
 
-def _solves_to_181():
-    # the solves of the relations workload: every odd prime up to 181
-    primes = odd_primes_up_to(181)
+def _solves_to(pmax):
+    primes = odd_primes_up_to(pmax)
     return primes, lambda: [compute_charpoly(p) for p in primes]
 
 
 def test_compute_charpoly_to_181(benchmark):
-    primes, solves = _solves_to_181()
+    # the solves of the relations workload: every odd prime up to 181
+    primes, solves = _solves_to(181)
     out = benchmark(solves)
     assert out == [cached_charpoly(p) for p in primes]
 
 
 def test_compute_charpoly_to_181_cold(benchmark):
-    primes, solves = _solves_to_181()
+    primes, solves = _solves_to(181)
     out = benchmark.pedantic(solves, setup=_empty_ladder, rounds=COLD_ROUNDS)
     assert out == [cached_charpoly(p) for p in primes]
+
+
+def test_compute_charpoly_to_499(benchmark):
+    # every relation the CLI accepts, ascending: 94 solves
+    primes, solves = _solves_to(499)
+    out = benchmark.pedantic(solves, rounds=SWEEP_ROUNDS)
+    assert out == [cached_charpoly(p) for p in primes]
+
+
+def test_compute_charpoly_499(benchmark):
+    # the largest prime the CLI accepts, warm: its ladder kept from the last call
+    out = benchmark(compute_charpoly, 499)
+    assert out == cached_charpoly(499)
+
+
+def test_compute_charpoly_499_cold(benchmark):
+    out = benchmark.pedantic(compute_charpoly, args=(499,), setup=_empty_ladder, rounds=COLD_ROUNDS)
+    assert out == cached_charpoly(499)
 
 
 @pytest.mark.parametrize("p", [181, 499])

@@ -31,7 +31,7 @@ from hecke2.gf2series import (
     spread_bits,
     stride_bits,
 )
-from hecke2 import fast, gf2series, hecke, naive, relation
+from hecke2 import fast, gf2series, hecke, naive, newton, relation
 from hecke2.hecke import (
     CharPoly,
     cached_charpoly,
@@ -131,6 +131,14 @@ def test_charpoly_rejects_composite():
 def test_tiny_window_is_rank_deficient():
     with pytest.raises(RankDeficient):
         relation._solve_relation(3, 8)
+
+
+def test_window_below_the_sturm_bound_is_rank_deficient():
+    # every column of F_257 has its lowest row inside this window, at most
+    # 257^2 + 1, so the deficiency shows only when an extra column peels to zero
+    assert 257**2 + 1 < 66560 < 258**2 + 1
+    with pytest.raises(RankDeficient, match="window 66560"):
+        relation._solve_relation(257, 66560)
 
 
 def _count_solves(monkeypatch):
@@ -277,13 +285,13 @@ def test_gf2_solve_pivot_elimination():
         return SingularSystem("rhs")
 
     # columns 0b011, 0b110 span {0, 0b011, 0b101, 0b110}
-    assert relation._gf2_solve([0b011, 0b110], 0b101, dependent, inconsistent) == 0b11
-    assert relation._gf2_solve([0b011, 0b110], 0b110, dependent, inconsistent) == 0b10
-    assert relation._gf2_solve([0b011, 0b110], 0, dependent, inconsistent) == 0
+    assert newton._gf2_solve([0b011, 0b110], 0b101, dependent, inconsistent) == 0b11
+    assert newton._gf2_solve([0b011, 0b110], 0b110, dependent, inconsistent) == 0b10
+    assert newton._gf2_solve([0b011, 0b110], 0, dependent, inconsistent) == 0
     with pytest.raises(RankDeficient, match="column 2"):
-        relation._gf2_solve([0b011, 0b110, 0b101], 0b011, dependent, inconsistent)
+        newton._gf2_solve([0b011, 0b110, 0b101], 0b011, dependent, inconsistent)
     with pytest.raises(SingularSystem, match="rhs"):
-        relation._gf2_solve([0b011, 0b110], 0b100, dependent, inconsistent)
+        newton._gf2_solve([0b011, 0b110], 0b100, dependent, inconsistent)
 
 
 def test_newton_oracle_agrees():
@@ -1316,33 +1324,68 @@ def flip_bit(cp: CharPoly, r: int, j: int) -> CharPoly:
     return CharPoly(cp.p, tuple(s))
 
 
-def test_solve_columns_match_full_width(monkeypatch):
-    # every column the packed solve hands the elimination, and its right-hand
-    # side, is packed Delta^j * Delta(q^p)^(p+1-r) on the class p(p+1) mod 8
-    solve = relation._gf2_solve
-    fed = []
+def allowed_unknowns(p: int) -> list[tuple[int, int]]:
+    """The (r, j) of the bits X^j of s_r that the relation solve allows: j <= r, j = p*r mod 8."""
+    return [(r, j) for r in range(p + 1, 0, -1) for j in range((p * r) % 8, r + 1, 8)]
 
-    def recording(columns, rhs, dependent, inconsistent):
-        columns = list(columns)
-        fed.append((columns, rhs))
-        return solve(columns, rhs, dependent, inconsistent)
 
-    monkeypatch.setattr(relation, "_gf2_solve", recording)
+def test_solve_columns_match_full_width():
+    # every column the packed solve can build, and its right-hand side, is
+    # packed Delta^j * Delta(q^p)^(p+1-r) on the class p(p+1) mod 8
     for p in hecke.odd_primes_up_to(31):
         big = p + 1
-        fed.clear()
-        assert compute_charpoly(p) == cached_charpoly(p), p
-        ((columns, rhs),) = fed
         precision = 8 * -(-(big * big + 1) // 8)
         c = (p * big) % 8
+        terms = relation._PackedTerms(p, precision, big, big >> 3)
         apow, bpow = full_width_ladders(p, precision, big)
-        # r descending, and j ascending within each s_r
-        unknowns = [(r, j) for r in range(big, 0, -1) for j in range((p * r) % 8, r + 1, 8)]
-        assert len(columns) == len(unknowns), p
-        for (r, j), col in zip(unknowns, columns):
+        # descending r, then ascending, so that a head kept for j serves both ways
+        for r, j in allowed_unknowns(p) + allowed_unknowns(p)[::-1]:
             want = clmul(apow[j], bpow[big - r]) & ((1 << precision) - 1)
-            assert spread8(col, c) == want, (p, r, j)
-        assert spread8(rhs, c) == bpow[big], p
+            assert spread8(terms.column(big - r, j), c) == want, (p, r, j)
+        assert spread8(terms.column(big, 0), c) == bpow[big], p
+
+
+def test_columns_own_their_lowest_rows():
+    # the column of X^j in s_r has its lowest exponent at j + p*i, i = p+1-r;
+    # all but one or two own it, and the peel reads (i, j) back by divmod
+    for p in hecke.odd_primes_up_to(499):
+        big = p + 1
+        unknowns = [(big - r, j) for r, j in allowed_unknowns(p)]
+        extras = sorted((j + p * i, (i, j)) for i, j in unknowns if divmod(j + p * i, p) != (i, j))
+        assert extras == [(big, (0, big))] + [(2 * p, (1, p))] * (p % 8 == 1), p
+        # each extra shares its row with an allowed owner, X*Y and Y^2
+        assert {divmod(row, p) for row, _ in extras} <= set(unknowns), p
+
+
+def test_peel_matches_pivot_elimination():
+    # the peel builds only the columns it reads; the pivot elimination over
+    # every built column must choose the same bits, or fail the same way
+    def by_elimination(p, window):
+        big = p + 1
+        terms = relation._PackedTerms(p, 8 * -(-window // 8), big, big >> 3)
+        unknowns = allowed_unknowns(p)
+        chosen = newton._gf2_solve(
+            (terms.column(big - r, j) for r, j in unknowns),
+            terms.column(big, 0),
+            lambda idx: RankDeficient(f"column {idx}"),
+            lambda: SingularSystem("rhs"),
+        )
+        return relation._chosen_relation(p, (unknowns[idx] for idx in bit_positions(chosen)))
+
+    def outcome(solve, p, window):
+        try:
+            return solve(p, window)
+        except RankDeficient:
+            return RankDeficient
+
+    for p in hecke.odd_primes_up_to(127):
+        window = (p + 1) ** 2 + 1
+        assert relation._solve_relation(p, window) == by_elimination(p, window), p
+    # windows about the highest lowest exponent of a column, p^2 + 1 at
+    # p = 1 mod 8, and about the Sturm bound
+    for p in (3, 5, 7, 11, 17, 41):
+        for window in (p * p - 7, p * p, p * p + 1, p * p + 2, p * p + 9, (p + 1) ** 2 - 8, (p + 1) ** 2):
+            assert outcome(relation._solve_relation, p, window) == outcome(by_elimination, p, window), (p, window)
 
 
 def test_hecke_matrix_small():
