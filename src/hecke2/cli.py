@@ -26,6 +26,7 @@ from .relation import (
     compute_charpoly,
     read_charpoly,
     relation_residual,
+    residual_precision,
     structure_violations,
     write_charpoly,
 )
@@ -114,7 +115,7 @@ def _cmd_fp(args: argparse.Namespace) -> int:
     if bad:
         print(f"fail: {'; '.join(bad)}", file=sys.stderr)
         return 1
-    precision = 8 * (p + 1) * (p + 1)
+    precision = residual_precision(p)
     if not relation_residual(cp, precision).is_zero():
         print(f"fail: series relation residual nonzero below q^{precision}", file=sys.stderr)
         return 1

@@ -111,7 +111,9 @@ def apply_witness(f: DeltaPoly) -> DeltaPoly:
     against 0.04, and one witness on such a form of degree 4095 in a fresh
     process 70-125 ms against 7-11 (its second call 0.6-1.0 ms against 3-4).
     At degree 16383 the rows fill their table's cap in the first chain,
-    which takes 0.8-0.9 s against 0.06; later ones take as long as before.
+    which takes 0.35-0.43 s against 0.06 in a fresh process (0.33-0.37 s
+    with only the table store emptied, as ``test_one_witness_first_call``
+    times it); later ones take as long as before.
     """
     parity = f.parity_class()
     if parity is Parity.ZERO:

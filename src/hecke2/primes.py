@@ -17,9 +17,11 @@ def is_odd_prime(n: int) -> bool:
 
 
 # Largest --p and --pmax of the command line, and the reach of the `verify
-# --long` claims over every prime.  It bounds the residual check at 8(p+1)^2
-# bits, about 0.45 s at p = 499 on a 2-core machine, and keeps
-# `is_odd_prime`'s trial division away from huge inputs.
+# --long` claims over every prime.  It bounds the residual check at
+# `relation.residual_precision(499)` = 2,000,000 bits: about 0.4 s for the
+# first call at p = 499 on a 2-core machine, 0.07 s for a later one in the
+# same process.  It also keeps `is_odd_prime`'s trial division away from
+# huge inputs.
 MAX_PRIME = 500
 
 

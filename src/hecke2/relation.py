@@ -199,6 +199,18 @@ def relation_residual(cp: CharPoly, precision: int) -> BitSeries:
     return BitSeries(bits, precision)
 
 
+def residual_precision(p: int) -> int:
+    """8(p+1)^2, the precision ``fp verify`` and the ``relation-structure``
+    claim take F_p's residual to.
+
+    A solved relation already vanishes through its window of (p+1)^2 + 1,
+    and by the Sturm bound in ``compute_charpoly``'s docstring that proves
+    it; these checks, which also read relations from cache files, go eight
+    times as far.
+    """
+    return 8 * (p + 1) * (p + 1)
+
+
 def _solve_relation(p: int, window: int) -> CharPoly:
     """Linear solve for the relation over one coefficient window, by peeling its triangle.
 

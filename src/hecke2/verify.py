@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable
 
@@ -37,7 +37,7 @@ from .nilpotence import (
     g_general,
 )
 from .primes import MAX_PRIME, odd_primes_up_to
-from .relation import CharPoly, cached_charpoly, relation_residual, structure_violations
+from .relation import CharPoly, cached_charpoly, relation_residual, residual_precision, structure_violations
 
 __all__ = ["VerifyConfig", "ClaimResult", "VerificationReport", "SUITES", "run_suite"]
 
@@ -95,9 +95,15 @@ _REGISTRY: dict[str, Callable[[VerifyConfig], str]] = {}
 SUITES: dict[str, tuple[str, ...]] = {}
 
 
-def _claim(claim_id: str, suite: str):
+def _claim(claim_id: str, suite: str, **bound):
+    """Register ``fn`` as ``claim_id``, with ``bound`` keywords fixed.
+
+    A family of claims shares one body: ``_claim(id, suite, p=3)(body)``
+    once per member, in the order they run.
+    """
+
     def wrap(fn):
-        _REGISTRY[claim_id] = fn
+        _REGISTRY[claim_id] = partial(fn, **bound)
         SUITES[suite] = SUITES.get(suite, ()) + (claim_id,)
         return fn
 
@@ -194,24 +200,17 @@ _TABLE5 = {
 }
 
 
-def _check_table(p: int, table: dict[int, tuple[int, ...]]) -> None:
+def _table(cfg: VerifyConfig, *, p: int, table: dict[int, tuple[int, ...]]) -> str:
     fast = hecke_fast_range(cached_charpoly(p), 21)
     for k, exps in table.items():
         want = DeltaPoly.from_exponents(exps)
         assert fast[k] == want, f"fast image table fails at p={p}, k={k}"
         assert hecke_naive(monomial(k), p) == want, f"naive table fails at p={p}, k={k}"
-
-
-@_claim("t3-table", "tables")
-def _t3_table(cfg: VerifyConfig) -> str:
-    _check_table(3, _TABLE3)
     return "k in {0,1,3,...,21}"
 
 
-@_claim("t5-table", "tables")
-def _t5_table(cfg: VerifyConfig) -> str:
-    _check_table(5, _TABLE5)
-    return "k in {0,1,3,...,21}"
+_claim("t3-table", "tables", p=3, table=_TABLE3)(_table)
+_claim("t5-table", "tables", p=5, table=_TABLE5)(_table)
 
 
 @_claim("naive-fast-agree", "tables")
@@ -244,8 +243,8 @@ def _naive_fast_agree(cfg: VerifyConfig) -> str:
 
 @_claim("newton-solve-agree", "tables")
 def _newton_solve_agree(cfg: VerifyConfig) -> str:
-    # --long takes the oracle to p=127 (about 0.7 s of Newton solves on 2 cores);
-    # p<=157 would cost about 2 to 2.5 s, most of it elimination
+    # --long takes the oracle to p=127 (0.35 s of Newton solves on 2 cores, in
+    # one process); p<=157 would add about 1.05 s, most of it elimination
     pmax = min(cfg.pmax, 127 if cfg.long else 31)
     for p in _checked_primes(pmax):
         assert cached_charpoly(p) == charpoly_via_newton(p), f"methods split at p={p}"
@@ -254,14 +253,14 @@ def _newton_solve_agree(cfg: VerifyConfig) -> str:
 
 @_claim("relation-structure", "tables")
 def _relation_structure(cfg: VerifyConfig) -> str:
-    # --long covers every prime the CLI accepts; the residuals of the primes
-    # 263..499 take about 10 s on 2 cores
+    # --long covers every prime the CLI accepts; after their solves, the
+    # residuals of the primes 263..499 take about 4 to 5 s on 2 cores
     pmax = min(cfg.pmax, MAX_PRIME if cfg.long else 31)
     for p in _checked_primes(pmax):
         cp = cached_charpoly(p)
         bad = structure_violations(cp)
         assert not bad, f"{bad} at p={p}"
-        res = relation_residual(cp, 8 * (p + 1) * (p + 1))
+        res = relation_residual(cp, residual_precision(p))
         assert res.is_zero(), f"relation residual nonzero at p={p}"
     return f"p<={pmax}, residual to 8(p+1)^2"
 
@@ -533,26 +532,18 @@ def _shift_images(cp: CharPoly, nmax: int) -> list[DeltaPoly]:
     return hecke_fast_range(cp, 2 * 4**nmax + (303 if cp.p == 3 else 305))
 
 
-@_claim("shift3-identities", "shift")
-def _shift3_identities(cfg: VerifyConfig) -> str:
+def _shift_identities(cfg: VerifyConfig, *, p: int, check: Callable[..., None]) -> str:
     nmax = cfg.shift_nmax
-    cp3 = cached_charpoly(3)
-    table = _shift_images(cp3, nmax)
+    cp = cached_charpoly(p)
+    table = _shift_images(cp, nmax)
     for nn in range(nmax + 1):
         for k in range(301):
-            structural.check_shift3(nn, k, cp3, table)
+            check(nn, k, cp, table)
     return f"n<={nmax}, k<=300"
 
 
-@_claim("shift5-identities", "shift")
-def _shift5_identities(cfg: VerifyConfig) -> str:
-    nmax = cfg.shift_nmax
-    cp5 = cached_charpoly(5)
-    table = _shift_images(cp5, nmax)
-    for nn in range(nmax + 1):
-        for k in range(301):
-            structural.check_shift5(nn, k, cp5, table)
-    return f"n<={nmax}, k<=300"
+_claim("shift3-identities", "shift", p=3, check=structural.check_shift3)(_shift_identities)
+_claim("shift5-identities", "shift", p=5, check=structural.check_shift5)(_shift_identities)
 
 
 @_claim("shift-special-values", "shift")
@@ -599,7 +590,7 @@ def _uvwy_family_structure(cfg: VerifyConfig) -> str:
 # bounds suite
 
 
-def _bounds_claim(check: Callable[[int], object], *names: str) -> str:
+def _bounds(cfg: VerifyConfig, *, check: Callable[[int], object], names: tuple[str, ...]) -> str:
     """Check the named ``_BOUNDS`` on the codes of every odd k <= 1e6, and
     ``check`` (their scalar form) on every odd k < 4096 and at every tight point."""
     lim = 1_000_000
@@ -618,19 +609,9 @@ def _bounds_claim(check: Callable[[int], object], *names: str) -> str:
     return "odd k<=1e6 (vector) + k<4096 (scalar)"
 
 
-@_claim("g-two-sided-bounds", "bounds")
-def _g_two_sided_bounds(cfg: VerifyConfig) -> str:
-    return _bounds_claim(check_bounds_g, "lower", "upper")
-
-
-@_claim("n3-upper-bound", "bounds")
-def _n3_upper_bound(cfg: VerifyConfig) -> str:
-    return _bounds_claim(check_bounds_n3, "n3")
-
-
-@_claim("n5-upper-bound", "bounds")
-def _n5_upper_bound(cfg: VerifyConfig) -> str:
-    return _bounds_claim(check_bounds_n5, "n5")
+_claim("g-two-sided-bounds", "bounds", check=check_bounds_g, names=("lower", "upper"))(_bounds)
+_claim("n3-upper-bound", "bounds", check=check_bounds_n3, names=("n3",))(_bounds)
+_claim("n5-upper-bound", "bounds", check=check_bounds_n5, names=("n5",))(_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -678,16 +659,13 @@ def _structure_sweep_t5(kmax: int) -> None:
             assert dom == (ak, bk - 1), f"odd-case code fails at k={k}"
 
 
-@_claim("t3-image-structure", "theorem")
-def _t3_image_structure(cfg: VerifyConfig) -> str:
-    _structure_sweep_t3(cfg.structure_kmax)
+def _image_structure(cfg: VerifyConfig, *, sweep: Callable[[int], None]) -> str:
+    sweep(cfg.structure_kmax)
     return f"k<={cfg.structure_kmax}"
 
 
-@_claim("t5-image-structure", "theorem")
-def _t5_image_structure(cfg: VerifyConfig) -> str:
-    _structure_sweep_t5(cfg.structure_kmax)
-    return f"k<={cfg.structure_kmax}"
+_claim("t3-image-structure", "theorem", sweep=_structure_sweep_t3)(_image_structure)
+_claim("t5-image-structure", "theorem", sweep=_structure_sweep_t5)(_image_structure)
 
 
 @_claim("frobenius-doubling", "theorem")

@@ -15,23 +15,13 @@ import pytest
 from hecke2.cli import MAX_FORM_DEGREE
 from hecke2.codes import code_arrays, h, h_poly
 from hecke2.deltapoly import ZERO, DeltaPoly, decompose, from_series, to_series
+from hecke2.fast import hecke_fast, hecke_fast_range
 from hecke2.gf2series import bit_positions
-from hecke2.hecke import (
-    CharPoly,
-    cached_charpoly,
-    charpoly_via_newton,
-    compute_charpoly,
-    hecke_fast,
-    hecke_fast_range,
-    hecke_matrix,
-    hecke_naive,
-    odd_primes_up_to,
-    prop1_closed_form,
-    relation_residual,
-    structure_violations,
-)
-from hecke2.naive import _naive_monomial_range
+from hecke2.naive import _naive_monomial_range, hecke_matrix, hecke_naive, prop1_closed_form
+from hecke2.newton import charpoly_via_newton
 from hecke2.nilpotence import apply_witness, g_bruteforce, g_general
+from hecke2.primes import odd_primes_up_to
+from hecke2.relation import CharPoly, cached_charpoly, compute_charpoly, relation_residual, structure_violations
 from hecke2.structural import check_corollary_values, check_shift3, check_shift5
 from hecke2.verify import _REGISTRY, VerifyConfig
 from helpers import poly

@@ -27,7 +27,8 @@ from hecke2.codes import (
 )
 from hecke2.deltapoly import DeltaPoly
 from hecke2.errors import MixedParity, ParityMismatch, ZeroPolynomial
-from hecke2.hecke import cached_charpoly, hecke_fast_range
+from hecke2.fast import hecke_fast_range
+from hecke2.relation import cached_charpoly
 from helpers import poly
 
 

@@ -31,27 +31,20 @@ from hecke2.gf2series import (
     spread_bits,
     stride_bits,
 )
-from hecke2 import fast, gf2series, hecke, naive, newton, relation
-from hecke2.hecke import (
+from hecke2 import fast, gf2series, naive, newton, relation
+from hecke2.fast import hecke_fast, hecke_fast_range, image_table, iter_hecke_fast, shared_image_table
+from hecke2.naive import _naive_monomial_range, hecke_matrix, hecke_naive, hecke_naive_series, prop1_closed_form
+from hecke2.newton import charpoly_via_newton
+from hecke2.primes import odd_primes_up_to
+from hecke2.relation import (
     CharPoly,
     cached_charpoly,
     charpoly_from_text,
     charpoly_to_text,
-    charpoly_via_newton,
     compute_charpoly,
-    hecke_fast,
-    hecke_fast_range,
-    hecke_matrix,
-    hecke_naive,
-    hecke_naive_series,
-    image_table,
-    iter_hecke_fast,
-    prop1_closed_form,
     relation_residual,
-    shared_image_table,
     structure_violations,
 )
-from hecke2.naive import _naive_monomial_range
 from helpers import delta_qpow, poly, sigma1
 
 
@@ -62,7 +55,7 @@ F7 = CharPoly(7, (ZERO, ZERO, ZERO, ZERO, ZERO, poly(2), poly(1), poly(8)))
 
 
 def test_naive_series_kills_delta():
-    for p in hecke.odd_primes_up_to(100):
+    for p in odd_primes_up_to(100):
         img = hecke_naive_series(delta(100 * p + 1), p)
         assert img.is_zero(), p
 
@@ -155,7 +148,7 @@ def _count_solves(monkeypatch):
 
 
 def test_default_window_matches_wide_window():
-    for p in hecke.odd_primes_up_to(61):
+    for p in odd_primes_up_to(61):
         assert compute_charpoly(p) == relation._solve_relation(p, 4 * (p + 1) ** 2), p
 
 
@@ -296,14 +289,14 @@ def test_gf2_solve_pivot_elimination():
 
 def test_newton_oracle_agrees():
     # every odd p <= 61, the range of the oracle workload
-    for p in hecke.odd_primes_up_to(61):
+    for p in odd_primes_up_to(61):
         assert charpoly_via_newton(p) == compute_charpoly(p), p
 
 
 def test_newton_oracle_satisfies_every_identity():
     # the oracle imposes the odd identities only, on odd naive sums and their
     # squares; its relation must satisfy the even ones too, on the naive sums
-    for p in hecke.odd_primes_up_to(61):
+    for p in odd_primes_up_to(61):
         cp = charpoly_via_newton(p)
         rmax = 3 * (p + 1)
         sums = [s.mask for s in naive._naive_monomial_range(p, rmax)]
@@ -497,7 +490,7 @@ def test_newton_initial_sums():
     assert newton_initial_sums(F5) == [ZERO] * 5 + [poly(1), ZERO]
     assert newton_initial_sums(F3) == [ZERO] * 3 + [poly(1), ZERO]
     # the stream seeds itself: its first p+2 images are the forward sums
-    for p in hecke.odd_primes_up_to(61):
+    for p in odd_primes_up_to(61):
         cp = cached_charpoly(p)
         assert hecke_fast_range(cp, p + 1) == newton_initial_sums(cp), p
 
@@ -561,7 +554,7 @@ def test_packed_kernel_matches_unpacked_recurrence_and_naive():
 
 
 def test_packed_kernel_seeds_only():
-    for p in hecke.odd_primes_up_to(61):
+    for p in odd_primes_up_to(61):
         cp = cached_charpoly(p)
         sums = newton_initial_sums(cp)
         assert hecke_fast_range(cp, 0) == [ZERO]
@@ -648,7 +641,7 @@ def flip_in_class_bit(cp: CharPoly, r: int) -> CharPoly:
     return CharPoly(cp.p, tuple(s))
 
 
-@pytest.mark.parametrize("p", [*hecke.odd_primes_up_to(61), 127, 257])
+@pytest.mark.parametrize("p", [*odd_primes_up_to(61), 127, 257])
 def test_odd_stream_is_the_odd_part_of_the_full_stream(p):
     # the odd images obey the squared recurrence for every monic relation on
     # its classes, so an in-class corruption of F_p keeps the odd stream equal
@@ -660,7 +653,7 @@ def test_odd_stream_is_the_odd_part_of_the_full_stream(p):
             assert odd == full[1 : kmax + 1 : 2], (p, kmax)
 
 
-@pytest.mark.parametrize("p", [*hecke.odd_primes_up_to(61), 127, 257])
+@pytest.mark.parametrize("p", [*odd_primes_up_to(61), 127, 257])
 def test_octet_tail_matches_the_full_stream_across_its_seam(p):
     # hecke_fast streams the odd images to 8(p+1) - 1 and carries the rest in
     # octets.  The step-8 recurrence holds for every monic relation on its
@@ -821,7 +814,7 @@ def test_shared_store_holds_at_most_its_bound(monkeypatch):
     default = fast._SHARED_BYTES
     store = {}
     monkeypatch.setattr(fast, "_shared_tables", store)
-    primes = hecke.odd_primes_up_to(61)
+    primes = odd_primes_up_to(61)
     size = {p: fast._table_bytes(image_table(cached_charpoly(p), 63)) for p in primes}
     budget = 3 * max(size.values())
     monkeypatch.setattr(fast, "_SHARED_BYTES", budget)
@@ -986,10 +979,11 @@ def test_power_rows_stop_at_their_bound(monkeypatch):
 def test_image_table_applies_to_the_zero_form_in_a_fresh_process():
     # a fresh process has built none of the package's lazy caches, and the
     # empty form must still map to 0 there
-    src = str(Path(hecke.__file__).resolve().parents[1])
+    src = str(Path(fast.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
-        "from hecke2.hecke import compute_charpoly, image_table\n"
+        "from hecke2.fast import image_table\n"
+        "from hecke2.relation import compute_charpoly\n"
         "print(image_table(compute_charpoly(3), 5).apply(0))"
     )
     run = subprocess.run(
@@ -1225,7 +1219,7 @@ def set_structure_violations(cp: CharPoly) -> list[str]:
 def test_structure_violations_match_set_version():
     rng = random.Random(7)
     relations = [F3, F5, F7, CharPoly(7, (ZERO,) * 8), CharPoly(3, (poly(*range(12)), ZERO, poly(1), poly(4)))]
-    for p in hecke.odd_primes_up_to(61):
+    for p in odd_primes_up_to(61):
         cp = cached_charpoly(p)
         relations.append(cp)
         for _ in range(40):
@@ -1291,7 +1285,7 @@ def test_packed_residual_matches_full_width():
         return got
 
     # past p = 31 each Horner chain in Y^8 takes several steps
-    for p in (*hecke.odd_primes_up_to(31), 37, 101):
+    for p in (*odd_primes_up_to(31), 37, 101):
         cp = cached_charpoly(p)
         assert same(cp, 8 * (p + 1) ** 2).is_zero(), p
         for precision in (1, 7, 129):
@@ -1332,7 +1326,7 @@ def allowed_unknowns(p: int) -> list[tuple[int, int]]:
 def test_solve_columns_match_full_width():
     # every column the packed solve can build, and its right-hand side, is
     # packed Delta^j * Delta(q^p)^(p+1-r) on the class p(p+1) mod 8
-    for p in hecke.odd_primes_up_to(31):
+    for p in odd_primes_up_to(31):
         big = p + 1
         precision = 8 * -(-(big * big + 1) // 8)
         c = (p * big) % 8
@@ -1348,7 +1342,7 @@ def test_solve_columns_match_full_width():
 def test_columns_own_their_lowest_rows():
     # the column of X^j in s_r has its lowest exponent at j + p*i, i = p+1-r;
     # all but one or two own it, and the peel reads (i, j) back by divmod
-    for p in hecke.odd_primes_up_to(499):
+    for p in odd_primes_up_to(499):
         big = p + 1
         unknowns = [(big - r, j) for r, j in allowed_unknowns(p)]
         extras = sorted((j + p * i, (i, j)) for i, j in unknowns if divmod(j + p * i, p) != (i, j))
@@ -1378,7 +1372,7 @@ def test_peel_matches_pivot_elimination():
         except RankDeficient:
             return RankDeficient
 
-    for p in hecke.odd_primes_up_to(127):
+    for p in odd_primes_up_to(127):
         window = (p + 1) ** 2 + 1
         assert relation._solve_relation(p, window) == by_elimination(p, window), p
     # windows about the highest lowest exponent of a column, p^2 + 1 at

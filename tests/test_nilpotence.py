@@ -4,12 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from hecke2 import fast, hecke, nilpotence
+from hecke2 import fast, nilpotence
 from hecke2.codes import NEG_INF, code, dominant_exponent, h
 from hecke2.deltapoly import ZERO, DeltaPoly, decompose
 from hecke2.errors import NotOddForm, WitnessFailed, ZeroPolynomial
 from hecke2.gf2series import stride_bits
-from hecke2.hecke import CharPoly, cached_charpoly, hecke_fast
+from hecke2.fast import hecke_fast
 from hecke2.nilpotence import (
     apply_witness,
     check_bounds_g,
@@ -20,6 +20,7 @@ from hecke2.nilpotence import (
     g_odd,
     render_report,
 )
+from hecke2.relation import CharPoly, cached_charpoly
 from hecke2.verify import SUITES, VerifyConfig, run_suite
 from helpers import poly, witness_mask
 
@@ -135,7 +136,7 @@ def test_witness_is_never_served_the_table_of_another_relation(monkeypatch, empt
 def stored_t5_with_flip(store, kmax: int, v: int, bit: int):
     """Put into the store a T_5 table to ``kmax`` with bit ``bit`` of odd image v flipped."""
     cp5 = cached_charpoly(5)
-    table = hecke.image_table(cp5, kmax)
+    table = fast.image_table(cp5, kmax)
     odd = list(table.odd)
     odd[v] ^= 1 << bit
     store[cp5] = replace(table, odd=tuple(odd))
@@ -147,7 +148,7 @@ K5 = 687  # code (31, 1): one T_5 step, then thirty-one T_3 steps
 def test_witness_fails_on_a_flipped_bit_of_a_stored_t5_image(monkeypatch, empty_store):
     # the chain runs T_5 first, on Delta^K5 alone: with the bit of the dominant
     # exponent of its image flipped, the T_3 steps carry nothing to Delta^1
-    image = hecke.image_table(cached_charpoly(5), K5).apply(1 << K5)
+    image = fast.image_table(cached_charpoly(5), K5).apply(1 << K5)
     stored_t5_with_flip(empty_store, 1023, K5 >> 1, dominant_exponent(DeltaPoly(image)) >> 1)
     with pytest.raises(WitnessFailed, match=r"^witness T3\^31 T5\^1 left 0 instead of x\^1$"):
         apply_witness(poly(K5))

@@ -1,6 +1,8 @@
 """Names other code reaches by string or from outside Tier-1: the benchmark
-tracer's layers, ``__all__`` and the imports of the bench files."""
+tracer's layers, the names the benchmark reads from the ``hecke`` shim,
+``__all__`` and the imports of the bench files."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hecke2
+from hecke2 import hecke
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hecke2.__path__) if m.name != "__main__")
@@ -31,6 +34,36 @@ def test_traced_layers_resolve():
             module,
             function,
         )
+
+
+def _names_perfbench_reads_from_hecke() -> set[str]:
+    """Every name a ``perfbench/*.py`` file takes from the ``hecke`` shim.
+
+    That is each ``from hecke2.hecke import a``, each attribute read of a
+    local bound by ``from hecke2 import hecke [as hk]``, and the function of
+    each ``hecke`` layer the tracer wraps.
+    """
+    names = {function for module, function, _span in _load_tracing().LAYERS if module == "hecke"}
+    for path in TRACING.parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "hecke2.hecke":
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module == "hecke2":
+                bound.update(alias.asname or alias.name for alias in node.names if alias.name == "hecke")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+                names.add(node.attr)
+    return names
+
+
+def test_hecke_shim_holds_exactly_what_perfbench_reads():
+    # the shim exists only for the benchmark: each name it reads must resolve,
+    # and __all__ names nothing more (the tracer finds _solve_relation by name)
+    read = _names_perfbench_reads_from_hecke()
+    assert sorted(name for name in read if not hasattr(hecke, name)) == []
+    assert set(hecke.__all__) == read - {"_solve_relation"}
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -4,7 +4,9 @@ import pytest
 
 from hecke2.codes import code, dominant_exponent, h_poly
 from hecke2.deltapoly import ZERO, DeltaPoly, Parity, monomial
-from hecke2.hecke import cached_charpoly, hecke_fast_range, hecke_naive
+from hecke2.fast import hecke_fast_range
+from hecke2.naive import hecke_naive
+from hecke2.relation import cached_charpoly
 from hecke2.structural import (
     _shift_terms,
     a_seq,

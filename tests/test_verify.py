@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from hecke2 import fast, naive, verify
 from hecke2.deltapoly import DeltaPoly, monomial
 from hecke2.errors import WitnessFailed
-from hecke2.hecke import CharPoly
+from hecke2.relation import CharPoly
 from hecke2.verify import VerifyConfig, run_suite
 
 
@@ -281,3 +282,54 @@ def test_structure_sweeps_fail_above_the_key_table(monkeypatch):
     for claim_id in ("t3-image-structure", "t5-image-structure"):
         assert not status[claim_id].ok
         assert status[claim_id].detail == "k<=70000 is above the domination key table's cap"
+
+
+def test_suites_keep_their_claims_in_order():
+    suites = {
+        "prop1": ("low-degree-closed-forms",),
+        "tables": (
+            "t3-table", "t5-table", "naive-fast-agree", "newton-solve-agree",
+            "relation-structure", "recurrence-genfun", "series-roundtrips", "decompose-reassembly",
+        ),
+        "codes": (
+            "code-parity-table", "odd-step-invariance", "code-doubling-rules", "h-subadditive",
+            "h-increments", "h-disjoint-support", "dominant-product", "h-product-bound",
+            "h-fourth-power", "order-shift-regression", "code-bijection", "h-prefix-gap",
+        ),
+        "shift": (
+            "shift3-identities", "shift5-identities", "shift-special-values",
+            "q-family-structure", "uvwy-family-structure",
+        ),
+        "bounds": ("g-two-sided-bounds", "n3-upper-bound", "n5-upper-bound"),
+        "theorem": (
+            "t3-image-structure", "t5-image-structure", "frobenius-doubling", "theta-vanishing",
+            "witness-chain", "h-decrement", "dominant-code-decrement", "delta-kernel",
+            "g-monotone-under-hecke", "pm1-double-decrement", "g-degree-bound",
+            "g-vs-bruteforce", "triangular-nilpotent",
+        ),
+    }
+    assert verify.SUITES == {**suites, "all": sum(suites.values(), ())}
+    assert set(verify._REGISTRY) == set(verify.SUITES["all"])
+
+
+@pytest.mark.parametrize("long", [False, True])
+def test_claim_families_keep_their_ranges(long):
+    # each family shares one body, with its members' parameters bound; the
+    # shift pair is pinned by test_shift_claims_reach_n6_under_long
+    bounds = "odd k<=1e6 (vector) + k<4096 (scalar)"
+    ranges = {
+        "t3-table": "k in {0,1,3,...,21}",
+        "t5-table": "k in {0,1,3,...,21}",
+        "t3-image-structure": f"k<={32999 if long else 4095}",
+        "t5-image-structure": f"k<={32999 if long else 4095}",
+        "g-two-sided-bounds": bounds,
+        "n3-upper-bound": bounds,
+        "n5-upper-bound": bounds,
+    }
+    cfg = VerifyConfig(long=long)
+    for claim_id, want in ranges.items():
+        claim = verify._REGISTRY[claim_id]
+        if long and claim_id.endswith("image-structure"):
+            # the sweeps to k<=32999 take about 1 s; only the range is pinned here
+            claim = partial(claim.func, **{**claim.keywords, "sweep": lambda kmax: None})
+        assert claim(cfg) == want, claim_id
