@@ -29,6 +29,10 @@ time: it starts each class from the ladder's packed Delta^c and steps by
 Delta^(8g), which packed on class 0 is the plain series of Delta^g, read
 from the ladder's items below the precision or raised by square-and-multiply
 past them.
+
+``_gf2_solve`` is the package's one pivot elimination, run by both
+derivations of F_p: over all the Newton oracle's columns, and over the
+relation solve's extra columns with an ``owner`` rule peeling its triangle.
 """
 
 from __future__ import annotations
@@ -204,6 +208,50 @@ def pack8(mask: int, offset: int = 0) -> int:
         return int(mask.to_bytes(nbytes, "big").translate(_BYTE_TO_DIGIT), 2)
     src = np.frombuffer(mask.to_bytes(nbytes, "little"), np.uint8)
     return int.from_bytes(np.packbits(src, bitorder="little").tobytes(), "little")
+
+
+def _gf2_solve(columns, rhs: int, dependent, inconsistent, owner=None) -> int:
+    """Mask of the unknowns whose columns xor to ``rhs``, by incremental pivot elimination.
+
+    Each packed column is reduced against the pivots so far, keyed by lowest
+    set row; bit ``idx`` of the answer is column ``idx``.  A column reducing
+    to zero raises ``dependent(idx)``, an ``rhs`` outside the span
+    ``inconsistent()``.  ``owner(row)``, if given, is the column of the
+    unknown owning ``row`` as its lowest bit, or None: it reduces a vector
+    whose lowest bit no pivot holds, is built at each read, never kept, and
+    its unknown is bit ``n + row``, ``n = len(columns)`` (then a sequence).
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    n = 0 if owner is None else len(columns)
+    for idx, col in enumerate(columns):
+        tracker = 1 << idx
+        while col:
+            low = (col & -col).bit_length() - 1
+            hit = pivots.get(low)
+            if hit is not None:
+                col ^= hit[0]
+                tracker ^= hit[1]
+            elif owner is not None and (own := owner(low)) is not None:
+                col ^= own
+                tracker ^= 1 << (n + low)
+            else:
+                pivots[low] = (col, tracker)
+                break
+        else:
+            raise dependent(idx)
+    chosen = 0
+    while rhs:
+        low = (rhs & -rhs).bit_length() - 1
+        hit = pivots.get(low)
+        if hit is not None:
+            rhs ^= hit[0]
+            chosen ^= hit[1]
+        elif owner is not None and (own := owner(low)) is not None:
+            rhs ^= own
+            chosen ^= 1 << (n + low)
+        else:
+            raise inconsistent()
+    return chosen
 
 
 @dataclass(frozen=True, slots=True)

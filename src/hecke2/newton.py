@@ -7,47 +7,18 @@ identities, which imply the even ones, and closes through the odd stream.
 Those two readings, ``naive._naive_monomial_range`` and
 ``fast._packed_stream``, are the comparisons this route makes with the
 others.  Both are read through their modules, so a test that corrupts
-either where it is defined reaches this route as well.
+either where it is defined reaches this route as well, and so is its
+elimination, ``gf2series._gf2_solve``, the packed solve's too: the closing
+pass, not the elimination, checks this route's solution.
 """
 
 from __future__ import annotations
 
-from . import fast, naive
+from . import fast, gf2series, naive
 from .errors import SingularSystem
 from .gf2series import bit_positions, pack8, spread8, spread_bits
 from .primes import _require_odd_prime
 from .relation import CharPoly, _chosen_relation
-
-
-def _gf2_solve(columns, rhs: int, dependent, inconsistent) -> int:
-    """Mask of the columns whose xor is ``rhs``, by incremental pivot elimination.
-
-    ``columns`` yields packed GF(2) column vectors; each is reduced against
-    the pivots so far, keyed by lowest set row, in insertion order.  A column
-    that reduces to zero raises ``dependent(index)``; an ``rhs`` outside the
-    column span raises ``inconsistent()``.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    for idx, col in enumerate(columns):
-        tracker = 1 << idx
-        while col:
-            low = (col & -col).bit_length() - 1
-            hit = pivots.get(low)
-            if hit is None:
-                pivots[low] = (col, tracker)
-                break
-            col ^= hit[0]
-            tracker ^= hit[1]
-        else:
-            raise dependent(idx)
-    chosen = 0
-    while rhs:
-        hit = pivots.get((rhs & -rhs).bit_length() - 1)
-        if hit is None:
-            raise inconsistent()
-        rhs ^= hit[0]
-        chosen ^= hit[1]
-    return chosen
 
 
 def charpoly_via_newton(p: int) -> CharPoly:
@@ -131,7 +102,7 @@ def charpoly_via_newton(p: int) -> CharPoly:
         for i in range(1, big + 1)
     }
     bits = [(i, j) for i in range(1, big + 1) for j in range(cls[i], i + 1, 8)]
-    chosen = _gf2_solve(
+    chosen = gf2series._gf2_solve(
         (heads[i] << (j >> 3) for i, j in bits),
         streams[1][0],
         lambda idx: SingularSystem(

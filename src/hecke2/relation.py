@@ -3,10 +3,10 @@
 F_p(X, Y) = Y^(p+1) + s_1(X) Y^p + ... + s_(p+1)(X) is the unique symmetric
 bivariate relation satisfied by the expansions X = Delta(q), Y = Delta(q^p).
 Every s_r lies on the exponent class p*r mod 8.  The relation is computed
-by a packed GF(2) linear solve, peeled along its triangle, whose unknowns
-are the monomial bits allowed by the degree and mod-8 congruence
-constraints, and checked by evaluating it at the two expansions
-(``relation_residual``).
+by a packed GF(2) linear solve, peeled along its triangle by
+``gf2series._gf2_solve``, whose unknowns are the monomial bits allowed by
+the degree and mod-8 congruence constraints, and checked apart from that
+elimination by evaluating it at the two expansions (``relation_residual``).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
+from . import gf2series
 from .deltapoly import ONE, ZERO, DeltaPoly
 from .errors import CacheFormatError, RankDeficient
 from .gf2series import BitSeries, bit_positions, delta_powers, spread8
@@ -227,42 +228,20 @@ def _solve_relation(p: int, window: int) -> CharPoly:
     system has full column rank exactly when every column has its lowest row
     inside the window and each of the one or two extra columns, X^(p+1) and
     X^p*Y, reduces to a nonzero vector against the owners and the extra
-    before it.  Each reduction, and then that of the right-hand side
-    Y^(p+1), peels one step at a time: it xors in the column that owns the
-    vector's lowest set bit, or a reduced extra kept at that row, and a
-    lowest bit that neither holds ends it.  Only the columns a peel reads are
-    built (``_PackedTerms.column``).  Each tracker bit is a row: an owner's
-    own row, or the row at which a reduced extra is kept.  At full rank the
-    solution is unique, and a right-hand side that peels to a lowest bit
-    nothing holds has none.
+    before it.  ``gf2series._gf2_solve`` reduces the extras and then the
+    right-hand side Y^(p+1) with ``owner`` as its owner rule, so only the
+    columns a reduction reads are built (``_PackedTerms.column``), one at
+    each read.  At full rank the solution is unique.
     """
     big = p + 1
     n_window = ((window + 7) // 8) * 8
     terms = _PackedTerms(p, n_window, big, big >> 3)
     c = (p * big) % 8
 
-    def owner(row: int) -> tuple[int, int] | None:
-        """The (i, j) of the unknown whose column owns ``row``, if there is one."""
+    def owner(row: int) -> int | None:
+        """The column of the unknown (i, j) = divmod(8*row + c, p) that owns ``row``, if allowed."""
         i, j = divmod(8 * row + c, p)
-        return (i, j) if i < big and i + j <= big else None
-
-    # row -> a reduced extra, its tracker and its (i, j)
-    kept: dict[int, tuple[int, int, tuple[int, int]]] = {}
-
-    def peel(vec: int) -> tuple[int, int]:
-        """``vec`` peeled until its lowest bit has neither owner nor kept extra, and its tracker."""
-        tracker = 0
-        while vec:
-            row = (vec & -vec).bit_length() - 1
-            if row in kept:
-                vec ^= kept[row][0]
-                tracker ^= kept[row][1]
-            elif (own := owner(row)) is not None:
-                vec ^= terms.column(*own)
-                tracker ^= 1 << row
-            else:
-                break
-        return vec, tracker
+        return terms.column(i, j) if i < big and i + j <= big else None
 
     deficient = f"coefficient window {n_window} leaves the relation underdetermined (p={p})"
     # the highest lowest exponent of a column, at the top allowed X^j of some
@@ -270,16 +249,16 @@ def _solve_relation(p: int, window: int) -> CharPoly:
     top = max(p * (big - r) + r - (r - p * r) % 8 for r in range(1, big + 1) if (p * r) % 8 <= r)
     if top >= n_window:
         raise RankDeficient(deficient)
-    for i, j in [(0, big), (1, p)][: 1 + (p % 8 == 1)]:
-        vec, tracker = peel(terms.column(i, j))
-        if not vec:
-            raise RankDeficient(deficient)
-        row = (vec & -vec).bit_length() - 1
-        kept[row] = vec, tracker ^ (1 << row), (i, j)
-    rest, chosen = peel(terms.column(big, 0))
-    if rest:
-        raise AssertionError(f"no monic degree-{big} relation exists at p={p}")
-    unknowns = (kept[row][2] if row in kept else owner(row) for row in bit_positions(chosen))
+    extras = [(0, big), (1, p)][: 1 + (p % 8 == 1)]
+    chosen = gf2series._gf2_solve(
+        [terms.column(i, j) for i, j in extras],
+        terms.column(big, 0),
+        lambda idx: RankDeficient(deficient),
+        lambda: AssertionError(f"no monic degree-{big} relation exists at p={p}"),
+        owner,
+    )
+    n = len(extras)
+    unknowns = (extras[b] if b < n else divmod(8 * (b - n) + c, p) for b in bit_positions(chosen))
     cp = _chosen_relation(p, ((big - i, j) for i, j in unknowns))
     if any(terms.residual(cp)):
         raise AssertionError(f"solved relation leaves a residual at p={p}")

@@ -243,8 +243,8 @@ def _naive_fast_agree(cfg: VerifyConfig) -> str:
 
 @_claim("newton-solve-agree", "tables")
 def _newton_solve_agree(cfg: VerifyConfig) -> str:
-    # --long takes the oracle to p=127 (0.35 s of Newton solves on 2 cores, in
-    # one process); p<=157 would add about 1.05 s, most of it elimination
+    # --long takes the oracle to p=127 (0.37 to 0.53 s of Newton solves on 2
+    # cores, in one process); p<=157 would add about 1.0 s, most of it elimination
     pmax = min(cfg.pmax, 127 if cfg.long else 31)
     for p in _checked_primes(pmax):
         assert cached_charpoly(p) == charpoly_via_newton(p), f"methods split at p={p}"

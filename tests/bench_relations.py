@@ -1,4 +1,4 @@
-"""Timings of the packed relation solve and the Sturm-bound residual.
+"""Timings of the packed relation solve, the Newton oracle and the Sturm-bound residual.
 
 The file name keeps it out of the tier-1 suite; run it with pytest-benchmark
 installed as
@@ -15,6 +15,7 @@ before it, a cold one (``_cold``) finds it emptied, outside the timed region.
 import pytest
 
 from hecke2 import gf2series
+from hecke2.newton import charpoly_via_newton
 from hecke2.primes import odd_primes_up_to
 from hecke2.relation import cached_charpoly, compute_charpoly, relation_residual
 
@@ -60,6 +61,25 @@ def test_compute_charpoly_499(benchmark):
 def test_compute_charpoly_499_cold(benchmark):
     out = benchmark.pedantic(compute_charpoly, args=(499,), setup=_empty_ladder, rounds=COLD_ROUNDS)
     assert out == cached_charpoly(499)
+
+
+def _newton_to(pmax):
+    primes = odd_primes_up_to(pmax)
+    return primes, lambda: [charpoly_via_newton(p) for p in primes]
+
+
+def test_charpoly_via_newton_to_61(benchmark):
+    # the Newton solves of the oracle workload: every odd prime up to 61
+    primes, solves = _newton_to(61)
+    out = benchmark(solves)
+    assert out == [cached_charpoly(p) for p in primes]
+
+
+def test_charpoly_via_newton_to_127(benchmark):
+    # the reach of newton-solve-agree under verify --long
+    primes, solves = _newton_to(127)
+    out = benchmark.pedantic(solves, rounds=SWEEP_ROUNDS)
+    assert out == [cached_charpoly(p) for p in primes]
 
 
 @pytest.mark.parametrize("p", [181, 499])

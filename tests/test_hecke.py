@@ -31,7 +31,7 @@ from hecke2.gf2series import (
     spread_bits,
     stride_bits,
 )
-from hecke2 import fast, gf2series, naive, newton, relation
+from hecke2 import fast, gf2series, naive, relation
 from hecke2.fast import hecke_fast, hecke_fast_range, image_table, iter_hecke_fast, shared_image_table
 from hecke2.naive import _naive_monomial_range, hecke_matrix, hecke_naive, hecke_naive_series, prop1_closed_form
 from hecke2.newton import charpoly_via_newton
@@ -278,13 +278,35 @@ def test_gf2_solve_pivot_elimination():
         return SingularSystem("rhs")
 
     # columns 0b011, 0b110 span {0, 0b011, 0b101, 0b110}
-    assert newton._gf2_solve([0b011, 0b110], 0b101, dependent, inconsistent) == 0b11
-    assert newton._gf2_solve([0b011, 0b110], 0b110, dependent, inconsistent) == 0b10
-    assert newton._gf2_solve([0b011, 0b110], 0, dependent, inconsistent) == 0
+    assert gf2series._gf2_solve([0b011, 0b110], 0b101, dependent, inconsistent) == 0b11
+    assert gf2series._gf2_solve([0b011, 0b110], 0b110, dependent, inconsistent) == 0b10
+    assert gf2series._gf2_solve([0b011, 0b110], 0, dependent, inconsistent) == 0
     with pytest.raises(RankDeficient, match="column 2"):
-        newton._gf2_solve([0b011, 0b110, 0b101], 0b011, dependent, inconsistent)
+        gf2series._gf2_solve([0b011, 0b110, 0b101], 0b011, dependent, inconsistent)
     with pytest.raises(SingularSystem, match="rhs"):
-        newton._gf2_solve([0b011, 0b110], 0b100, dependent, inconsistent)
+        gf2series._gf2_solve([0b011, 0b110], 0b100, dependent, inconsistent)
+
+    # rows 0, 2 and 3 are owned, each by a column with that lowest bit;
+    # rows 1 and 4 have no owner
+    owned = {0: 0b00101, 2: 0b01100, 3: 0b01000}
+    reads = []
+
+    def owner(row):
+        reads.append(row)
+        return owned.get(row)
+
+    # 0b11101 = column 1 (0b10001) + the owner of row 2: bits 1 and n + 2
+    assert gf2series._gf2_solve([0b00111, 0b10001], 0b11101, dependent, inconsistent, owner) == 0b10010
+    # the owner of row 0 is read by both columns and the rhs, so it is built
+    # each time and never held as a pivot; rows 1 and 4 become the pivots
+    assert reads == [0, 1, 0, 2, 3, 4, 0, 3]
+    # 0b01101 = 0b00101 + 0b01000: the owners reduce column 1 to zero
+    with pytest.raises(RankDeficient, match="column 1"):
+        gf2series._gf2_solve([0b00111, 0b01101], 0b00010, dependent, inconsistent, owner)
+    # 0b10101 reduces by the owner of row 0 to 0b10000, whose row 4 is
+    # neither owned nor a pivot
+    with pytest.raises(SingularSystem, match="rhs"):
+        gf2series._gf2_solve([0b00111], 0b10101, dependent, inconsistent, owner)
 
 
 def test_newton_oracle_agrees():
@@ -309,6 +331,26 @@ def test_newton_oracle_satisfies_every_identity():
 
 # p mod 8 runs over 3, 3, 5, 7, 1: every carry pattern of the packed rows
 NEWTON_MUTATION_PRIMES = [3, 11, 13, 31, 41]
+
+
+@pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES)
+def test_both_derivations_reject_a_dropped_unknown(p, monkeypatch):
+    # the packed solve and the Newton oracle share one elimination, read
+    # through gf2series; an answer missing a chosen unknown must fail the
+    # solve's residual and the oracle's closing pass, so the shared kernel
+    # cannot make the two routes agree on a wrong F_p
+    solve = gf2series._gf2_solve
+    for drop in (lambda chosen: chosen & -chosen, lambda chosen: 1 << (chosen.bit_length() - 1)):
+
+        def dropped(*args, drop=drop):
+            chosen = solve(*args)
+            return chosen ^ drop(chosen)
+
+        monkeypatch.setattr(gf2series, "_gf2_solve", dropped)
+        with pytest.raises(AssertionError, match="leaves a residual"):
+            compute_charpoly(p)
+        with pytest.raises(SingularSystem, match="does not close"):
+            charpoly_via_newton(p)
 
 
 @pytest.mark.parametrize("p", NEWTON_MUTATION_PRIMES)
@@ -1352,13 +1394,13 @@ def test_columns_own_their_lowest_rows():
 
 
 def test_peel_matches_pivot_elimination():
-    # the peel builds only the columns it reads; the pivot elimination over
-    # every built column must choose the same bits, or fail the same way
+    # the peel builds only the columns it reads; the owner-free elimination
+    # over every built column must choose the same bits, or fail the same way
     def by_elimination(p, window):
         big = p + 1
         terms = relation._PackedTerms(p, 8 * -(-window // 8), big, big >> 3)
         unknowns = allowed_unknowns(p)
-        chosen = newton._gf2_solve(
+        chosen = gf2series._gf2_solve(
             (terms.column(big - r, j) for r, j in unknowns),
             terms.column(big, 0),
             lambda idx: RankDeficient(f"column {idx}"),

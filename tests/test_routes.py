@@ -21,6 +21,8 @@ ROUTES = ("naive", "relation", "newton", "fast")
 # module -> the routes it may take nothing from, except the names in ALLOWED
 FORBIDDEN = {
     "primes": set(ROUTES),
+    # the kernel layer holds the one elimination both derivations of F_p run
+    "gf2series": set(ROUTES),
     "naive": {"relation", "newton", "fast"},
     "relation": {"naive", "newton", "fast"},
     "fast": {"naive", "newton"},
